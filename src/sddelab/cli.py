@@ -6,6 +6,7 @@ config error.  Numbers are serialized with 17 significant digits."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib.resources
 import json
 import logging
@@ -151,10 +152,8 @@ def cmd_experiment(args) -> int:
         if not packaged.is_file():
             raise CliError(f"experiment config {args.config!r} not found")
         cfg = ExperimentConfig.from_dict(json.loads(packaged.read_text()))
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.n_replicates is not None:
-        cfg.n_replicates = args.n_replicates
+    overrides = {"seed": args.seed, "n_replicates": args.n_replicates}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     result = run_experiment(cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     with open(os.path.join(args.out_dir, "result.json"), "w") as fh:

@@ -2,10 +2,9 @@
 information statistics under the regime-correct scaling, matched limit-law
 reference samples, and distributional / moment / ergodic tests.
 
-Replicates are partitioned into fixed-size chunks simulated concurrently;
-every replicate draws its own counter-based stream from a splittable seed,
-so results are bit-identical for any thread count (SDDE_LAN_THREADS caps the
-worker pool).
+Replicates are simulated in fixed-size chunks, which bounds memory; every
+replicate draws its own counter-based stream from a splittable seed, so
+results are bit-identical for any chunk size.
 """
 
 from __future__ import annotations
@@ -13,21 +12,20 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import kolmogorov, ndtr
 
 from . import __version__
-from .inference import batch_statistics
+from .inference import batch_statistics, row_dots
 from .kernels import Grid, fisher_limit, fisher_theta0
 from .limit_laws import sample_lamn_many, sample_lan_many, sample_laq_many, sample_plamn_many
 from .measures import SignedMeasure, tail_mass, total_variation
 from .simulate import InitialPath, derive_seed, simulate_batch
 from .spectrum import RegimeReport, classify
 
-REPLICATE_CHUNK = 128  # fixed partition: thread count never changes results
+REPLICATE_CHUNK = 128  # replicates simulated together; bounds memory, never results
 
 KNOWN_TESTS = ("ks_delta", "ks_info", "normal_delta", "mean_info", "ergodic")
 
@@ -64,7 +62,9 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict, base_dir: str | None = None) -> "ExperimentConfig":
-        d = dict(d)
+        unknown = sorted(set(d) - {f.name for f in fields(ExperimentConfig)})
+        if unknown:
+            raise HarnessError(f"unknown config keys: {', '.join(unknown)}")
         measure = d["measure"]
         if isinstance(measure, str):
             path = measure if os.path.isabs(measure) or base_dir is None else os.path.join(base_dir, measure)
@@ -165,13 +165,6 @@ def ks_vs_standard_normal(x) -> tuple[float, float]:
 # experiment orchestration
 
 
-def _thread_count() -> int:
-    env = os.environ.get("SDDE_LAN_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
 def limit_information(theta: float, a: SignedMeasure, report: RegimeReport) -> float:
     """Deterministic LAN information constant."""
     if theta == 0.0 and abs(tail_mass(a, a.r)) <= 1e-12 * (1.0 + total_variation(a)):
@@ -210,25 +203,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     n = config.n_replicates
     seeds = np.array([derive_seed(config.seed, i) for i in range(n)], dtype=np.uint64)
-    chunks = [(lo, min(lo + REPLICATE_CHUNK, n)) for lo in range(0, n, REPLICATE_CHUNK)]
 
-    def run_chunk(span):
-        lo, hi = span
-        W, X, Y = simulate_batch(config.theta, a, x0, grid, seeds[lo:hi].tolist())
+    def run_chunk(lo):
+        chunk = seeds[lo : lo + REPLICATE_CHUNK].tolist()
+        W, X, Y = simulate_batch(config.theta, a, x0, grid, chunk)
         delta, info, theta_hat = batch_statistics(
             Y, X, grid.n_delay, grid.dt, config.theta, r_val
         )
         mean_Y = np.sum(Y[:, :-1], axis=1) * grid.dt / T
-        mean_Y2 = np.einsum("ij,ij->i", Y[:, :-1], Y[:, :-1]) * grid.dt / T
+        mean_Y2 = row_dots(Y[:, :-1], Y[:, :-1]) * grid.dt / T
         scaled_end = Y[:, -1] * r_val
         return delta, info, theta_hat, mean_Y, mean_Y2, scaled_end
 
-    workers = _thread_count()
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_chunk, chunks))
-    else:
-        parts = [run_chunk(span) for span in chunks]
+    parts = [run_chunk(lo) for lo in range(0, n, REPLICATE_CHUNK)]
     delta, info, theta_hat, mean_Y, mean_Y2, scaled_Y_T = (
         np.concatenate([p[i] for p in parts]) for i in range(6)
     )

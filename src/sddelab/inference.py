@@ -63,14 +63,23 @@ def mle(path: SamplePath) -> float:
     return float(Y @ dX) / s2
 
 
+def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row-wise dot products A[i] . B[i].  einsum sums a lone row in another
+    order than the rows of a matrix, so a single row is doubled first: a
+    row's value then does not depend on how many rows come with it."""
+    if A.shape[0] == 1:
+        return row_dots(np.repeat(A, 2, axis=0), np.repeat(B, 2, axis=0))[:1]
+    return np.einsum("ij,ij->i", A, B)
+
+
 def batch_statistics(
     Y: np.ndarray, X: np.ndarray, n_delay: int, dt: float, theta: float, scaling: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (delta, info, theta_hat) over rows of a simulated batch."""
     Yl = Y[:, :-1]
     dX = np.diff(X[:, n_delay:], axis=1)
-    s1 = np.einsum("ij,ij->i", Yl, dX)
-    s2 = np.einsum("ij,ij->i", Yl, Yl) * dt
+    s1 = row_dots(Yl, dX)
+    s2 = row_dots(Yl, Yl) * dt
     dW_dot = s1 - theta * s2
     delta = scaling * dW_dot
     info = scaling**2 * s2

@@ -17,9 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
-from .measures import SignedMeasure, _poly_defint, density_on_grid, tail_mass, total_variation
+from .measures import SignedMeasure, _poly_defint, tail_mass, total_variation
 from .spectrum import NEG_INF, RegimeReport, ZERO_TOL, classify
 
 ATOM_SNAP = 1e-12
@@ -110,30 +109,25 @@ class DelayStencil:
         self.panel_left = np.zeros(nd)
         self.panel_right = np.zeros(nd)
         nodes = -grid.r + dt * np.arange(nd + 1)
-        if a.density_pieces:
-            for p in a.density_pieces:
-                j_lo = max(0, int(math.floor((p.lo + grid.r) / dt - 1e-12)))
-                j_hi = min(nd - 1, int(math.ceil((p.hi + grid.r) / dt + 1e-12)))
-                for j in range(j_lo, j_hi + 1):
-                    lo = max(p.lo, nodes[j])
-                    hi = min(p.hi, nodes[j + 1])
-                    if hi <= lo:
-                        continue
-                    # hat_j falls 1 -> 0 over the panel, hat_{j+1} rises 0 -> 1
-                    rise = [-nodes[j] / dt, 1.0 / dt]
-                    prod_rise = _poly_mul(p.coeffs, rise)
-                    int_rise = _poly_defint(prod_rise, lo, hi)
-                    int_full = _poly_defint(p.coeffs, lo, hi)
-                    self.panel_right[j] += int_rise
-                    self.panel_left[j] += int_full - int_rise
-        elif a.sampled_values:
-            rho = density_on_grid(a, nodes)
-            self.panel_left += dt * (rho[:-1] / 3.0 + rho[1:] / 6.0)
-            self.panel_right += dt * (rho[:-1] / 6.0 + rho[1:] / 3.0)
+        for p in a.density_pieces:
+            j_lo = max(0, int(math.floor((p.lo + grid.r) / dt - 1e-12)))
+            j_hi = min(nd - 1, int(math.ceil((p.hi + grid.r) / dt + 1e-12)))
+            for j in range(j_lo, j_hi + 1):
+                lo = max(p.lo, nodes[j])
+                hi = min(p.hi, nodes[j + 1])
+                if hi <= lo:
+                    continue
+                # hat_j falls 1 -> 0 over the panel, hat_{j+1} rises 0 -> 1
+                rise = [-nodes[j] / dt, 1.0 / dt]
+                prod_rise = _poly_mul(p.coeffs, rise)
+                int_rise = _poly_defint(prod_rise, lo, hi)
+                int_full = _poly_defint(p.coeffs, lo, hi)
+                self.panel_right[j] += int_rise
+                self.panel_left[j] += int_full - int_rise
         self.q = np.zeros(nd + 1)
         self.q[:-1] += self.panel_left
         self.q[1:] += self.panel_right
-        self.has_density = bool(a.density_pieces) or bool(a.sampled_values)
+        self.has_density = bool(a.density_pieces)
 
     def apply_rows(self, X: np.ndarray, j: int) -> np.ndarray:
         """Delay functional at node j for full-history rows (continuous X;
@@ -297,17 +291,6 @@ def fisher_theta0(a: SignedMeasure) -> float:
     tv = total_variation(a)
     if abs(tail_mass(a, a.r)) > 1e-12 * (1.0 + tv):
         raise KernelError("fisher_theta0 requires a([-r,0]) = 0 (otherwise theta=0 is LAQ)")
-    if a.sampled_values:
-        if a.atoms:
-            raise KernelError(
-                "fisher_theta0 does not support atoms mixed with a sampled density; "
-                "use a piecewise-polynomial density instead"
-            )
-        grid = np.asarray(a.sampled_grid)
-        vals = np.asarray(a.sampled_values)
-        cum = cumulative_simpson(vals, x=grid, initial=0.0)
-        tail_sq = (cum[-1] - cum) ** 2  # a([u, 0])^2 at node u
-        return float(simpson(tail_sq, x=grid))
     # piecewise-polynomial tail mass: integrate its square exactly between
     # breakpoints with Gauss-Legendre of sufficient order
     brk = {0.0, a.r}

@@ -165,7 +165,7 @@ def _initial_mix(theta: float, a: SignedMeasure, x0: InitialPath, lam: complex) 
     total = 0.0 + 0.0j
     for u, w in a.atoms:
         total += w * inner(u)
-    if a.density_pieces or a.sampled_values:
+    if a.density_pieces:
         rho = density_on_grid(a, s)
         inner_vals = np.exp(lam * s) * (G[-1] - G)
         total += np.trapezoid(rho * inner_vals, s)

@@ -1,5 +1,6 @@
-"""Finite signed measures on [-r, 0]: atoms + piecewise-polynomial density,
-with an optional sampled-density fallback for analytic densities.
+"""Finite signed measures on [-r, 0]: atoms + piecewise-polynomial density.
+A density given by samples on a uniform grid is fitted to polynomial pieces
+when the measure is built, so every measure has the same representation.
 
 All integral functionals the rest of the package consumes live here:
 total variation, tail masses a([-t, 0]) and the exponential moments
@@ -10,10 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
 # |lambda|*r below this uses the Taylor-series branch of the polynomial
 # moments (the 1/lambda recursions are singular at 0).
@@ -21,6 +21,12 @@ SERIES_SWITCH = 1e-4
 
 # Minimum grid size accepted for sampled densities.
 MIN_SAMPLED_GRID = 33
+
+# Sampled densities: Chebyshev fit degree per piece (global-u monomials turn
+# ill-conditioned near degree 30) and the fit residual, relative to
+# max|values|, above which a piece is bisected.
+FIT_DEGREE = 20
+FIT_RTOL = 1e-12
 
 
 class MeasureError(ValueError):
@@ -41,16 +47,11 @@ class SignedMeasure:
     atoms: ((location, weight), ...) with locations in [-r, 0], weights != 0.
     density_pieces: piecewise-polynomial absolutely-continuous part, pairwise
         disjoint interiors.
-    sampled_grid/sampled_values: uniform grid on [-r, 0] with density values,
-        integrated by composite Simpson quadrature.  Mutually exclusive with
-        density_pieces.
     """
 
     r: float
     atoms: tuple[tuple[float, float], ...] = ()
     density_pieces: tuple[DensityPiece, ...] = ()
-    sampled_grid: tuple[float, ...] = field(default=(), repr=False)
-    sampled_values: tuple[float, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
         if not (self.r > 0 and math.isfinite(self.r)):
@@ -69,19 +70,6 @@ class SignedMeasure:
         for left, right in zip(pieces, pieces[1:]):
             if right.lo < left.hi - 1e-12:
                 raise MeasureError("density pieces must have disjoint interiors")
-        if self.density_pieces and self.sampled_values:
-            raise MeasureError("at most one of density_pieces / sampled density")
-        if self.sampled_values:
-            g = np.asarray(self.sampled_grid)
-            if g.size != len(self.sampled_values):
-                raise MeasureError("sampled grid and values length mismatch")
-            if g.size < MIN_SAMPLED_GRID:
-                raise MeasureError(f"sampled grid needs >= {MIN_SAMPLED_GRID} points")
-            if abs(g[0] + self.r) > 1e-9 * self.r or abs(g[-1]) > 1e-9 * self.r:
-                raise MeasureError("sampled grid must cover [-r, 0]")
-            steps = np.diff(g)
-            if np.any(np.abs(steps - steps[0]) > 1e-9 * abs(steps[0])):
-                raise MeasureError("sampled grid must be uniform")
         if not self.atoms and total_variation(self) == 0.0:
             raise MeasureError("measure must not be identically zero")
 
@@ -99,11 +87,8 @@ class SignedMeasure:
 
     @staticmethod
     def sampled_density(r: float, values) -> "SignedMeasure":
-        values = np.asarray(values, dtype=float)
-        grid = np.linspace(-r, 0.0, values.size)
-        return SignedMeasure(
-            r=r, sampled_grid=tuple(grid.tolist()), sampled_values=tuple(values.tolist())
-        )
+        """Density sampled on a uniform grid over [-r, 0] (see _fit_samples)."""
+        return SignedMeasure(r=r, density_pieces=_fit_samples(r, values))
 
     # -- JSON descriptor ---------------------------------------------------
 
@@ -120,11 +105,12 @@ class SignedMeasure:
         )
         sampled = d.get("sampled")
         if sampled:
-            vals = np.asarray(sampled["expr_values"], dtype=float)
-            if "n" in sampled and int(sampled["n"]) != vals.size:
+            if pieces:
+                raise MeasureError("at most one of 'density' / 'sampled'")
+            vals = sampled["expr_values"]
+            if "n" in sampled and int(sampled["n"]) != len(vals):
                 raise MeasureError("sampled.n disagrees with len(expr_values)")
-            grid = tuple(np.linspace(-r, 0.0, vals.size).tolist())
-            return SignedMeasure(r, atoms, pieces, grid, tuple(vals.tolist()))
+            pieces = _fit_samples(r, vals)
         return SignedMeasure(r, atoms, pieces)
 
     def to_dict(self) -> dict:
@@ -135,8 +121,6 @@ class SignedMeasure:
             d["density"] = [
                 {"lo": p.lo, "hi": p.hi, "coeffs": list(p.coeffs)} for p in self.density_pieces
             ]
-        if self.sampled_values:
-            d["sampled"] = {"n": len(self.sampled_values), "expr_values": list(self.sampled_values)}
         return d
 
     @staticmethod
@@ -181,36 +165,76 @@ def _poly_abs_defint(coeffs, lo, hi):
 
 
 # ---------------------------------------------------------------------------
+# sampled densities
+
+
+def _fit_samples(r: float, values) -> tuple[DensityPiece, ...]:
+    """Polynomial pieces through density values sampled on a uniform grid
+    over [-r, 0].
+
+    Each piece is a Chebyshev least-squares fit of degree <= FIT_DEGREE to its
+    samples, converted to global-u coefficients.  Trailing Chebyshev
+    coefficients below 1% of the tolerance FIT_RTOL * max|values| are
+    dropped first: they are rounding noise, which the conversion would
+    amplify.  A piece is bisected at its middle sample while the converted
+    coefficients miss one of its samples by more than the tolerance; a piece
+    of 3 samples is interpolated exactly, so the bisection always ends."""
+    vals = np.asarray(values, dtype=float)
+    if not r > 0:
+        raise MeasureError(f"delay horizon r must be positive, got {r}")
+    if vals.size < MIN_SAMPLED_GRID or not np.all(np.isfinite(vals)):
+        raise MeasureError(f"sampled density needs >= {MIN_SAMPLED_GRID} finite values")
+    grid = np.linspace(-r, 0.0, vals.size)
+    tol = FIT_RTOL * float(np.max(np.abs(vals)))
+    pieces = []
+    todo = [(0, vals.size - 1)]  # sample index ranges, leftmost on top
+    while todo:
+        i, k = todo.pop()
+        u, v = grid[i : k + 1], vals[i : k + 1]
+        cheb = np.polynomial.Chebyshev.fit(u, v, min(FIT_DEGREE, k - i)).trim(0.01 * tol)
+        coeffs = cheb.convert(kind=np.polynomial.Polynomial).coef
+        if k - i <= 2 or np.max(np.abs(_poly_eval(coeffs, u) - v)) <= tol:
+            pieces.append(DensityPiece(float(u[0]), float(u[-1]), tuple(coeffs.tolist())))
+        else:
+            mid = (i + k) // 2
+            todo += [(mid, k), (i, mid)]
+    return tuple(pieces)
+
+
+# ---------------------------------------------------------------------------
 # exponential-moment kernels: I_k = integral over [lo, hi] of u^k e^(lam u) du
 #
-# The parts recursion B_k = k I_{k-1} + lam I_k (B_k the boundary term) is
-# only used upward where it is relative-error stable, i.e. when the per-step
+# Each takes an array of lambda values and returns I_0..I_kmax as rows.  The
+# parts recursion B_k = k I_{k-1} + lam I_k (B_k the boundary term) is only
+# used upward where it is relative-error stable, i.e. when the per-step
 # factor k / (|lam| max|u|) stays <= 1/2.  Small |lam| uses the Taylor series
 # in lam (no 1/lam anywhere); the middle band uses Gauss-Legendre quadrature,
 # whose node count stays below ~150 there.
 
 
-def _ik_series(lam: complex, kmax: int, lo: float, hi: float) -> np.ndarray:
+def _ik_series(lam, kmax: int, lo: float, hi: float) -> np.ndarray:
+    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     ks = np.arange(kmax + 1)
-    out = np.zeros(kmax + 1, dtype=complex)
-    lam_pow = 1.0 + 0.0j
+    out = np.zeros((kmax + 1, lam.size), dtype=complex)
+    lam_pow = np.ones(lam.size, dtype=complex)
     fact = 1.0
-    mx = np.zeros(kmax + 1)
+    mx = np.zeros(out.shape)
     for s in range(120):
         powers = ks + s + 1
-        term = (lam_pow / fact) * (hi**powers - lo**powers) / powers
+        term = np.multiply.outer((hi**powers - lo**powers) / powers, lam_pow / fact)
         out += term
         mx = np.maximum(mx, np.abs(out))
         if s >= 2 and np.all(np.abs(term) <= 1e-16 * mx + 1e-300):
             break
-        lam_pow *= lam
+        lam_pow = lam_pow * lam
         fact *= s + 1
     return out
 
 
-def _ik_upward(lam: complex, kmax: int, lo: float, hi: float) -> np.ndarray:
+def _ik_upward(lam, kmax: int, lo: float, hi: float) -> np.ndarray:
+    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     elam_hi, elam_lo = np.exp(lam * hi), np.exp(lam * lo)
-    out = np.empty(kmax + 1, dtype=complex)
+    out = np.empty((kmax + 1, lam.size), dtype=complex)
     out[0] = (elam_hi - elam_lo) / lam
     for k in range(1, kmax + 1):
         bk = hi**k * elam_hi - lo**k * elam_lo
@@ -224,30 +248,47 @@ def _leggauss_cached(n: int, _cache={}) -> tuple[np.ndarray, np.ndarray]:
     return _cache[n]
 
 
-def _ik_gauss(lam: complex, kmax: int, lo: float, hi: float) -> np.ndarray:
+def _ik_gauss(lam, kmax: int, lo: float, hi: float) -> np.ndarray:
+    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    n = kmax + 20 + int(math.ceil(1.6 * abs(lam) * half))
-    t, w = _leggauss_cached(min(n, 400))
-    x = mid + half * t
-    weighted = np.exp(lam * x) * (w * half)
-    out = np.empty(kmax + 1, dtype=complex)
-    pw = np.ones_like(x)
-    for k in range(kmax + 1):
-        out[k] = np.sum(pw * weighted)
-        pw = pw * x
+    n_nodes = np.minimum(kmax + 20 + np.ceil(1.6 * np.abs(lam) * half).astype(int), 400)
+    out = np.empty((kmax + 1, lam.size), dtype=complex)
+    for n in np.unique(n_nodes):
+        sel = n_nodes == n
+        t, w = _leggauss_cached(int(n))
+        x = mid + half * t
+        weighted = np.exp(np.multiply.outer(lam[sel], x)) * (w * half)
+        out[:, sel] = np.vander(x, kmax + 1, increasing=True).T @ weighted.T
     return out
 
 
-def _exp_kernel_moments(lam: complex, kmax: int, lo: float, hi: float) -> np.ndarray:
-    """I_0..I_kmax over [lo, hi] in a numerically safe branch."""
-    u_scale = max(abs(lo), abs(hi))
-    z = abs(lam) * u_scale
-    if z < SERIES_SWITCH:
-        return _ik_series(lam, kmax, lo, hi)
-    if z >= 2.0 * (kmax + 1):
-        return _ik_upward(lam, kmax, lo, hi)
-    return _ik_gauss(lam, kmax, lo, hi)
+def _exp_kernel_moments(lam, kmax: int, lo: float, hi: float) -> np.ndarray:
+    """I_0..I_kmax over [lo, hi] at every lambda, shape (kmax + 1,) + lam.shape;
+    each element goes through its numerically safe branch."""
+    lam = np.asarray(lam, dtype=complex)
+    flat = lam.ravel()
+    z = np.abs(flat) * max(abs(lo), abs(hi))
+    series = z < SERIES_SWITCH
+    upward = z >= 2.0 * (kmax + 1)
+    gauss = ~(series | upward)
+    out = np.empty((kmax + 1, flat.size), dtype=complex)
+    for mask, branch in ((series, _ik_series), (upward, _ik_upward), (gauss, _ik_gauss)):
+        if mask.any():
+            out[:, mask] = branch(flat[mask], kmax, lo, hi)
+    return out.reshape((kmax + 1,) + lam.shape)
+
+
+def _density_moments(a: SignedMeasure, lams: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
+    """Density part of M_j at every lambda for each j in orders, stacked
+    along a leading axis (one kernel evaluation per piece serves all j)."""
+    out = np.zeros((len(orders),) + lams.shape, dtype=complex)
+    for p in a.density_pieces:
+        c = np.asarray(p.coeffs)
+        iks = _exp_kernel_moments(lams, max(orders) + c.size - 1, p.lo, p.hi)
+        for row, j in enumerate(orders):
+            out[row] += np.tensordot(c, iks[j : j + c.size], axes=1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +300,6 @@ def total_variation(a: SignedMeasure) -> float:
     tv = sum(abs(w) for _, w in a.atoms)
     for p in a.density_pieces:
         tv += _poly_abs_defint(p.coeffs, p.lo, p.hi)
-    if a.sampled_values:
-        tv += float(simpson(np.abs(a.sampled_values), x=np.asarray(a.sampled_grid)))
     return float(tv)
 
 
@@ -274,14 +313,6 @@ def tail_mass(a: SignedMeasure, t: float) -> float:
         lo = max(p.lo, -t)
         if lo < p.hi:
             total += _poly_defint(p.coeffs, lo, p.hi)
-    if a.sampled_values:
-        grid = np.asarray(a.sampled_grid)
-        vals = np.asarray(a.sampled_values)
-        if t >= a.r - 1e-12:
-            total += float(simpson(vals, x=grid))
-        else:
-            cum = cumulative_simpson(vals, x=grid, initial=0.0)
-            total += float(cum[-1] - np.interp(-t, grid, cum))
     return float(total)
 
 
@@ -293,42 +324,9 @@ def exp_moment(a: SignedMeasure, lam: complex, j: int = 0) -> complex:
     total = 0.0 + 0.0j
     for u, w in a.atoms:
         total += w * (u**j if j else 1.0) * np.exp(lam * u)
-    for p in a.density_pieces:
-        kmax = j + len(p.coeffs) - 1
-        iks = _exp_kernel_moments(lam, kmax, p.lo, p.hi)
-        for i, c in enumerate(p.coeffs):
-            if c:
-                total += c * iks[i + j]
-    if a.sampled_values:
-        grid = np.asarray(a.sampled_grid)
-        vals = np.asarray(a.sampled_values)
-        integrand = vals * (grid**j if j else 1.0) * np.exp(lam * grid)
-        total += complex(simpson(integrand, x=grid))
-    return complex(total)
-
-
-def exp_moments_many(a: SignedMeasure, lams: np.ndarray, j: int = 0) -> np.ndarray:
-    """Vectorized M_j over an array of lambda values (used on contours)."""
-    lams = np.asarray(lams, dtype=complex)
-    out = np.zeros(lams.shape, dtype=complex)
-    for u, w in a.atoms:
-        out += w * (u**j if j else 1.0) * np.exp(lams * u)
     if a.density_pieces:
-        flat = lams.ravel()
-        vals = np.array([exp_moment_pieces_only(a, z, j) for z in flat])
-        out += vals.reshape(lams.shape)
-    if a.sampled_values:
-        grid = np.asarray(a.sampled_grid)
-        vals = np.asarray(a.sampled_values) * (grid**j if j else 1.0)
-        flat = lams.ravel()
-        chunk = max(1, int(2e6 // max(grid.size, 1)))
-        acc = np.empty(flat.size, dtype=complex)
-        for s in range(0, flat.size, chunk):
-            block = flat[s : s + chunk]
-            integrand = vals[None, :] * np.exp(block[:, None] * grid[None, :])
-            acc[s : s + chunk] = simpson(integrand, x=grid, axis=1)
-        out += acc.reshape(lams.shape)
-    return out
+        total += _density_moments(a, np.asarray(lam), (j,))[0]
+    return complex(total)
 
 
 def exp_moments_01_many(a: SignedMeasure, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -342,50 +340,17 @@ def exp_moments_01_many(a: SignedMeasure, lams: np.ndarray) -> tuple[np.ndarray,
         m0 += e
         m1 += u * e
     if a.density_pieces:
-        flat = lams.ravel()
-        v0 = np.array([exp_moment_pieces_only(a, z, 0) for z in flat])
-        v1 = np.array([exp_moment_pieces_only(a, z, 1) for z in flat])
-        m0 += v0.reshape(lams.shape)
-        m1 += v1.reshape(lams.shape)
-    if a.sampled_values:
-        grid = np.asarray(a.sampled_grid)
-        vals = np.asarray(a.sampled_values)
-        flat = lams.ravel()
-        chunk = max(1, int(2e6 // max(grid.size, 1)))
-        acc0 = np.empty(flat.size, dtype=complex)
-        acc1 = np.empty(flat.size, dtype=complex)
-        for s in range(0, flat.size, chunk):
-            block = flat[s : s + chunk]
-            expm = np.exp(block[:, None] * grid[None, :])
-            acc0[s : s + chunk] = simpson(vals[None, :] * expm, x=grid, axis=1)
-            acc1[s : s + chunk] = simpson((vals * grid)[None, :] * expm, x=grid, axis=1)
-        m0 += acc0.reshape(lams.shape)
-        m1 += acc1.reshape(lams.shape)
+        d0, d1 = _density_moments(a, lams, (0, 1))
+        m0 += d0
+        m1 += d1
     return m0, m1
-
-
-def exp_moment_pieces_only(a: SignedMeasure, lam: complex, j: int) -> complex:
-    total = 0.0 + 0.0j
-    for p in a.density_pieces:
-        kmax = j + len(p.coeffs) - 1
-        iks = _exp_kernel_moments(complex(lam), kmax, p.lo, p.hi)
-        for i, c in enumerate(p.coeffs):
-            if c:
-                total += c * iks[i + j]
-    return total
 
 
 def density_on_grid(a: SignedMeasure, grid: np.ndarray) -> np.ndarray:
     """Density values at the given nodes (piecewise polynomial evaluated
-    exactly; sampled densities interpolated linearly)."""
+    exactly)."""
     out = np.zeros(grid.size)
     for p in a.density_pieces:
         mask = (grid >= p.lo - 1e-12) & (grid <= p.hi + 1e-12)
         out[mask] = _poly_eval(p.coeffs, grid[mask])
-    if a.sampled_values:
-        out += np.interp(grid, np.asarray(a.sampled_grid), np.asarray(a.sampled_values))
     return out
-
-
-def has_density(a: SignedMeasure) -> bool:
-    return bool(a.density_pieces) or bool(a.sampled_values)

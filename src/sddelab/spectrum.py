@@ -18,7 +18,6 @@ from .measures import (
     SignedMeasure,
     exp_moment,
     exp_moments_01_many,
-    exp_moments_many,
     tail_mass,
     total_variation,
 )
@@ -131,13 +130,6 @@ def char_value(theta: float, a: SignedMeasure, lam: complex) -> complex:
     if theta == 0.0:
         return complex(lam)
     return complex(lam) - theta * exp_moment(a, lam, 0)
-
-
-def char_values_many(theta: float, a: SignedMeasure, lams: np.ndarray) -> np.ndarray:
-    lams = np.asarray(lams, dtype=complex)
-    if theta == 0.0:
-        return lams.copy()
-    return lams - theta * exp_moments_many(a, lams, 0)
 
 
 def char_derivative(theta: float, a: SignedMeasure, lam: complex, k: int) -> complex:

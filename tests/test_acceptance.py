@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import sddelab as L
+import sddelab.harness as H
 from sddelab.harness import (
     ExperimentConfig,
     ks_two_sample,
@@ -202,9 +203,11 @@ def test_criterion_09_residue_agreement():
 
 
 def test_criterion_10_reproducibility(lan_result, monkeypatch):
+    # replicate partitions: a chunk size that does not divide the 1000
+    # replicates, and twice the default of 128 used by lan_result
     blobs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("SDDE_LAN_THREADS", threads)
+    for chunk in (333, 256):
+        monkeypatch.setattr(H, "REPLICATE_CHUNK", chunk)
         res = run_experiment(load_config("lan_ou.json"))
         buf = io.StringIO()
         write_samples_csv(res, buf)
@@ -213,4 +216,4 @@ def test_criterion_10_reproducibility(lan_result, monkeypatch):
     write_samples_csv(lan_result, buf)
     baseline = buf.getvalue().encode()
     ok = blobs[0] == blobs[1] == baseline
-    report(10, "reproducibility", ok, f"{len(blobs[0])} bytes, threads 1 vs 4")
+    report(10, "reproducibility", ok, f"{len(blobs[0])} bytes, replicate chunks 128 vs 333 vs 256")

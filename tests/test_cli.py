@@ -147,6 +147,17 @@ def test_experiment_packaged_config_with_overrides(tmp_path):
     assert len(doc["replicates"]["delta"]) == 120
 
 
+def test_experiment_override_validated(tmp_path, capsys):
+    # --n-replicates goes through the config's own validation: lan_ou runs
+    # KS tests, which need at least 100 replicates
+    code = main(
+        ["experiment", "--config", "lan_ou.json", "--out-dir", str(tmp_path / "o"), "--n-replicates", "5"]
+    )
+    assert code == 2
+    assert "n_replicates" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_x0_spec_parsing(tmp_path):
     from sddelab.cli import CliError, _parse_x0
 

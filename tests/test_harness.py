@@ -93,14 +93,16 @@ def test_experiment_is_reproducible():
 
 
 def test_experiment_thread_count_invariance(monkeypatch):
+    # the replicate partition never changes results: the default chunk, one
+    # that does not divide the 600 replicates, and one holding all of them
     outs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("SDDE_LAN_THREADS", threads)
+    for chunk in (128, 250, 1200):
+        monkeypatch.setattr(H, "REPLICATE_CHUNK", chunk)
         res = run_experiment(config(n_replicates=600))
         buf = io.StringIO()
         write_samples_csv(res, buf)
         outs.append(buf.getvalue())
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_experiment_seed_changes_samples():
@@ -191,6 +193,12 @@ def test_unclassified_regime_refused(monkeypatch):
 def test_unknown_test_name_rejected():
     with pytest.raises(HarnessError):
         config(tests=["does_not_exist"])
+
+
+def test_unknown_config_key_rejected():
+    # a typo must not fall back to the default of the intended key
+    with pytest.raises(HarnessError, match="n_replicate"):
+        config(n_replicate=50)
 
 
 def test_distributional_tests_need_replicates():

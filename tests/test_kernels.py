@@ -259,19 +259,20 @@ def test_kernel_polynomial_growth_triple_root():
     assert np.max(rel) < 0.01
 
 
-def test_fisher_theta0_rejects_atoms_with_sampled_density():
-    # the sampled fast path cannot absorb atom steps; the mixture is refused
-    n = 129
-    grid_u = np.linspace(-1.0, 0.0, n)
-    vals = np.sin(2 * np.pi * grid_u)  # integrates to zero on [-1, 0]
-    mixed = SignedMeasure(
-        r=1.0,
-        atoms=((0.0, 1.0), (-1.0, -1.0)),
-        sampled_grid=tuple(grid_u.tolist()),
-        sampled_values=tuple(vals.tolist()),
+def test_fisher_theta0_atoms_with_sampled_density():
+    # a = delta_0 - delta_{-1} + sin(2 pi u) du on [-1, 0]: for t < 1,
+    # a([-t, 0]) = 1 - 1/(2 pi) + cos(2 pi t)/(2 pi), so
+    # J_0 = (1 - 1/(2 pi))^2 + 1/(8 pi^2)
+    grid_u = np.linspace(-1.0, 0.0, 129)
+    mixed = SignedMeasure.from_dict(
+        {
+            "r": 1.0,
+            "atoms": [{"u": 0.0, "w": 1.0}, {"u": -1.0, "w": -1.0}],
+            "sampled": {"expr_values": np.sin(2 * np.pi * grid_u).tolist()},
+        }
     )
-    with pytest.raises(KernelError, match="atoms mixed"):
-        fisher_theta0(mixed)
+    want = (1 - 1 / (2 * np.pi)) ** 2 + 1 / (8 * np.pi**2)
+    assert fisher_theta0(mixed) == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,11 @@
+import importlib.resources
 import json
 
 import numpy as np
 import pytest
 
 from sddelab.measures import (
+    MIN_SAMPLED_GRID,
     MeasureError,
     SignedMeasure,
     _exp_kernel_moments,
@@ -98,6 +100,26 @@ def test_exp_moment_sin_first_moment():
     # oracle: int_{-2pi}^0 u sin u du via antiderivative sin u - u cos u
     got = exp_moment(sin_measure(), 0.0, 1)
     assert got == pytest.approx(-2 * np.pi, abs=1e-9)
+
+
+def _sin_closed_form(lam):
+    """M_0 and M_1 of sin(u) du on [-2pi, 0]: M_0 = (e^(-2 pi lam) - 1)/(lam^2 + 1)
+    and M_1 = dM_0/dlam."""
+    e = np.exp(-2 * np.pi * lam)
+    q = lam * lam + 1
+    return (e - 1) / q, (-2 * np.pi * e * q - 2 * lam * (e - 1)) / q**2
+
+
+def test_exp_moment_packaged_sin_density_closed_form():
+    # exact oracle for the packaged descriptor, down to the search floor -10/r
+    d = json.loads(importlib.resources.files("sddelab").joinpath("configs", "sin_density.json").read_text())
+    m = SignedMeasure.from_dict(d)
+    for re in (1.0, -0.5, -1.0, -1.5, -10.0 / m.r):
+        for im in (0.3, 2.0, 5.0, 30.0):
+            lam = complex(re, im)
+            m0, m1 = _sin_closed_form(lam)
+            assert exp_moment(m, lam, 0) == pytest.approx(m0, rel=1e-11)
+            assert exp_moment(m, lam, 1) == pytest.approx(m1, rel=1e-11)
 
 
 def test_exp_moment_polynomial_against_mpmath():
@@ -208,14 +230,13 @@ def test_overlapping_density_pieces_rejected():
 
 
 def test_density_and_sampled_exclusive():
-    grid = np.linspace(-1.0, 0.0, 65)
+    d = {
+        "r": 1.0,
+        "density": [{"lo": -1.0, "hi": 0.0, "coeffs": [1.0]}],
+        "sampled": {"n": 65, "expr_values": [1.0] * 65},
+    }
     with pytest.raises(MeasureError):
-        SignedMeasure(
-            r=1.0,
-            density_pieces=SignedMeasure.polynomial_density(1.0, [(-1.0, 0.0, (1.0,))]).density_pieces,
-            sampled_grid=tuple(grid.tolist()),
-            sampled_values=tuple(np.ones(65).tolist()),
-        )
+        SignedMeasure.from_dict(d)
 
 
 def test_identically_zero_rejected():
@@ -226,3 +247,18 @@ def test_identically_zero_rejected():
 def test_sampled_n_mismatch_rejected():
     with pytest.raises(MeasureError):
         SignedMeasure.from_dict({"r": 1.0, "sampled": {"n": 10, "expr_values": [0.1] * 65}})
+
+
+def test_sampled_grid_too_small_rejected():
+    with pytest.raises(MeasureError):
+        SignedMeasure.from_dict({"r": 1.0, "sampled": {"expr_values": [0.1] * (MIN_SAMPLED_GRID - 1)}})
+
+
+def test_sampled_density_bisects_at_kink():
+    # |u + 1/2| on [-1, 0] has its kink at the middle sample: one bisection
+    # leaves two linear pieces, and int |u + 1/2| du = 1/4 exactly
+    u = np.linspace(-1.0, 0.0, 65)
+    m = SignedMeasure.sampled_density(1.0, np.abs(u + 0.5))
+    assert [(p.lo, p.hi) for p in m.density_pieces] == [(-1.0, -0.5), (-0.5, 0.0)]
+    assert total_variation(m) == pytest.approx(0.25, abs=1e-14)
+    assert tail_mass(m, 0.5) == pytest.approx(0.125, abs=1e-14)

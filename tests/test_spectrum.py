@@ -1,3 +1,5 @@
+import importlib.resources
+import json
 import math
 
 import numpy as np
@@ -292,6 +294,29 @@ def test_classify_sin_remark():
     assert rep.v_star < -1e-3  # but the kernel polynomial there vanishes
     zero_root = min(rep.roots, key=lambda z: abs(z.lam))
     assert zero_root.m_tilde == NEG_INF
+
+
+def test_classify_packaged_sin_density_roots_closed_form():
+    # exact oracle: h(lam) = lam - (e^(-2 pi lam) - 1)/(lam^2 + 1) for theta = 1;
+    # every reported root is a fixed point of Newton on the closed form
+    d = json.loads(importlib.resources.files("sddelab").joinpath("configs", "sin_density.json").read_text())
+    rep = classify(1.0, SignedMeasure.from_dict(d))
+    assert rep.regime == "PLAMN" and len(rep.roots) >= 5
+
+    def h_and_dh(z):
+        e = np.exp(-2 * np.pi * z)
+        q = z * z + 1
+        m0 = (e - 1) / q
+        m1 = (-2 * np.pi * e * q - 2 * z * (e - 1)) / q**2
+        return z - m0, 1 - m1
+
+    for rt in rep.roots:
+        z = rt.lam
+        for _ in range(50):
+            h, dh = h_and_dh(z)
+            z -= h / dh
+        assert abs(rt.lam - z) <= 1e-12 * (1 + abs(z))
+    assert rep.v0 == pytest.approx(max(rt.lam.real for rt in rep.roots))
 
 
 def test_v_star_below_v0_only_in_remark_case():
