@@ -19,14 +19,13 @@ from .harness import (
     ExperimentConfig,
     HarnessError,
     dump_json,
-    limit_information,
     run_experiment,
+    sample_limit,
     write_result_json,
     write_samples_csv,
 )
 from .inference import mle, score_and_info
 from .kernels import Grid, KernelError, solve_fundamental, y_kernel
-from .limit_laws import sample_lamn_many, sample_lan_many, sample_laq_many, sample_plamn_many
 from .measures import MeasureError, SignedMeasure
 from .simulate import InitialPath, path_from_csv, path_to_csv, simulate
 from .spectrum import SpectrumError, classify
@@ -126,17 +125,9 @@ def cmd_limits(args) -> int:
     a = _resolve_measure(args.measure)
     report = classify(args.theta, a, regime_hint=args.regime_hint)
     rng = np.random.Generator(np.random.Philox(key=args.seed))
-    x0 = _parse_x0(args.x0)
-    if report.regime == "LAN":
-        delta, info = sample_lan_many(limit_information(args.theta, a, report), args.n, rng)
-    elif report.regime == "LAQ":
-        delta, info = sample_laq_many(args.theta, a, report, args.n, rng, n_steps=args.steps)
-    elif report.regime == "LAMN":
-        delta, info = sample_lamn_many(args.theta, a, report, x0, args.n, rng)
-    elif report.regime == "PLAMN":
-        delta, info = sample_plamn_many(args.theta, a, report, x0, args.d, args.n, rng)
-    else:
-        raise CliError("regime UNCLASSIFIED: pass --regime-hint to force a limit family")
+    delta, info, _ = sample_limit(
+        args.theta, a, report, _parse_x0(args.x0), args.n, rng, d=args.d, n_steps=args.steps
+    )
     with _out_fh(args.out) as fh:
         fh.write("delta,info\n")
         for dv, iv in zip(delta, info):

@@ -3,8 +3,10 @@ information statistics under the regime-correct scaling, matched limit-law
 reference samples, and distributional / moment / ergodic tests.
 
 Replicates are simulated in fixed-size chunks, which bounds memory; every
-replicate draws its own counter-based stream from a splittable seed, so
-results are bit-identical for any chunk size.
+replicate draws its own counter-based stream from a splittable seed, so for
+atom-only measures results are bit-identical for any chunk size.  A density's
+delay-window sum is a BLAS product whose rounding depends on the batch
+shape, so with a density they agree across chunk sizes to rounding only.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .measures import SignedMeasure, tail_mass, total_variation
 from .simulate import InitialPath, derive_seed, simulate_batch
 from .spectrum import RegimeReport, classify
 
-REPLICATE_CHUNK = 128  # replicates simulated together; bounds memory, never results
+REPLICATE_CHUNK = 128  # replicates simulated together; bounds memory (moves density results by rounding only)
 
 KNOWN_TESTS = ("ks_delta", "ks_info", "normal_delta", "mean_info", "ergodic")
 
@@ -172,18 +174,34 @@ def limit_information(theta: float, a: SignedMeasure, report: RegimeReport) -> f
     return fisher_limit(theta, a, report)
 
 
+def sample_limit(
+    theta: float, a: SignedMeasure, report: RegimeReport, x0: InitialPath, n: int,
+    rng: np.random.Generator, *, d: float = 0.0, n_steps: int = 10_000,
+) -> tuple[np.ndarray, np.ndarray, float | None]:
+    """n draws (delta, info) of the limit law of the classified regime, and
+    the LAN information constant the draws used (None for the other laws).
+    `d` is the PLAMN phase offset, `n_steps` the LAQ integration steps."""
+    if report.regime == "LAN":
+        J = limit_information(theta, a, report)
+        return (*sample_lan_many(J, n, rng), J)
+    if report.regime == "LAQ":
+        return (*sample_laq_many(theta, a, report, n, rng, n_steps=n_steps), None)
+    if report.regime == "LAMN":
+        return (*sample_lamn_many(theta, a, report, x0, n, rng), None)
+    if report.regime == "PLAMN":
+        return (*sample_plamn_many(theta, a, report, x0, d, n, rng), None)
+    raise HarnessError(
+        "regime UNCLASSIFIED (contributing frequencies share no divisor); "
+        "pass an explicit regime hint to force a limit family"
+    )
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     a = SignedMeasure.from_dict(config.measure)
     grid = Grid.build(a.r, config.T, config.dt)
     x0 = InitialPath.from_dict(config.x0)
     report = classify(config.theta, a, regime_hint=config.regime_hint)
-    if report.regime == "UNCLASSIFIED":
-        raise HarnessError(
-            "regime UNCLASSIFIED (contributing frequencies share no divisor); "
-            "rerun with an explicit regime_hint to force one"
-        )
     T = grid.T
-    r_val = report.scaling.value(T)
 
     d_phase = None
     if report.regime == "PLAMN":
@@ -200,6 +218,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             d_phase = want
         else:
             d_phase = d_eff
+
+    # drawn first, so an unclassified regime is refused before simulating;
+    # the draws have their own Philox stream, so no replicate changes
+    rng_limit = np.random.Generator(np.random.Philox(key=derive_seed(config.seed, 0, stream=1)))
+    limit_delta, limit_info, J_const = sample_limit(
+        config.theta, a, report, x0, config.n_limit_draws, rng_limit,
+        d=d_phase, n_steps=config.limit_steps,
+    )
+    r_val = report.scaling.value(T)
 
     n = config.n_replicates
     seeds = np.array([derive_seed(config.seed, i) for i in range(n)], dtype=np.uint64)
@@ -220,8 +247,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         np.concatenate([p[i] for p in parts]) for i in range(6)
     )
 
-    rng_limit = np.random.Generator(np.random.Philox(key=derive_seed(config.seed, 0, stream=1)))
-    n_lim = config.n_limit_draws
     diagnostics: dict = {
         "regime": report.regime,
         "scaling_value_at_T": r_val,
@@ -229,23 +254,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "median_mean_Y2": float(np.median(mean_Y2)),
         "median_scaled_Y_T": float(np.median(scaled_Y_T)),
     }
-    J_const = None
-    if report.regime == "LAN":
-        J_const = limit_information(config.theta, a, report)
+    if J_const is not None:
         diagnostics["J_limit"] = J_const
-        limit_delta, limit_info = sample_lan_many(J_const, n_lim, rng_limit)
-    elif report.regime == "LAQ":
-        limit_delta, limit_info = sample_laq_many(
-            config.theta, a, report, n_lim, rng_limit, n_steps=config.limit_steps
-        )
-    elif report.regime == "LAMN":
-        limit_delta, limit_info = sample_lamn_many(config.theta, a, report, x0, n_lim, rng_limit)
-    else:  # PLAMN
+    if d_phase is not None:
         diagnostics["plamn_d"] = d_phase
-        limit_delta, limit_info = sample_plamn_many(
-            config.theta, a, report, x0, d_phase, n_lim, rng_limit
-        )
 
+    if J_const is None and {"mean_info", "ergodic"} & set(config.tests):
+        J_const = limit_information(config.theta, a, report)
     tests: list[dict] = []
     for name in config.tests:
         if name == "ks_delta":
@@ -259,8 +274,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             stat, p = ks_vs_standard_normal(delta[ok] / np.sqrt(info[ok]))
             tests.append(_test_row(name, stat, p, p > config.p_threshold, config.p_threshold))
         elif name == "mean_info":
-            if J_const is None:
-                J_const = limit_information(config.theta, a, report)
             m = float(np.mean(info))
             lo_b, hi_b = config.mean_info_band[0] * J_const, config.mean_info_band[1] * J_const
             tests.append(
@@ -272,8 +285,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 }
             )
         elif name == "ergodic":
-            if J_const is None:
-                J_const = limit_information(config.theta, a, report)
             row = _ergodic_eval(mean_Y, mean_Y2, J_const, config.ergodic_rel)
             row["name"] = name
             tests.append(row)

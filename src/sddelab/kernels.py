@@ -4,11 +4,12 @@ x(t+u) a(du), residue-expansion evaluation over characteristic roots, and
 the limiting Fisher information.
 
 Discretization: uniform grid with dt = r/n_delay, method of steps with an
-order-2 Heun corrector.  The delay functional uses exact integrals of the
-density against the piecewise-linear nodal basis, atom locations snapped to
-grid nodes when within 1e-12 (linear interpolation otherwise), and
-left/right limits at the nodes where an atom crosses the unit jump of the
-fundamental solution at time 0 (keeps the integrator at order 2 there).
+order-2 Heun corrector.  One quadrature, `DelayStencil`, serves the
+fundamental solution, the kernel y and the simulated paths: exact integrals
+of the density against the piecewise-linear nodal basis, atom locations
+snapped to grid nodes when within 1e-12 (linear interpolation otherwise),
+and the window truncated at the unit jump of the fundamental solution at
+time 0, with left limits where an atom lands on it (order 2 there).
 """
 
 from __future__ import annotations
@@ -89,8 +90,9 @@ class DelayStencil:
 
     Atoms become (index offset, interpolation fraction, weight) triples;
     the density becomes nodal weights q_j = integral of density * hat_j,
-    stored per panel so the window can be truncated at a node (used while
-    the fundamental solution's jump at 0 is inside the delay window).
+    also kept per panel so the window can be truncated at the node where a
+    path begins.  Paths are node-major: X[i] is the state at node i (node 0
+    is -r), a float for one path or a row of replicates for a batch.
     """
 
     def __init__(self, a: SignedMeasure, grid: Grid):
@@ -112,79 +114,64 @@ class DelayStencil:
         for p in a.density_pieces:
             j_lo = max(0, int(math.floor((p.lo + grid.r) / dt - 1e-12)))
             j_hi = min(nd - 1, int(math.ceil((p.hi + grid.r) / dt + 1e-12)))
-            for j in range(j_lo, j_hi + 1):
-                lo = max(p.lo, nodes[j])
-                hi = min(p.hi, nodes[j + 1])
-                if hi <= lo:
-                    continue
-                # hat_j falls 1 -> 0 over the panel, hat_{j+1} rises 0 -> 1
-                rise = [-nodes[j] / dt, 1.0 / dt]
-                prod_rise = _poly_mul(p.coeffs, rise)
-                int_rise = _poly_defint(prod_rise, lo, hi)
-                int_full = _poly_defint(p.coeffs, lo, hi)
-                self.panel_right[j] += int_rise
-                self.panel_left[j] += int_full - int_rise
+            j = np.arange(j_lo, j_hi + 1)
+            lo, hi = np.maximum(p.lo, nodes[j]), np.minimum(p.hi, nodes[j + 1])
+            keep = hi > lo
+            j, lo, hi = j[keep], lo[keep], hi[keep]
+            # hat_j falls 1 -> 0 over the panel, hat_{j+1} rises 0 -> 1 as
+            # (u - u_j)/dt; prod_rise holds the coefficients of p * rise
+            c = np.asarray(p.coeffs, dtype=float)[:, None]
+            prod_rise = np.zeros((c.shape[0] + 1, j.size))
+            prod_rise[1:] += c * (1.0 / dt)
+            prod_rise[:-1] += c * (-nodes[j] / dt)
+            int_rise = _poly_defint(prod_rise, lo, hi)
+            int_full = _poly_defint(p.coeffs, lo, hi)
+            self.panel_right[j] += int_rise
+            self.panel_left[j] += int_full - int_rise
         self.q = np.zeros(nd + 1)
         self.q[:-1] += self.panel_left
         self.q[1:] += self.panel_right
         self.has_density = bool(a.density_pieces)
 
-    def apply_rows(self, X: np.ndarray, j: int) -> np.ndarray:
-        """Delay functional at node j for full-history rows (continuous X;
-        X[:, j] is the state at the evaluation time)."""
+    def apply(self, X: np.ndarray, j: int, start: int = 0, left: bool = False):
+        """Delay functional at node j >= n_delay.  X is zero before node
+        `start`: 0 for a simulated path (continuous initial segment),
+        n_delay for the fundamental solution (jump at time 0).  `left` takes
+        the left limit at `start`: an atom landing on it sees zero."""
         nd = self.grid.n_delay
-        out = np.zeros(X.shape[0])
+        out = 0.0
         for s, frac, w in self.atoms:
+            idx = j + s
             if frac == 0.0:
-                out += w * X[:, j + s]
+                if idx < start or (idx == start and left):
+                    continue
+                out += w * X[idx]
             else:
-                out += w * ((1.0 - frac) * X[:, j + s] + frac * X[:, j + s + 1])
+                if idx + 1 <= start:
+                    continue
+                lo_val = X[idx] if idx >= start else 0.0
+                out += w * ((1.0 - frac) * lo_val + frac * X[idx + 1])
         if self.has_density:
-            out += X[:, j - nd : j + 1] @ self.q
+            lo = start + nd - j  # first panel whose nodes are at/after start
+            if lo <= 0:
+                out += X[j - nd : j + 1].T @ self.q
+            else:
+                seg = X[start : j + 1]
+                out += seg[1:].T @ self.panel_right[lo:]
+                out += seg[:-1].T @ self.panel_left[lo:]
         return out
 
-
-def _poly_mul(p, q):
-    out = [0.0] * (len(p) + len(q) - 1)
-    for i, a_ in enumerate(p):
-        for j, b_ in enumerate(q):
-            out[i + j] += a_ * b_
-    return out
+    def path(self, X: np.ndarray, start: int = 0) -> np.ndarray:
+        """The functional at every node of [0, T], node-major like X."""
+        nd, ns = self.grid.n_delay, self.grid.n_steps
+        Y = np.empty((ns + 1,) + np.shape(X)[1:])
+        for k in range(ns + 1):
+            Y[k] = self.apply(X, nd + k, start)
+        return Y
 
 
 # ---------------------------------------------------------------------------
 # fundamental solution
-
-
-def _jump_functional(stencil: DelayStencil, x: np.ndarray, j: int, left: bool) -> float:
-    """Delay functional for the fundamental solution at node j (>= n_delay):
-    x vanishes strictly before time 0, so the window is truncated at the node
-    of time 0; `left` selects the left limit at nodes where an atom lands
-    exactly on the jump."""
-    nd = stencil.grid.n_delay
-    out = 0.0
-    for s, frac, w in stencil.atoms:
-        idx = j + s
-        if frac == 0.0:
-            if idx < nd:
-                continue
-            if idx == nd and left:
-                continue
-            out += w * x[idx]
-        else:
-            if idx + 1 <= nd:
-                continue
-            lo_val = x[idx] if idx >= nd else 0.0
-            out += w * ((1.0 - frac) * lo_val + frac * x[idx + 1])
-    if stencil.has_density:
-        lo_panel = max(0, 2 * nd - j)  # first panel whose nodes are at/after time 0
-        if lo_panel == 0:
-            out += x[j - nd : j + 1] @ stencil.q
-        else:
-            seg = x[nd : j + 1]
-            out += seg[1:] @ stencil.panel_right[lo_panel:]
-            out += seg[:-1] @ stencil.panel_left[lo_panel:]
-    return out
 
 
 def solve_fundamental(theta: float, a: SignedMeasure, grid: Grid) -> Kernel:
@@ -200,9 +187,9 @@ def solve_fundamental(theta: float, a: SignedMeasure, grid: Grid) -> Kernel:
     st = DelayStencil(a, grid)
     for k in range(ns):
         j = nd + k
-        f_right = _jump_functional(st, x, j, left=False)
+        f_right = st.apply(x, j, start=nd)
         x[j + 1] = x[j] + dt * theta * f_right  # predictor, in place
-        f_left = _jump_functional(st, x, j + 1, left=True)
+        f_left = st.apply(x, j + 1, start=nd, left=True)
         x[j + 1] = x[j] + 0.5 * dt * theta * (f_right + f_left)
     return Kernel(grid=grid, x0_values=x)
 
@@ -212,14 +199,9 @@ def y_kernel(theta: float, a: SignedMeasure, kernel: Kernel) -> np.ndarray:
     actual value x(0) = 1)."""
     if kernel.y_values is not None:
         return kernel.y_values
-    grid = kernel.grid
-    st = DelayStencil(a, grid)
-    x = kernel.x0_values
-    y = np.empty(grid.n_steps + 1)
-    for k in range(grid.n_steps + 1):
-        y[k] = _jump_functional(st, x, grid.n_delay + k, left=False)
-    kernel.y_values = y
-    return y
+    st = DelayStencil(a, kernel.grid)
+    kernel.y_values = st.path(kernel.x0_values, start=kernel.grid.n_delay)
+    return kernel.y_values
 
 
 # ---------------------------------------------------------------------------

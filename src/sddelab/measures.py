@@ -146,7 +146,7 @@ def _poly_antideriv(coeffs):
 
 def _poly_defint(coeffs, lo, hi):
     anti = _poly_antideriv(coeffs)
-    return float(_poly_eval(anti, hi) - _poly_eval(anti, lo))
+    return _poly_eval(anti, hi) - _poly_eval(anti, lo)
 
 
 def _poly_abs_defint(coeffs, lo, hi):

@@ -5,8 +5,9 @@ initial path on [-r, 0].
 Brownian increments come from a counter-based generator (Philox) keyed by a
 64-bit seed; replicate seeds are derived from a master seed by a splittable
 hash so replicates are reproducible and order-independent.  Batches of paths
-are advanced together (rows = replicates), and the delay functional uses the
-same stencil as the deterministic kernel module.
+are advanced together (rows = replicates).  The delay functional is the one
+`kernels.DelayStencil`, applied to the node-major view X.T of the batch; a
+simulated path begins at node 0, since its initial segment is continuous.
 """
 
 from __future__ import annotations
@@ -132,10 +133,11 @@ def simulate_batch(
     X[:, : nd + 1] = x0.values_on(grid)[None, :]
     Y = np.empty((n, ns + 1))
     st = DelayStencil(a, grid)
+    XT = X.T  # node-major view for the stencil
     for k in range(ns):
-        Y[:, k] = st.apply_rows(X, nd + k)
+        Y[:, k] = st.apply(XT, nd + k)
         X[:, nd + k + 1] = X[:, nd + k] + theta * dt * Y[:, k] + dW[:, k]
-    Y[:, ns] = st.apply_rows(X, nd + ns)
+    Y[:, ns] = st.apply(XT, nd + ns)
     W = np.concatenate([np.zeros((n, 1)), np.cumsum(dW, axis=1)], axis=1)
     return W, X, Y
 
@@ -148,7 +150,8 @@ def simulate(
     seed: int,
     dW: np.ndarray | None = None,
 ) -> SamplePath:
-    """Single path; identical numbers to the corresponding batch row."""
+    """Single path; the numbers of the corresponding batch row (bit for bit
+    for atom-only measures, to rounding with a density)."""
     dW2 = None if dW is None else np.asarray(dW, dtype=float)[None, :]
     W, X, Y = simulate_batch(theta, a, x0, grid, [seed], dW=dW2)
     return SamplePath(grid=grid, W=W[0], X=X[0], Y=Y[0], theta_true=theta, seed=int(seed))
@@ -158,17 +161,11 @@ def y_process(X: np.ndarray, a: SignedMeasure, grid: Grid) -> np.ndarray:
     """Recompute the delay functional from state samples on [-r, T] with the
     same quadrature simulate uses.  Accepts one path (1-d) or rows (2-d)."""
     X = np.asarray(X, dtype=float)
-    one = X.ndim == 1
-    rows = X[None, :] if one else X
-    if rows.shape[1] != grid.n_total:
+    if X.shape[-1] != grid.n_total:
         raise SimulationError(
-            f"X must cover [-r, T] with {grid.n_total} samples, got {rows.shape[1]}"
+            f"X must cover [-r, T] with {grid.n_total} samples, got {X.shape[-1]}"
         )
-    st = DelayStencil(a, grid)
-    Y = np.empty((rows.shape[0], grid.n_steps + 1))
-    for k in range(grid.n_steps + 1):
-        Y[:, k] = st.apply_rows(rows, grid.n_delay + k)
-    return Y[0] if one else Y
+    return np.ascontiguousarray(DelayStencil(a, grid).path(X.T).T)
 
 
 # ---------------------------------------------------------------------------

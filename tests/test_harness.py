@@ -105,6 +105,21 @@ def test_experiment_thread_count_invariance(monkeypatch):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_density_experiment_partition_close(monkeypatch):
+    # a density's stencil sum is a BLAS product whose rounding depends on the
+    # batch shape, so density replicates agree across partitions to rounding
+    # only (atom-only measures are bit-identical, see above)
+    dens = {**DIRAC0, "density": [{"lo": -1.0, "hi": 0.0, "coeffs": [1.0, 1.0]}]}
+    runs = []
+    for chunk in (128, 77, 1):
+        monkeypatch.setattr(H, "REPLICATE_CHUNK", chunk)
+        runs.append(run_experiment(config(measure=dens, T=10.0, n_replicates=300, n_limit_draws=100)))
+    for res in runs[1:]:
+        for name in ("delta", "info", "theta_hat"):
+            x, y = getattr(runs[0], name), getattr(res, name)
+            assert np.all(np.abs(y - x) <= 1e-12 * (1.0 + np.abs(x))), name
+
+
 def test_experiment_seed_changes_samples():
     r1 = run_experiment(config())
     r2 = run_experiment(config(seed=100))

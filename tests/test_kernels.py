@@ -1,7 +1,11 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from sddelab.kernels import (
+    DelayStencil,
     Grid,
     KernelError,
     fisher_limit,
@@ -81,6 +85,51 @@ def test_fundamental_second_order_convergence():
         kern = solve_fundamental(-0.5, D0, g)
         errs.append(np.max(np.abs(kern.x0_values[g.n_delay :] - np.exp(-0.5 * g.state_times()))))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
+
+
+@pytest.mark.parametrize("dt", (2e-3, 1e-3, 5e-4))
+def test_fundamental_off_grid_delay_atom_method_of_steps(dt):
+    # x' = theta x(t - tau) with x = 1 at 0: by the method of steps
+    # x(t) = sum over k tau <= t of theta^k (t - k tau)^k / k!; tau falls
+    # between nodes, so the atom is interpolated (first order at the kinks)
+    tau, theta = 0.3737, -np.pi / 2
+    a = SignedMeasure.point_masses(1.0, (-tau, 1.0))
+    g = Grid.build(1.0, 2.0, dt)
+    kern = solve_fundamental(theta, a, g)
+    t = g.state_times()
+    want = sum(
+        np.where(t >= k * tau, theta**k * np.maximum(t - k * tau, 0.0) ** k / math.factorial(k), 0.0)
+        for k in range(int(g.T / tau) + 1)
+    )
+    assert np.max(np.abs(kern.x0_values[g.n_delay :] - want)) <= abs(theta) * dt
+
+
+# ---------------------------------------------------------------------------
+# delay stencil
+
+
+def test_stencil_panel_weights_closed_form():
+    # density c0 + c1 u on [-0.7, -0.2], which starts and ends inside panels:
+    # panel_right[j] = int p(u) (u - u_j)/dt du over panel j, panel_left[j]
+    # the rest of int p(u) du there (the two hats sum to one on a panel)
+    c0, c1, lo, hi = 0.5, -1.25, -0.7, -0.2
+    a = SignedMeasure.polynomial_density(1.0, [(lo, hi, (c0, c1))])
+    g = Grid(r=1.0, n_delay=8, n_steps=1)
+    st = DelayStencil(a, g)
+    c0, c1, dt = Fraction(c0), Fraction(c1), Fraction(g.dt)
+    want_left, want_right = np.zeros(8), np.zeros(8)
+    for j in range(8):
+        uj = Fraction(-1) + j * dt
+        a_, b_ = max(Fraction(lo), uj), min(Fraction(hi), uj + dt)
+        if b_ <= a_:
+            continue
+        full = c0 * (b_ - a_) + c1 * (b_**2 - a_**2) / 2
+        F = lambda u: c0 * (u**2 / 2 - uj * u) + c1 * (u**3 / 3 - uj * u**2 / 2)
+        right = (F(b_) - F(a_)) / dt
+        want_left[j], want_right[j] = float(full - right), float(right)
+    np.testing.assert_allclose(st.panel_right, want_right, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(st.panel_left, want_left, rtol=1e-13, atol=0.0)
+    np.testing.assert_array_equal(st.q, np.append(st.panel_left, 0.0) + np.append(0.0, st.panel_right))
 
 
 # ---------------------------------------------------------------------------
