@@ -37,14 +37,20 @@ class CliError(Exception):
     """Usage/config error (exit code 2)."""
 
 
-def _resolve_measure(spec: str) -> SignedMeasure:
+def _load_json(spec: str, what: str) -> tuple[dict, str | None]:
+    """The JSON document in the file `spec`, else in the packaged config of
+    that name, and the directory that relative paths in it refer to."""
     if os.path.exists(spec):
         with open(spec) as fh:
-            return SignedMeasure.from_dict(json.load(fh))
+            return json.load(fh), os.path.dirname(spec)
     packaged = importlib.resources.files("sddelab").joinpath("configs", spec)
     if packaged.is_file():
-        return SignedMeasure.from_dict(json.loads(packaged.read_text()))
-    raise CliError(f"measure descriptor {spec!r} not found (no such file or packaged config)")
+        return json.loads(packaged.read_text()), None
+    raise CliError(f"{what} {spec!r} not found (no such file or packaged config)")
+
+
+def _resolve_measure(spec: str) -> SignedMeasure:
+    return SignedMeasure.from_dict(_load_json(spec, "measure descriptor")[0])
 
 
 def _parse_x0(spec: str) -> InitialPath:
@@ -136,13 +142,7 @@ def cmd_limits(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    if os.path.exists(args.config):
-        cfg = ExperimentConfig.from_json(args.config)
-    else:
-        packaged = importlib.resources.files("sddelab").joinpath("configs", args.config)
-        if not packaged.is_file():
-            raise CliError(f"experiment config {args.config!r} not found")
-        cfg = ExperimentConfig.from_dict(json.loads(packaged.read_text()))
+    cfg = ExperimentConfig.from_dict(*_load_json(args.config, "experiment config"))
     overrides = {"seed": args.seed, "n_replicates": args.n_replicates}
     cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     result = run_experiment(cfg)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.special import kolmogorov, ndtr
@@ -55,6 +55,12 @@ class ExperimentConfig:
     ergodic_rel: float = 0.05
 
     def __post_init__(self):
+        for name in ("theta", "T", "dt", "p_threshold", "ergodic_rel"):
+            setattr(self, name, float(getattr(self, name)))
+        for name in ("n_replicates", "seed", "n_limit_draws", "limit_steps"):
+            setattr(self, name, int(getattr(self, name)))
+        self.tests = tuple(self.tests)
+        self.mean_info_band = tuple(self.mean_info_band)
         for t in self.tests:
             if t not in KNOWN_TESTS:
                 raise HarnessError(f"unknown test {t!r}; known: {KNOWN_TESTS}")
@@ -64,55 +70,22 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict, base_dir: str | None = None) -> "ExperimentConfig":
-        unknown = sorted(set(d) - {f.name for f in fields(ExperimentConfig)})
+        known = fields(ExperimentConfig)
+        unknown = sorted(set(d) - {f.name for f in known})
         if unknown:
             raise HarnessError(f"unknown config keys: {', '.join(unknown)}")
+        for f in known:
+            if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
+                raise HarnessError(f"missing config key {f.name!r}")
         measure = d["measure"]
         if isinstance(measure, str):
             path = measure if os.path.isabs(measure) or base_dir is None else os.path.join(base_dir, measure)
             with open(path) as fh:
                 measure = json.load(fh)
-        return ExperimentConfig(
-            measure=measure,
-            theta=float(d["theta"]),
-            T=float(d["T"]),
-            dt=float(d["dt"]),
-            x0=d.get("x0", {"kind": "zero"}),
-            n_replicates=int(d.get("n_replicates", 1000)),
-            seed=int(d.get("seed", 0)),
-            n_limit_draws=int(d.get("n_limit_draws", 2000)),
-            limit_steps=int(d.get("limit_steps", 10_000)),
-            regime_hint=d.get("regime_hint"),
-            plamn_d=d.get("plamn_d"),
-            tests=tuple(d.get("tests", ())),
-            p_threshold=float(d.get("p_threshold", 0.001)),
-            mean_info_band=tuple(d.get("mean_info_band", (0.95, 1.05))),
-            ergodic_rel=float(d.get("ergodic_rel", 0.05)),
-        )
-
-    @staticmethod
-    def from_json(path: str) -> "ExperimentConfig":
-        with open(path) as fh:
-            return ExperimentConfig.from_dict(json.load(fh), base_dir=os.path.dirname(path))
+        return ExperimentConfig(**{**d, "measure": measure})
 
     def to_dict(self) -> dict:
-        return {
-            "measure": self.measure,
-            "theta": self.theta,
-            "T": self.T,
-            "dt": self.dt,
-            "x0": self.x0,
-            "n_replicates": self.n_replicates,
-            "seed": self.seed,
-            "n_limit_draws": self.n_limit_draws,
-            "limit_steps": self.limit_steps,
-            "regime_hint": self.regime_hint,
-            "plamn_d": self.plamn_d,
-            "tests": list(self.tests),
-            "p_threshold": self.p_threshold,
-            "mean_info_band": list(self.mean_info_band),
-            "ergodic_rel": self.ergodic_rel,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -253,6 +226,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "median_mean_Y": float(np.median(mean_Y)),
         "median_mean_Y2": float(np.median(mean_Y2)),
         "median_scaled_Y_T": float(np.median(scaled_Y_T)),
+        "nan_theta_hat": int(np.count_nonzero(np.isnan(theta_hat))),
     }
     if J_const is not None:
         diagnostics["J_limit"] = J_const
@@ -270,9 +244,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             stat, p = ks_two_sample(info, limit_info)
             tests.append(_test_row(name, stat, p, p > config.p_threshold, config.p_threshold))
         elif name == "normal_delta":
-            ok = info > 0
-            stat, p = ks_vs_standard_normal(delta[ok] / np.sqrt(info[ok]))
-            tests.append(_test_row(name, stat, p, p > config.p_threshold, config.p_threshold))
+            ok = info > 0  # a replicate without information has no normalised score
+            stat, p = ks_vs_standard_normal(delta[ok] / np.sqrt(info[ok])) if ok.any() else (math.nan, math.nan)
+            row = _test_row(name, stat, p, p > config.p_threshold, config.p_threshold)
+            row["dropped"] = int(np.count_nonzero(~ok))
+            tests.append(row)
         elif name == "mean_info":
             m = float(np.mean(info))
             lo_b, hi_b = config.mean_info_band[0] * J_const, config.mean_info_band[1] * J_const

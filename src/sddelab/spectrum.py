@@ -265,8 +265,13 @@ def count_zeros(
 # root search
 
 
-def _newton_polish(theta: float, a: SignedMeasure, z0: complex, m: int) -> complex | None:
-    """Newton on h (m = 1) or on h^(m-1) (m > 1); None if not converged."""
+def _newton_polish(
+    theta: float, a: SignedMeasure, z0: complex, m: int, diag: float
+) -> complex | None:
+    """Newton on h (m = 1) or on h^(m-1) (m > 1), started at the centre z0 of
+    a box with diagonal diag; None if not converged or as soon as an iterate
+    lies farther than diag from z0 (h is never evaluated out there, where
+    the exponential moments can overflow)."""
     z = complex(z0)
     for _ in range(80):
         if m == 1:
@@ -278,10 +283,10 @@ def _newton_polish(theta: float, a: SignedMeasure, z0: complex, m: int) -> compl
             return None
         step = g / gp
         z = z - step
+        if not abs(z - z0) <= diag:  # also catches inf and NaN
+            return None
         if abs(step) <= 1e-15 * (1.0 + abs(z)):
             return z
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            return None
     return z if abs(step) <= 1e-12 * (1.0 + abs(z)) else None
 
 
@@ -336,7 +341,7 @@ def roots_in_strip(theta: float, a: SignedMeasure, c: float) -> list[CharRoot]:
         diag = math.hypot(w, h)
         if diag <= 1.5:
             z0 = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
-            z = _newton_polish(theta, a, z0, n)
+            z = _newton_polish(theta, a, z0, n, diag)
             if (
                 z is not None
                 and re_lo - 1e-7 <= z.real <= re_hi + 1e-7
@@ -503,52 +508,19 @@ def classify(
     """Locate the deciding roots, compute (v0, v*, m*, H, D), and tag the
     asymptotic regime with its scaling law.
 
-    Cut lines descend from one unit below a rough rightmost-root estimate
-    down to -10/r; if no root with a nonzero kernel polynomial is found by
-    then, v* = -inf is declared with a warning.
+    Cut lines c = 0, -1/r, -2/r, ... descend to the floor -10/r, so the work
+    is invariant under the time rescaling t -> t/r.  The descent stops at the
+    first cut above which some root has a nonzero kernel polynomial: v0 and
+    v* are then decided.  The report lists the roots above that cut (above
+    the floor when no cut decides, and then v* = -inf with a warning).
     """
     notes: list[str] = []
     c_floor = -10.0 / a.r
-
-    if theta == 0.0:
-        roots = [build_root_data(0.0, a, CharRoot(0.0 + 0.0j, 1))]
-        v0 = 0.0
-    else:
-        v_hat = None
-        probe_cuts = [0.0] + [k * c_floor / 10.0 for k in range(1, 11)]
-        for cp in probe_cuts:
-            probe = roots_in_strip(theta, a, cp)
-            if probe:
-                v_hat = max(rt.lam.real for rt in probe)
-                break
-        if v_hat is None:
-            scaling = ScalingLaw("sqrt")
-            notes.append(
-                f"no characteristic roots found above the cut floor {c_floor:g}; "
-                "v0 and v* reported as -inf"
-            )
-            report = RegimeReport(
-                v0=NEG_INF,
-                v_star=NEG_INF,
-                m_star=NEG_INF,
-                H=[],
-                D=None,
-                regime="LAN",
-                scaling=scaling,
-                contributing_roots=[],
-                roots=[],
-                warnings=notes,
-            )
-            return _apply_hint(report, regime_hint, notes)
-        roots = None
-        c = v_hat
-        while True:
-            c = c - 1.0 if c - 1.0 > c_floor else c_floor
-            bare = roots_in_strip(theta, a, c)
-            roots = [build_root_data(theta, a, rt) for rt in bare]
-            if any(rt.m_tilde >= 0 for rt in roots) or c <= c_floor:
-                break
-        v0 = max(rt.lam.real for rt in roots)
+    for k in range(11):
+        roots = [build_root_data(theta, a, rt) for rt in roots_in_strip(theta, a, -k / a.r)]
+        if any(rt.m_tilde >= 0 for rt in roots):
+            break
+    v0 = max((rt.lam.real for rt in roots), default=NEG_INF)
 
     qual = [rt for rt in roots if rt.m_tilde >= 0]
     if qual:
@@ -558,7 +530,12 @@ def classify(
         contributing = [rt for rt in at_vstar if rt.m_tilde == m_star]
     else:
         v_star, m_star, contributing = NEG_INF, NEG_INF, []
-        if theta != 0.0:
+        if not roots:
+            notes.append(
+                f"no characteristic roots found above the cut floor {c_floor:g}; "
+                "v0 and v* reported as -inf"
+            )
+        elif theta != 0.0:
             notes.append(
                 f"no root with a nonzero kernel polynomial above the cut floor {c_floor:g}; "
                 "v* reported as -inf"

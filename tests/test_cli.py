@@ -107,6 +107,8 @@ def test_experiment_subcommand(tmp_path):
     assert (out_dir / "samples.csv").is_file()
     doc = json.loads((out_dir / "result.json").read_text())
     assert doc["passed"] is True
+    assert doc["tests"][0]["dropped"] == 0
+    assert doc["diagnostics"]["nan_theta_hat"] == 0
 
 
 def test_experiment_repeat_byte_identical(tmp_path):
@@ -132,6 +134,36 @@ def test_experiment_repeat_byte_identical(tmp_path):
 
 def test_experiment_missing_config(capsys):
     assert main(["experiment", "--config", "missing.json"]) == 2
+
+
+def test_experiment_all_replicates_dropped_exit_1(tmp_path):
+    # every info is 0 (T < r for a delay atom at -r): the normal_delta row
+    # fails with a null statistic and counts the drops
+    cfg = {
+        "measure": {"r": 1.0, "atoms": [{"u": -1.0, "w": 1.0}]},
+        "theta": -1.0,
+        "T": 0.5,
+        "dt": 0.01,
+        "n_replicates": 100,
+        "n_limit_draws": 200,
+        "tests": ["normal_delta"],
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "out"
+    assert main(["experiment", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 1
+    doc = json.loads((out_dir / "result.json").read_text())
+    assert doc["tests"] == [
+        {"name": "normal_delta", "statistic": None, "p_value": None, "threshold": 0.001, "passed": False, "dropped": 100}
+    ]
+    assert doc["diagnostics"]["nan_theta_hat"] == 100
+
+
+def test_experiment_missing_config_key(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"measure": DIRAC0, "theta": -0.5, "dt": 0.02}))
+    assert main(["experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "'T'" in capsys.readouterr().err
 
 
 def test_experiment_packaged_config_with_overrides(tmp_path):

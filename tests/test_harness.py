@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -214,6 +215,29 @@ def test_unknown_config_key_rejected():
     # a typo must not fall back to the default of the intended key
     with pytest.raises(HarnessError, match="n_replicate"):
         config(n_replicate=50)
+
+
+def test_config_defaults_and_roundtrip():
+    # the dataclass fields are the one definition of every default
+    cfg = ExperimentConfig.from_dict({"measure": DIRAC0, "theta": -1, "T": 2, "dt": 0.5})
+    assert cfg == ExperimentConfig(measure=DIRAC0, theta=-1.0, T=2.0, dt=0.5)
+    assert (cfg.n_replicates, cfg.x0, cfg.tests, cfg.mean_info_band) == (1000, {"kind": "zero"}, (), (0.95, 1.05))
+    assert isinstance(cfg.theta, float) and isinstance(cfg.T, float)
+    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+    assert list(cfg.to_dict()) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+
+
+def test_normal_delta_counts_dropped_replicates():
+    # Y = 0 on [0, r) for a delay atom at -r: with T < r no replicate carries
+    # information, so every one is dropped and the test fails with NaN
+    res = run_experiment(
+        config(measure=DM1, theta=-1.0, T=0.5, dt=0.01, n_replicates=100, n_limit_draws=200, tests=["normal_delta"])
+    )
+    row = res.tests[0]
+    assert row["dropped"] == 100
+    assert math.isnan(row["statistic"]) and math.isnan(row["p_value"])
+    assert not row["passed"] and not res.passed
+    assert res.diagnostics["nan_theta_hat"] == 100
 
 
 def test_distributional_tests_need_replicates():

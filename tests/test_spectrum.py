@@ -1,13 +1,17 @@
 import importlib.resources
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sddelab.measures import SignedMeasure
 from sddelab.spectrum import (
     NEG_INF,
+    ZERO_TOL,
     CharRoot,
     SpectrumError,
     build_root_data,
@@ -27,6 +31,11 @@ BAL = SignedMeasure.point_masses(1.0, (0.0, 1.0), (-1.0, -1.0))
 # rightmost root of lambda = e^(-lambda), frozen from a Newton iteration on
 # f(x) = x - e^(-x) (independent of the strip search)
 OMEGA = 0.5671432904097838
+
+
+def packaged_measure(name):
+    d = json.loads(importlib.resources.files("sddelab").joinpath("configs", name).read_text())
+    return SignedMeasure.from_dict(d)
 
 
 def sin_measure(n=4097):
@@ -95,27 +104,38 @@ def test_roots_hayes_boundary():
     assert all(abs(z.lam.real) < 1e-10 for z in roots)
 
 
+LAMBERT_CASES = [(1.0, 0.0, 1.0), (-2.0, 0.0, 1.0), (0.7, 0.5, -1.2), (-1.3, 0.4, 0.9)]
+
+
+def two_atoms(r, w0, w1):
+    return SignedMeasure.point_masses(r, *[(u, w) for u, w in ((0.0, w0), (-r, w1)) if w])
+
+
 def test_roots_against_lambert_branches():
-    # oracle: roots of lambda e^lambda = theta are the Lambert W branches
+    # oracle: for a = w0 d_0 + w1 d_{-r} the roots of h are
+    # lambda_k = theta w0 + W_k(theta w1 r e^(-theta w0 r)) / r (Corless et al.
+    # 1996; Asl & Ulsoy 2003), over every branch whose root lies in the strip
     from scipy.special import lambertw
 
-    theta = 1.0
-    roots = roots_in_strip(theta, DM1, -3.0)
-    want = []
-    k = 0
-    while True:
-        w = complex(lambertw(theta, k))
-        if w.real < -3.0:
-            break
-        want.append(w)
-        if k > 0:
-            want.append(np.conj(w))
-        k += 1
-    got = sorted((z.lam for z in roots), key=lambda z: (z.real, z.imag))
-    want = sorted(want, key=lambda z: (z.real, z.imag))
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g == pytest.approx(w, abs=1e-9)
+    for theta_r, w0, w1 in LAMBERT_CASES:
+        n_reported = set()
+        for r in (1.0, 2.0, 4.0, 8.0):
+            theta, a, c = theta_r / r, two_atoms(r, w0, w1), -3.0 / r
+            z = theta * w1 * r * math.exp(-theta * w0 * r)
+            want = [theta * w0 + complex(lambertw(z, k)) / r for k in range(-60, 61)]
+            want = sorted((w for w in want if w.real >= c), key=lambda z: (z.real, z.imag))
+            got = sorted((rt.lam for rt in roots_in_strip(theta, a, c)), key=lambda z: (z.real, z.imag))
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g == pytest.approx(w, abs=1e-9)
+            n_reported.add(len(classify(theta, a).roots))
+        # the descent is scale-free: every r reports the same roots
+        assert len(n_reported) == 1
+    # the branch point: a double root at -1/r for theta = -1/(e r)
+    for r in (1.0, 2.0, 4.0, 8.0):
+        roots = roots_in_strip(-1.0 / (math.e * r), two_atoms(r, 0.0, 1.0), -3.0 / r)
+        assert [rt.multiplicity for rt in roots] == [2]
+        assert roots[0].lam * r == pytest.approx(-1.0, abs=1e-7)
 
 
 def test_zero_count_matches_returned_multiplicities():
@@ -296,27 +316,61 @@ def test_classify_sin_remark():
     assert zero_root.m_tilde == NEG_INF
 
 
+def sin_h_and_dh(theta, z):
+    # h and h' for the packaged sin density in closed form:
+    # M_0(lam) = (e^(-2 pi lam) - 1)/(lam^2 + 1)
+    e = np.exp(-2 * np.pi * z)
+    q = z * z + 1
+    m0 = (e - 1) / q
+    m1 = (-2 * np.pi * e * q - 2 * z * (e - 1)) / q**2
+    return z - theta * m0, 1 - theta * m1
+
+
+def newton_fixed_point(theta, z):
+    for _ in range(50):
+        h, dh = sin_h_and_dh(theta, z)
+        z -= h / dh
+    return z
+
+
 def test_classify_packaged_sin_density_roots_closed_form():
     # exact oracle: h(lam) = lam - (e^(-2 pi lam) - 1)/(lam^2 + 1) for theta = 1;
-    # every reported root is a fixed point of Newton on the closed form
-    d = json.loads(importlib.resources.files("sddelab").joinpath("configs", "sin_density.json").read_text())
-    rep = classify(1.0, SignedMeasure.from_dict(d))
-    assert rep.regime == "PLAMN" and len(rep.roots) >= 5
-
-    def h_and_dh(z):
-        e = np.exp(-2 * np.pi * z)
-        q = z * z + 1
-        m0 = (e - 1) / q
-        m1 = (-2 * np.pi * e * q - 2 * z * (e - 1)) / q**2
-        return z - m0, 1 - m1
-
-    for rt in rep.roots:
-        z = rt.lam
-        for _ in range(50):
-            h, dh = h_and_dh(z)
-            z -= h / dh
+    # every root found is a fixed point of Newton on the closed form, and the
+    # report lists some of them
+    a = packaged_measure("sin_density.json")
+    rep = classify(1.0, a)
+    assert rep.regime == "PLAMN"
+    strip = roots_in_strip(1.0, a, -1.0)
+    assert len(strip) >= 5
+    for rt in strip:
+        z = newton_fixed_point(1.0, rt.lam)
         assert abs(rt.lam - z) <= 1e-12 * (1 + abs(z))
+    for rt in rep.roots:
+        assert min(abs(rt.lam - s.lam) for s in strip) <= 1e-12 * (1 + abs(rt.lam))
     assert rep.v0 == pytest.approx(max(rt.lam.real for rt in rep.roots))
+
+
+def test_classify_sin_density_newton_stays_in_box():
+    # Newton iterates that wandered far left overflowed the moments there
+    a = packaged_measure("sin_density.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = classify(-0.3, a)
+    assert rep.regime == "LAMN"
+    z = newton_fixed_point(-0.3, complex(rep.v_star))
+    assert abs(rep.v_star - z) <= 1e-12 * (1 + abs(z))
+
+
+def test_classify_inputs_the_unit_descent_rejected():
+    # a descent in absolute unit steps ran its contours into roots here
+    for theta, atoms in [
+        (7.452, [(0.0, 1.012), (-0.25, 1.734), (-1.0, -1.396)]),
+        (-12.072, [(0.0, -0.989), (-0.5, -1.879), (-1.0, -1.813)]),
+    ]:
+        a = SignedMeasure.point_masses(1.0, *atoms)
+        rep = classify(theta, a)
+        assert rep.regime == "LAMN" and rep.H == []
+        assert abs(char_value(theta, a, rep.v_star)) <= 1e-9 * (1.0 + rep.v_star)
 
 
 def test_v_star_below_v0_only_in_remark_case():
@@ -327,6 +381,18 @@ def test_v_star_below_v0_only_in_remark_case():
     rep = classify(0.15, sin_measure())
     assert rep.v_star < rep.v0 - 1e-3
     assert abs(rep.v0) <= 1e-8
+
+
+def test_classify_no_root_above_floor():
+    # the only root, -15/r, lies below the floor -10/r at every r
+    for r in (1.0, 4.0):
+        rep = classify(-15.0 / r, SignedMeasure.point_masses(r, (0.0, 1.0)))
+        assert rep.regime == "LAN" and rep.roots == []
+        assert rep.v0 == NEG_INF and rep.v_star == NEG_INF
+        assert rep.warnings == [
+            f"no characteristic roots found above the cut floor {-10.0 / r:g}; v0 and v* reported as -inf"
+        ]
+        assert rep.to_dict()["v0"] is None
 
 
 def test_classify_regime_hint_override():
@@ -479,3 +545,32 @@ def test_random_systems_classify_invariants():
             assert rep.v_star > 1e-8
             assert rep.contributing_roots
     assert checked >= 5
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    r=st.sampled_from([0.5, 2.0, 4.0, 8.0]),
+    atoms=st.lists(
+        st.tuples(st.sampled_from([0.0, -0.25, -0.5, -0.75, -1.0]), st.floats(-2.0, 2.0).filter(bool)),
+        min_size=1,
+        max_size=3,
+        unique_by=lambda atom: atom[0],
+    ),
+    theta=st.floats(-3.0, 3.0).filter(bool),
+)
+def test_classify_invariant_under_time_rescaling(r, atoms, theta):
+    # h_r(lam) = h_1(lam r) / r for a_r(du) = a_1(du / r): theta on the
+    # delay r is theta r on the delay 1, with every root scaled by 1/r
+    scaled = classify(theta, SignedMeasure.point_masses(r, *[(u * r, w) for u, w in atoms]))
+    unit = classify(theta * r, SignedMeasure.point_masses(1.0, *atoms))
+    # the LAQ band |v*| <= ZERO_TOL is absolute, so a v* that straddles it
+    # under the rescaling has no scale-free regime
+    assume((abs(scaled.v_star) <= ZERO_TOL) == (abs(unit.v_star) <= ZERO_TOL))
+    assert (scaled.regime, scaled.m_star) == (unit.regime, unit.m_star)
+    assert len(scaled.roots) == len(unit.roots)
+    for x, y in [(scaled.v0, unit.v0), (scaled.v_star, unit.v_star), *zip(scaled.H, unit.H)]:
+        if y == NEG_INF:
+            assert x == NEG_INF
+        else:
+            assert r * x == pytest.approx(y, abs=1e-9 * (1 + abs(y)))
+    assert len(scaled.H) == len(unit.H)
