@@ -2,9 +2,12 @@
 information statistics under the regime-correct scaling, matched limit-law
 reference samples, and distributional / moment / ergodic tests.
 
-Replicates are simulated in fixed-size chunks, which bounds memory; every
-replicate draws its own counter-based stream from a splittable seed, so for
-atom-only measures results are bit-identical for any chunk size.  A density's
+Replicates are streamed in chunks: `simulate_sums` steps a chunk through a
+sliding window of the delay horizon and keeps only the running sums the
+statistics need, so memory grows with n_delay * REPLICATE_CHUNK and not with
+the number of steps.  Every replicate draws its own counter-based stream
+from a splittable seed and every sum runs in step order, so for atom-only
+measures results are bit-identical for any chunk size.  A density's
 delay-window sum is a BLAS product whose rounding depends on the batch
 shape, so with a density they agree across chunk sizes to rounding only.
 """
@@ -20,14 +23,19 @@ import numpy as np
 from scipy.special import kolmogorov, ndtr
 
 from . import __version__
-from .inference import batch_statistics, row_dots
+# simulate_batch and batch_statistics are not called here, but stay importable
+# from this module: perfbench/spans.py wraps them under the harness's names
+from .inference import batch_statistics, statistics_from_sums  # noqa: F401
 from .kernels import Grid, fisher_limit, fisher_theta0
 from .limit_laws import sample_lamn_many, sample_lan_many, sample_laq_many, sample_plamn_many
 from .measures import SignedMeasure, tail_mass, total_variation
-from .simulate import InitialPath, derive_seed, simulate_batch
+from .simulate import InitialPath, derive_seed, simulate_batch, simulate_sums  # noqa: F401
 from .spectrum import RegimeReport, classify
 
-REPLICATE_CHUNK = 128  # replicates simulated together; bounds memory (moves density results by rounding only)
+# replicates streamed together, the one memory bound: a chunk holds about
+# n_delay + 3 * simulate.BLOCK floats per replicate, whatever the number of
+# steps (the chunk size moves density results by rounding only)
+REPLICATE_CHUNK = 1024
 
 KNOWN_TESTS = ("ks_delta", "ks_info", "normal_delta", "mean_info", "ergodic")
 
@@ -206,13 +214,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     def run_chunk(lo):
         chunk = seeds[lo : lo + REPLICATE_CHUNK].tolist()
-        W, X, Y = simulate_batch(config.theta, a, x0, grid, chunk)
-        delta, info, theta_hat = batch_statistics(
-            Y, X, grid.n_delay, grid.dt, config.theta, r_val
-        )
-        mean_Y = np.sum(Y[:, :-1], axis=1) * grid.dt / T
-        mean_Y2 = row_dots(Y[:, :-1], Y[:, :-1]) * grid.dt / T
-        scaled_end = Y[:, -1] * r_val
+        sums = simulate_sums(config.theta, a, x0, grid, chunk)
+        delta, info, theta_hat = statistics_from_sums(sums.y_dx, sums.y_y, grid.dt, config.theta, r_val)
+        mean_Y = sums.y * grid.dt / T
+        mean_Y2 = sums.y_y * grid.dt / T
+        scaled_end = sums.y_end * r_val
         return delta, info, theta_hat, mean_Y, mean_Y2, scaled_end
 
     parts = [run_chunk(lo) for lo in range(0, n, REPLICATE_CHUNK)]

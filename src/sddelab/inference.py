@@ -72,17 +72,23 @@ def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", A, B)
 
 
+def statistics_from_sums(
+    s_ydx: np.ndarray, s_yy: np.ndarray, dt: float, theta: float, scaling: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(delta, info, theta_hat) from the left-point sums of Y dX and Y^2."""
+    s2 = s_yy * dt
+    dW_dot = s_ydx - theta * s2
+    delta = scaling * dW_dot
+    info = scaling**2 * s2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta_hat = np.where(s2 > 1e-12, s_ydx / s2, np.nan)
+    return delta, info, theta_hat
+
+
 def batch_statistics(
     Y: np.ndarray, X: np.ndarray, n_delay: int, dt: float, theta: float, scaling: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (delta, info, theta_hat) over rows of a simulated batch."""
     Yl = Y[:, :-1]
     dX = np.diff(X[:, n_delay:], axis=1)
-    s1 = row_dots(Yl, dX)
-    s2 = row_dots(Yl, Yl) * dt
-    dW_dot = s1 - theta * s2
-    delta = scaling * dW_dot
-    info = scaling**2 * s2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        theta_hat = np.where(s2 > 1e-12, s1 / s2, np.nan)
-    return delta, info, theta_hat
+    return statistics_from_sums(row_dots(Yl, dX), row_dots(Yl, Yl), dt, theta, scaling)

@@ -241,7 +241,7 @@ def fisher_limit(
     bound chosen below tail_tol."""
     if report is None:
         report = classify(theta, a)
-    if not report.v_star < -ZERO_TOL:
+    if not report.v_star * a.r < -ZERO_TOL:  # the LAN band of classify
         raise KernelError("information diverges: v* >= 0")
     c = report.v_star / 2.0 if report.v_star != NEG_INF else -5.0 / a.r
     if n_delay is None:

@@ -4,10 +4,20 @@ initial path on [-r, 0].
 
 Brownian increments come from a counter-based generator (Philox) keyed by a
 64-bit seed; replicate seeds are derived from a master seed by a splittable
-hash so replicates are reproducible and order-independent.  Batches of paths
-are advanced together (rows = replicates).  The delay functional is the one
-`kernels.DelayStencil`, applied to the node-major view X.T of the batch; a
-simulated path begins at node 0, since its initial segment is continuous.
+hash so replicates are reproducible and order-independent.
+
+One time-major stepper advances a batch of paths together: node i of the
+state is the row X[i] of replicates, and the delay functional is the one
+`kernels.DelayStencil`, applied at a node of that buffer (a simulated path
+begins at node 0, since its initial segment is continuous).
+`simulate_batch` steps a buffer covering [-r, T] and returns row-major
+(W, X, Y).  `simulate_sums` keeps only a window of n_delay + 1 + BLOCK nodes
+whose last n_delay + 1 rows slide to the front after each block, draws each
+replicate's increments block by block (the same numbers as
+`brownian_increments`), and returns running sums of Y dX, Y^2 and Y, so its
+memory grows with n_delay and not with the number of steps.  Every sum is
+accumulated element by element in step order, so for atom-only measures a
+replicate's numbers do not depend on the batch it is simulated in.
 """
 
 from __future__ import annotations
@@ -107,6 +117,29 @@ def brownian_increments(seed: int, n_steps: int, dt: float) -> np.ndarray:
     return gen.standard_normal(n_steps) * math.sqrt(dt)
 
 
+BLOCK = 256  # steps per block of increment draws and of the sliding window
+
+
+@dataclass
+class RunningSums:
+    """Per-replicate left-point sums over the steps t_0, ..., t_{n-1} of a
+    batch, and the delay functional at T."""
+
+    y_dx: np.ndarray  # sum of Y(t_k) * (X(t_{k+1}) - X(t_k))
+    y_y: np.ndarray  # sum of Y(t_k)^2
+    y: np.ndarray  # sum of Y(t_k)
+    y_end: np.ndarray  # Y(T)
+
+
+def _step(st: DelayStencil, buf: np.ndarray, j: int, theta_dt: float, dw: np.ndarray):
+    """One Euler step of the time-major buffer at node j: returns Y, the
+    delay functional at j, and sets buf[j + 1] = buf[j] + (theta dt) Y + dw."""
+    y = st.apply(buf, j)
+    np.add(buf[j], theta_dt * y, out=buf[j + 1])
+    buf[j + 1] += dw
+    return y
+
+
 def simulate_batch(
     theta: float,
     a: SignedMeasure,
@@ -122,24 +155,63 @@ def simulate_batch(
     n = len(seeds)
     nd, ns, dt = grid.n_delay, grid.n_steps, grid.dt
     if dW is None:
-        dW = np.empty((n, ns))
+        dW = np.empty((ns, n))
         for i, seed in enumerate(seeds):
-            dW[i] = brownian_increments(seed, ns, dt)
+            dW[:, i] = brownian_increments(seed, ns, dt)
     else:
         dW = np.asarray(dW, dtype=float)
         if dW.shape != (n, ns):
             raise SimulationError(f"dW must have shape {(n, ns)}, got {dW.shape}")
-    X = np.empty((n, nd + ns + 1))
-    X[:, : nd + 1] = x0.values_on(grid)[None, :]
-    Y = np.empty((n, ns + 1))
+        dW = dW.T
+    X = np.empty((nd + ns + 1, n))
+    X[: nd + 1] = x0.values_on(grid)[:, None]
+    Y = np.empty((ns + 1, n))
     st = DelayStencil(a, grid)
-    XT = X.T  # node-major view for the stencil
     for k in range(ns):
-        Y[:, k] = st.apply(XT, nd + k)
-        X[:, nd + k + 1] = X[:, nd + k] + theta * dt * Y[:, k] + dW[:, k]
-    Y[:, ns] = st.apply(XT, nd + ns)
-    W = np.concatenate([np.zeros((n, 1)), np.cumsum(dW, axis=1)], axis=1)
-    return W, X, Y
+        Y[k] = _step(st, X, nd + k, theta * dt, dW[k])
+    Y[ns] = st.apply(X, nd + ns)
+    W = np.zeros((n, ns + 1))
+    W[:, 1:] = np.cumsum(dW, axis=0).T
+    return W, np.ascontiguousarray(X.T), np.ascontiguousarray(Y.T)
+
+
+def increment_blocks(seeds, n_steps: int, dt: float):
+    """The increments brownian_increments(seed, n_steps, dt) of every seed,
+    time-major, BLOCK steps at a time: each block is a (steps, seeds) array,
+    drawn from one Philox stream per seed that carries on across blocks."""
+    gens = [np.random.Generator(np.random.Philox(key=seed)) for seed in seeds]
+    draws = np.empty((len(gens), BLOCK))
+    sqrt_dt = math.sqrt(dt)
+    for k0 in range(0, n_steps, BLOCK):
+        b = min(BLOCK, n_steps - k0)
+        for gen, row in zip(gens, draws):
+            gen.standard_normal(out=row[:b])
+        yield np.multiply(draws[:, :b].T, sqrt_dt, order="C")
+
+
+def simulate_sums(theta: float, a: SignedMeasure, x0: InitialPath, grid: Grid, seeds) -> RunningSums:
+    """The paths of `simulate_batch`, reduced to their running sums as they
+    are stepped; memory grows with n_delay * len(seeds), not with n_steps."""
+    seeds = list(seeds)
+    n = len(seeds)
+    nd, ns, theta_dt = grid.n_delay, grid.n_steps, theta * grid.dt
+    st = DelayStencil(a, grid)
+    buf = np.empty((nd + 1 + BLOCK, n))
+    buf[: nd + 1] = x0.values_on(grid)[:, None]
+    terms = np.empty((3, n))  # Y dX, Y^2 and Y of one step
+    sums = np.zeros((3, n))
+    for dW in increment_blocks(seeds, ns, grid.dt):
+        for k, dw in enumerate(dW):
+            j = nd + k
+            y = _step(st, buf, j, theta_dt, dw)
+            terms[1:] = y
+            np.subtract(buf[j + 1], buf[j], out=terms[0])
+            terms[:2] *= y
+            sums += terms
+        buf[: nd + 1] = buf[len(dW) : len(dW) + nd + 1]
+    y_end = np.empty(n)
+    y_end[:] = st.apply(buf, nd)
+    return RunningSums(y_dx=sums[0], y_y=sums[1], y=sums[2], y_end=y_end)
 
 
 def simulate(

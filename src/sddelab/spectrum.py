@@ -28,7 +28,8 @@ NEG_INF = float("-inf")
 # below it are snapped to the real axis.
 MERGE_TOL = 1e-8
 
-# |v*| below this counts as the critical (LAQ) boundary.
+# |v*| r below this counts as the critical (LAQ) boundary: a band in units
+# of 1/r, so the regime does not change under the time rescaling t -> t/r.
 ZERO_TOL = 1e-8
 
 # Relative size below which a P-polynomial coefficient is treated as zero.
@@ -513,6 +514,8 @@ def classify(
     first cut above which some root has a nonzero kernel polynomial: v0 and
     v* are then decided.  The report lists the roots above that cut (above
     the floor when no cut decides, and then v* = -inf with a warning).
+    The regime is LAQ for |v*| r <= ZERO_TOL, LAN below that band and LAMN
+    or PLAMN above it.
     """
     notes: list[str] = []
     c_floor = -10.0 / a.r
@@ -543,10 +546,10 @@ def classify(
 
     H = sorted(rt.lam.imag for rt in contributing if rt.lam.imag > ZERO_TOL)
     D = None
-    if v_star == NEG_INF or v_star < -ZERO_TOL:
+    if v_star == NEG_INF or v_star * a.r < -ZERO_TOL:
         regime = "LAN"
         scaling = ScalingLaw("sqrt")
-    elif abs(v_star) <= ZERO_TOL:
+    elif abs(v_star) * a.r <= ZERO_TOL:
         regime = "LAQ"
         scaling = ScalingLaw("poly", m_star=m_star)
     else:

@@ -204,7 +204,8 @@ def test_criterion_09_residue_agreement():
 
 def test_criterion_10_reproducibility(lan_result, monkeypatch):
     # replicate partitions: a chunk size that does not divide the 1000
-    # replicates, and twice the default of 128 used by lan_result
+    # replicates, and a quarter of the default of 1024 used by lan_result
+    # (which holds all 1000 in one chunk)
     blobs = []
     for chunk in (333, 256):
         monkeypatch.setattr(H, "REPLICATE_CHUNK", chunk)
@@ -216,4 +217,4 @@ def test_criterion_10_reproducibility(lan_result, monkeypatch):
     write_samples_csv(lan_result, buf)
     baseline = buf.getvalue().encode()
     ok = blobs[0] == blobs[1] == baseline
-    report(10, "reproducibility", ok, f"{len(blobs[0])} bytes, replicate chunks 128 vs 333 vs 256")
+    report(10, "reproducibility", ok, f"{len(blobs[0])} bytes, replicate chunks 1024 vs 333 vs 256")

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,8 +95,8 @@ def test_experiment_is_reproducible():
 
 
 def test_experiment_thread_count_invariance(monkeypatch):
-    # the replicate partition never changes results: the default chunk, one
-    # that does not divide the 600 replicates, and one holding all of them
+    # the replicate partition never changes results: a small chunk, one that
+    # does not divide the 600 replicates, and one holding all of them
     outs = []
     for chunk in (128, 250, 1200):
         monkeypatch.setattr(H, "REPLICATE_CHUNK", chunk)
@@ -119,6 +120,23 @@ def test_density_experiment_partition_close(monkeypatch):
         for name in ("delta", "info", "theta_hat"):
             x, y = getattr(runs[0], name), getattr(res, name)
             assert np.all(np.abs(y - x) <= 1e-12 * (1.0 + np.abs(x))), name
+
+
+def test_experiment_memory_does_not_grow_with_steps():
+    # replicates are streamed through a window of the delay horizon, so eight
+    # times the steps must not raise the peak by half (theta = 0 on balanced
+    # atoms keeps the limit information closed-form: the peak is the
+    # simulation's)
+    peaks = []
+    for T in (50.0, 400.0):
+        cfg = config(measure=BALANCED, theta=0.0, T=T, dt=0.05, n_replicates=100, n_limit_draws=100)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 def test_experiment_seed_changes_samples():

@@ -3,22 +3,30 @@ import io
 import numpy as np
 import pytest
 
+from sddelab.inference import batch_statistics, row_dots, statistics_from_sums
 from sddelab.kernels import Grid, fisher_limit, fisher_theta0
 from sddelab.measures import SignedMeasure
 from sddelab.simulate import (
+    BLOCK,
     InitialPath,
     brownian_increments,
     derive_seed,
+    increment_blocks,
     path_from_csv,
     path_to_csv,
     simulate,
     simulate_batch,
+    simulate_sums,
     y_process,
 )
 
 D0 = SignedMeasure.point_masses(1.0, (0.0, 1.0))
 BAL = SignedMeasure.point_masses(1.0, (0.0, 1.0), (-1.0, -1.0))
 LEB = SignedMeasure.polynomial_density(1.0, [(-1.0, 0.0, (1.0,))])
+ATOM_DENS = SignedMeasure.from_dict(
+    {"r": 1.0, "atoms": [{"u": 0.0, "w": 1.0}], "density": [{"lo": -1.0, "hi": 0.0, "coeffs": [1.0, 1.0]}]}
+)
+OFF_GRID = SignedMeasure.point_masses(1.0, (-0.3737, 0.8), (0.0, -0.3))
 
 
 def test_theta_zero_path_is_shifted_wiener():
@@ -87,6 +95,60 @@ def test_single_path_matches_batch_row():
     np.testing.assert_array_equal(p2.X, X[2])
     np.testing.assert_array_equal(p2.W, W[2])
     np.testing.assert_array_equal(p2.Y, Y[2])
+
+
+def test_increment_blocks_match_brownian_increments():
+    seeds = [derive_seed(21, i) for i in range(3)]
+    for n_steps in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 37):
+        blocks = list(increment_blocks(seeds, n_steps, 0.01))
+        assert [len(b) for b in blocks[:-1]] == [BLOCK] * (len(blocks) - 1)
+        want = np.stack([brownian_increments(s, n_steps, 0.01) for s in seeds], axis=1)
+        np.testing.assert_array_equal(np.concatenate(blocks), want)
+
+
+def _step_order_sums(X, Y, n_delay):
+    """Reference: the running sums of a step-by-step loop over a path batch."""
+    sums = np.zeros((3, X.shape[0]))
+    for k in range(Y.shape[1] - 1):
+        y = Y[:, k]
+        sums += (y * (X[:, n_delay + k + 1] - X[:, n_delay + k]), y * y, y)
+    return sums
+
+
+def test_streamed_sums_run_in_step_order():
+    # n_steps = 2 * BLOCK + 37: two full blocks of the sliding window and a
+    # partial one.  The sums are those of a step loop over simulate_batch's
+    # paths bit for bit; with atoms only, in any batch the replicate is in.
+    g = Grid(r=1.0, n_delay=100, n_steps=2 * BLOCK + 37)
+    seeds = [derive_seed(3, i) for i in range(7)]
+    x0 = InitialPath.constant(0.2)
+    for a in (OFF_GRID, ATOM_DENS):
+        _, X, Y = simulate_batch(0.4, a, x0, g, seeds)
+        got = simulate_sums(0.4, a, x0, g, seeds)
+        np.testing.assert_array_equal(np.array([got.y_dx, got.y_y, got.y]), _step_order_sums(X, Y, g.n_delay))
+        np.testing.assert_array_equal(got.y_end, Y[:, -1])
+    parts = [simulate_sums(0.4, OFF_GRID, x0, g, seeds[lo:hi]) for lo, hi in ((0, 1), (1, 3), (3, 7))]
+    whole = simulate_sums(0.4, OFF_GRID, x0, g, seeds)
+    for name in ("y_dx", "y_y", "y", "y_end"):
+        np.testing.assert_array_equal(np.concatenate([getattr(p, name) for p in parts]), getattr(whole, name))
+
+
+def test_streamed_statistics_match_batch_statistics():
+    # summation order aside, the streamed statistics are batch_statistics';
+    # delta = r (s1 - theta s2) is bounded relative to its two terms
+    g = Grid.build(1.0, 6.0, 0.01)
+    seeds = [derive_seed(8, i) for i in range(6)]
+    theta, r = -0.4, g.T**-0.5
+    for a in (BAL, ATOM_DENS):
+        _, X, Y = simulate_batch(theta, a, InitialPath.zero(), g, seeds)
+        delta, info, hat = batch_statistics(Y, X, g.n_delay, g.dt, theta, r)
+        sums = simulate_sums(theta, a, InitialPath.zero(), g, seeds)
+        delta2, info2, hat2 = statistics_from_sums(sums.y_dx, sums.y_y, g.dt, theta, r)
+        s1 = row_dots(Y[:, :-1], np.diff(X[:, g.n_delay :], axis=1))
+        s2 = row_dots(Y[:, :-1], Y[:, :-1]) * g.dt
+        assert np.all(np.abs(delta2 - delta) <= 1e-12 * (1 + np.abs(r * s1) + np.abs(r * theta * s2)))
+        assert np.all(np.abs(info2 - info) <= 1e-12 * (1 + np.abs(info)))
+        assert np.all(np.abs(hat2 - hat) <= 1e-12 * (1 + np.abs(hat)))
 
 
 def test_strong_order_one_under_refinement():

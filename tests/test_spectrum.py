@@ -5,13 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sddelab.kernels import KernelError, fisher_limit
 from sddelab.measures import SignedMeasure
 from sddelab.spectrum import (
     NEG_INF,
-    ZERO_TOL,
     CharRoot,
     SpectrumError,
     build_root_data,
@@ -395,6 +395,17 @@ def test_classify_no_root_above_floor():
         assert rep.to_dict()["v0"] is None
 
 
+def test_classify_laq_band_scale_free():
+    # one atom at 0: the only root is theta, so v* = theta; the LAQ band is
+    # |v*| r <= ZERO_TOL, the same problem on either time scale
+    d0_r4 = SignedMeasure.point_masses(4.0, (0.0, 1.0))
+    assert classify(5e-9, d0_r4).regime == classify(2e-8, D0).regime == "LAMN"
+    assert classify(2e-9, d0_r4).regime == classify(8e-9, D0).regime == "LAQ"
+    assert classify(-2e-9, d0_r4).regime == "LAQ"
+    with pytest.raises(KernelError):
+        fisher_limit(-2e-9, d0_r4)
+
+
 def test_classify_regime_hint_override():
     rep = classify(-0.5, D0, regime_hint="LAQ")
     assert rep.regime == "LAQ"
@@ -563,9 +574,6 @@ def test_classify_invariant_under_time_rescaling(r, atoms, theta):
     # delay r is theta r on the delay 1, with every root scaled by 1/r
     scaled = classify(theta, SignedMeasure.point_masses(r, *[(u * r, w) for u, w in atoms]))
     unit = classify(theta * r, SignedMeasure.point_masses(1.0, *atoms))
-    # the LAQ band |v*| <= ZERO_TOL is absolute, so a v* that straddles it
-    # under the rescaling has no scale-free regime
-    assume((abs(scaled.v_star) <= ZERO_TOL) == (abs(unit.v_star) <= ZERO_TOL))
     assert (scaled.regime, scaled.m_star) == (unit.regime, unit.m_star)
     assert len(scaled.roots) == len(unit.roots)
     for x, y in [(scaled.v0, unit.v0), (scaled.v_star, unit.v_star), *zip(scaled.H, unit.H)]:
