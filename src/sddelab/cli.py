@@ -131,9 +131,7 @@ def cmd_limits(args) -> int:
     a = _resolve_measure(args.measure)
     report = classify(args.theta, a, regime_hint=args.regime_hint)
     rng = np.random.Generator(np.random.Philox(key=args.seed))
-    delta, info, _ = sample_limit(
-        args.theta, a, report, _parse_x0(args.x0), args.n, rng, d=args.d, n_steps=args.steps
-    )
+    delta, info, _ = sample_limit(args.theta, a, report, _parse_x0(args.x0), args.n, rng, d=args.d)
     with _out_fh(args.out) as fh:
         fh.write("delta,info\n")
         for dv, iv in zip(delta, info):
@@ -202,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--measure", required=True)
     pl.add_argument("--n", type=int, default=1000)
     pl.add_argument("--seed", type=int, default=0)
-    pl.add_argument("--steps", type=int, default=10_000)
     pl.add_argument("--d", type=float, default=0.0, help="PLAMN phase offset")
     pl.add_argument("--x0", default="zero")
     pl.add_argument("--regime-hint", default=None)

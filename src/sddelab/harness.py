@@ -54,7 +54,6 @@ class ExperimentConfig:
     n_replicates: int = 1000
     seed: int = 0
     n_limit_draws: int = 2000
-    limit_steps: int = 10_000
     regime_hint: str | None = None
     plamn_d: float | None = None
     tests: tuple[str, ...] = ()
@@ -65,7 +64,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("theta", "T", "dt", "p_threshold", "ergodic_rel"):
             setattr(self, name, float(getattr(self, name)))
-        for name in ("n_replicates", "seed", "n_limit_draws", "limit_steps"):
+        for name in ("n_replicates", "seed", "n_limit_draws"):
             setattr(self, name, int(getattr(self, name)))
         self.tests = tuple(self.tests)
         self.mean_info_band = tuple(self.mean_info_band)
@@ -157,16 +156,16 @@ def limit_information(theta: float, a: SignedMeasure, report: RegimeReport) -> f
 
 def sample_limit(
     theta: float, a: SignedMeasure, report: RegimeReport, x0: InitialPath, n: int,
-    rng: np.random.Generator, *, d: float = 0.0, n_steps: int = 10_000,
+    rng: np.random.Generator, *, d: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray, float | None]:
     """n draws (delta, info) of the limit law of the classified regime, and
     the LAN information constant the draws used (None for the other laws).
-    `d` is the PLAMN phase offset, `n_steps` the LAQ integration steps."""
+    `d` is the PLAMN phase offset."""
     if report.regime == "LAN":
         J = limit_information(theta, a, report)
         return (*sample_lan_many(J, n, rng), J)
     if report.regime == "LAQ":
-        return (*sample_laq_many(theta, a, report, n, rng, n_steps=n_steps), None)
+        return (*sample_laq_many(theta, a, report, n, rng), None)
     if report.regime == "LAMN":
         return (*sample_lamn_many(theta, a, report, x0, n, rng), None)
     if report.regime == "PLAMN":
@@ -204,8 +203,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     # the draws have their own Philox stream, so no replicate changes
     rng_limit = np.random.Generator(np.random.Philox(key=derive_seed(config.seed, 0, stream=1)))
     limit_delta, limit_info, J_const = sample_limit(
-        config.theta, a, report, x0, config.n_limit_draws, rng_limit,
-        d=d_phase, n_steps=config.limit_steps,
+        config.theta, a, report, x0, config.n_limit_draws, rng_limit, d=d_phase
     )
     r_val = report.scaling.value(T)
 

@@ -1,21 +1,25 @@
 """Direct samplers for the limiting (score, information) laws of the three
-regimes, used as reference distributions in Monte Carlo tests.
+regimes, used as reference distributions in Monte Carlo tests.  Each draw
+is a finite Gaussian vector and fixed quadratic forms in it.
 
 LAN: (sqrt(J) Z, J) with deterministic J.  LAQ: quadratic functionals of
-independent standard (complex) Wiener processes on [0,1], one per distinct
-contributing frequency, built from left-point Euler sums.  LAMN/PLAMN:
-mixed-normal laws whose random information involves the limit variable
-U = X0(0) + theta * (initial-path mixing integral) + int_0^inf e^(-lam s) dW
-truncated at a horizon S with e^(-2 v* S) below 1e-8.
+independent standard (complex) Wiener processes Z on [0,1], one per distinct
+contributing frequency, each the Brownian-bridge expansion
+Z(s) = xi_0 s + sum_{k<=K} xi_k sqrt(2) sin(k pi s)/(k pi), which has
+Z(1) = xi_0 exactly.  LAMN/PLAMN: mixed-normal laws whose random information
+is a quadratic form in the limit variables
+U_j = X0(0) + theta * (initial-path mixing integral) + G_j, where the
+G_j = int_0^inf e^(-lam_j s) dW are jointly Gaussian with
+E[G_j G_k] = 1/(lam_j + lam_k) and E[G_j conj(G_k)] = 1/(lam_j + conj(lam_k)).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .measures import SignedMeasure, density_on_grid
 from .simulate import InitialPath
@@ -64,24 +68,42 @@ def sample_lan(J: float, rng: np.random.Generator) -> LimitSample:
 # ---------------------------------------------------------------------------
 # LAQ
 
+# terms of the Brownian-bridge expansion of each LAQ Wiener process
+LAQ_TERMS = 256
 
-def _iterated_left(Z_incr: np.ndarray, s_left: np.ndarray, m: int) -> np.ndarray:
-    """Z_m evaluated at left grid points: sum over i<j of (s_j - s_i)^m dZ_i."""
-    n = Z_incr.shape[1]
 
-    def excl_cumsum(arr):
-        out = np.empty_like(arr)
-        out[:, 0] = 0.0
-        np.cumsum(arr[:, :-1], axis=1, out=out[:, 1:])
-        return out
+@functools.lru_cache(maxsize=None)
+def _bridge_forms(m: int, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """G = int_0^1 psi psi^T and N = int_0^1 psi e'^T for the K-term bridge
+    expansion, where psi_k(s) = int_0^s (s-u)^m e_k'(u) du, e_0(s) = s and
+    e_k(s) = sqrt(2) sin(k pi s)/(k pi).  Gauss-Legendre with 64 nodes on each
+    of ceil(K/16) panels: at most 16 periods of the highest frequency 2 K pi
+    per panel, which integrates to rounding."""
+    x, w = np.polynomial.legendre.leggauss(64)
+    panels = -(-K // 16)
+    s = ((np.arange(panels)[:, None] + (x + 1.0) / 2.0) / panels).ravel()
+    w = np.tile(w / (2.0 * panels), panels)
+    omega = np.pi * np.arange(1, K + 1)[:, None]
+    z = 1j * omega * s
+    taylor = sum(z**j / math.factorial(j) for j in range(m + 1))
+    osc = math.factorial(m) * (np.exp(z) - taylor) / (1j * omega) ** (m + 1)
+    psi = np.vstack([s ** (m + 1) / (m + 1), math.sqrt(2.0) * osc.real])
+    de = np.vstack([np.ones_like(s), math.sqrt(2.0) * np.cos(omega * s)])
+    G, N = (psi * w) @ psi.T, (psi * w) @ de.T
+    G.flags.writeable = N.flags.writeable = False
+    return G, N
 
-    if m == 0:
-        return excl_cumsum(Z_incr)
-    acc = np.zeros_like(Z_incr)
-    for q in range(m + 1):
-        cq = excl_cumsum((s_left**q) * Z_incr)
-        acc += math.comb(m, q) * (-1.0) ** q * (s_left ** (m - q)) * cq
-    return acc
+
+def _bridge_pair(xi: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(int_0^1 Z_m dconj(Z) as an Ito integral, int_0^1 |Z_m|^2 ds) for the
+    rows xi of bridge coefficients, K = xi.shape[1] - 1.  Subtracting tr N
+    centres the delta (the expansion's own integral is Stratonovich), and
+    1/((2m+1)(2m+2)) - tr G is the mean of the information's truncated tail."""
+    G, N = _bridge_forms(m, xi.shape[1] - 1)
+    xc = np.conj(xi)
+    ito = np.einsum("ij,ij->i", xi @ N, xc) - np.trace(N)
+    energy = np.einsum("ij,ij->i", xi @ G, xc).real
+    return ito, energy + 1.0 / ((2 * m + 1) * (2 * m + 2)) - np.trace(G)
 
 
 def sample_laq_many(
@@ -90,47 +112,32 @@ def sample_laq_many(
     report: RegimeReport,
     n: int,
     rng: np.random.Generator,
-    n_steps: int = 10_000,
 ):
     """(delta, info) draws of the critical-regime limit law."""
     if report.regime != "LAQ":
         raise LimitLawError(f"sample_laq needs an LAQ report, got {report.regime}")
     m_star, roots = _contributing(report)
-    ds = 1.0 / n_steps
-    s_left = (np.arange(n_steps) * ds)[None, :]
-    freqs = sorted({round(abs(lam.imag), 12) for lam, _ in roots})
-
-    delta = np.empty(n)
-    info = np.empty(n)
-    chunk = max(1, int(2_000_000 // n_steps))
-    for lo in range(0, n, chunk):
-        nc = min(chunk, n - lo)
-        d_acc = np.zeros(nc, dtype=complex)
-        j_acc = np.zeros(nc)
-        for phi in freqs:
-            if phi <= ZERO_TOL:
-                dZ = rng.standard_normal((nc, n_steps)) * math.sqrt(ds)
-            else:
-                g = rng.standard_normal((2, nc, n_steps))
-                dZ = (g[0] + 1j * g[1]) * math.sqrt(ds / 2.0)
-            Zm = _iterated_left(dZ, s_left, m_star)
-            for lam, c in roots:
-                if round(abs(lam.imag), 12) != phi:
-                    continue
-                if phi <= ZERO_TOL or lam.imag > 0:
-                    Zm_r, dZ_r = Zm, dZ
-                else:
-                    Zm_r, dZ_r = np.conj(Zm), np.conj(dZ)
-                d_acc += c * np.einsum("ij,ij->i", Zm_r, np.conj(dZ_r))
-                j_acc += abs(c) ** 2 * np.einsum("ij,ij->i", np.abs(Zm_r), np.abs(Zm_r)) * ds
-        resid = np.max(np.abs(d_acc.imag)) if nc else 0.0
-        if resid > 1e-8 * (1.0 + float(np.max(np.abs(d_acc.real)))):
-            raise LimitLawError(
-                f"LAQ delta has imaginary residual {resid:g}; conjugate pairing broken"
-            )
-        delta[lo : lo + nc] = d_acc.real
-        info[lo : lo + nc] = j_acc
-    return delta, info
+    delta = np.zeros(n, dtype=complex)
+    info = np.zeros(n)
+    for phi in sorted({round(abs(lam.imag), 12) for lam, _ in roots}):
+        if phi <= ZERO_TOL:
+            xi = rng.standard_normal((n, LAQ_TERMS + 1))
+        else:
+            g = rng.standard_normal((2, n, LAQ_TERMS + 1))
+            xi = (g[0] + 1j * g[1]) / math.sqrt(2.0)
+        ito, energy = _bridge_pair(xi, m_star)
+        for lam, c in roots:
+            if round(abs(lam.imag), 12) != phi:
+                continue
+            # a lower conjugate root sees the conjugate process
+            delta += c * (np.conj(ito) if phi > ZERO_TOL and lam.imag < 0 else ito)
+            info += abs(c) ** 2 * energy
+    resid = float(np.max(np.abs(delta.imag), initial=0.0))
+    if resid > 1e-8 * (1.0 + float(np.max(np.abs(delta.real), initial=0.0))):
+        raise LimitLawError(
+            f"LAQ delta has imaginary residual {resid:g}; conjugate pairing broken"
+        )
+    return delta.real, info
 
 
 def sample_laq(
@@ -138,9 +145,8 @@ def sample_laq(
     a: SignedMeasure,
     report: RegimeReport,
     rng: np.random.Generator,
-    n_steps: int = 10_000,
 ) -> LimitSample:
-    d, i = sample_laq_many(theta, a, report, 1, rng, n_steps=n_steps)
+    d, i = sample_laq_many(theta, a, report, 1, rng)
     return LimitSample(delta=float(d[0]), info=float(i[0]), regime="LAQ")
 
 
@@ -156,7 +162,7 @@ def _initial_mix(theta: float, a: SignedMeasure, x0: InitialPath, lam: complex) 
     s = np.linspace(-a.r, 0.0, m)
     x0v = x0.eval(s, a.r)
     integrand = np.exp(-lam * s) * x0v
-    G = np.concatenate([[0.0 + 0.0j], cumulative_trapezoid(integrand, s)])
+    G = np.concatenate([[0.0 + 0.0j], np.cumsum(np.diff(s) * (integrand[1:] + integrand[:-1]) / 2.0)])
 
     def inner(u: float) -> complex:
         g_u = complex(np.interp(u, s, G.real)) + 1j * complex(np.interp(u, s, G.imag))
@@ -183,7 +189,6 @@ def sample_lamn_many(
     x0: InitialPath,
     n: int,
     rng: np.random.Generator,
-    horizon: float | None = None,
     noise: bool = True,
 ):
     if report.regime != "LAMN":
@@ -193,11 +198,8 @@ def sample_lamn_many(
     if abs(lam.imag) > ZERO_TOL or abs(c.imag) > 1e-8 * (1.0 + abs(c)):
         raise LimitLawError("LAMN requires a single real contributing root")
     v = lam.real
-    if horizon is None:
-        horizon = math.log(1e8) / (2.0 * v) * 1.01
-    var_w = (1.0 - math.exp(-2.0 * v * horizon)) / (2.0 * v)
     u_det = float(x0.eval(np.array(0.0), a.r)) + (_initial_mix(theta, a, x0, lam)).real
-    U = u_det + (math.sqrt(var_w) * rng.standard_normal(n) if noise else np.zeros(n))
+    U = u_det + (math.sqrt(1.0 / (2.0 * v)) * rng.standard_normal(n) if noise else np.zeros(n))
     J = (c.real**2 / (2.0 * v)) * U**2
     z = rng.standard_normal(n)
     return z * np.sqrt(J), J
@@ -209,10 +211,9 @@ def sample_lamn(
     report: RegimeReport,
     x0: InitialPath,
     rng: np.random.Generator,
-    horizon: float | None = None,
     noise: bool = True,
 ) -> LimitSample:
-    d, i = sample_lamn_many(theta, a, report, x0, 1, rng, horizon=horizon, noise=noise)
+    d, i = sample_lamn_many(theta, a, report, x0, 1, rng, noise=noise)
     return LimitSample(delta=float(d[0]), info=float(i[0]), regime="LAMN")
 
 
@@ -228,54 +229,36 @@ def sample_plamn_many(
     d: float,
     n: int,
     rng: np.random.Generator,
-    horizon: float | None = None,
-    n_wiener: int = 8192,
-    n_time: int = 8192,
 ):
-    """(delta, info) draws of the periodic mixed-normal law at phase d; the
-    stochastic integrals of all contributing roots share one Wiener draw."""
+    """(delta, info) draws of the periodic mixed-normal law at phase d.  A real
+    root enters amp(t) = sum_j Re(b_j e^(-i phi_j t)) with weight 1, a
+    conjugate pair as twice its upper root, and J = int_0^inf e^(-2 v* t)
+    amp(t)^2 dt is a quadratic form in the b_j."""
     if report.regime not in ("PLAMN", "LAMN"):
         raise LimitLawError(f"sample_plamn needs a PLAMN report, got {report.regime}")
     m_star, roots = _contributing(report)
     v = report.v_star
-    if horizon is None:
-        horizon = math.log(1e8) / (2.0 * v) * 1.01
-    period = report.period if report.D else None
+    kept = [(complex(lam.real, 0.0), c, 1.0) for lam, c in roots if abs(lam.imag) <= ZERO_TOL]
+    kept += [(lam, c, 2.0) for lam, c in roots if lam.imag > ZERO_TOL]
+    lam = np.array([k[0] for k in kept])
+    phi = lam.imag
+    p = lam.size
 
-    s_left = np.arange(n_wiener) * (horizon / n_wiener)
-    ds = horizon / n_wiener
-    t_grid = np.linspace(0.0, horizon, n_time)
-    upper = [(lam, c) for lam, c in roots if lam.imag > ZERO_TOL]
-    real_roots = [(complex(lam.real, 0.0), c) for lam, c in roots if abs(lam.imag) <= ZERO_TOL]
-    mix = {lam: _initial_mix(theta, a, x0, lam) for lam, _ in upper + real_roots}
-    x0_at0 = float(x0.eval(np.array(0.0), a.r))
+    # (Re G, Im G) from E[G_j G_k] and E[G_j conj(G_k)]; singular for real roots
+    S = 1.0 / (lam[:, None] + lam[None, :])
+    H = 1.0 / (lam[:, None] + np.conj(lam)[None, :])
+    cov = 0.5 * np.block([[(H + S).real, (S - H).imag], [(S + H).imag, (H - S).real]])
+    ev, V = np.linalg.eigh(cov)
+    X = rng.standard_normal((n, 2 * p)) @ (V * np.sqrt(np.clip(ev, 0.0, None))).T
+    u_det = float(x0.eval(np.array(0.0), a.r)) + np.array([_initial_mix(theta, a, x0, lj) for lj in lam])
+    U = u_det + X[:, :p] + 1j * X[:, p:]
+    b = U * np.array([w * c for _, c, w in kept]) * np.exp(1j * phi * d)
 
-    delta = np.empty(n)
-    info = np.empty(n)
-    chunk = max(1, int(1_000_000 // max(n_wiener, n_time)))
-    env = np.exp(-2.0 * v * t_grid)
-    for lo in range(0, n, chunk):
-        nc = min(chunk, n - lo)
-        dW = rng.standard_normal((nc, n_wiener)) * math.sqrt(ds)
-        amp = np.zeros((nc, n_time))
-        for lam, c in real_roots + upper:
-            kernel = np.exp(-lam * s_left)
-            U = x0_at0 + mix[lam] + dW @ kernel
-            osc = c * np.exp(1j * (d - t_grid) * lam.imag)
-            contrib = np.real(U[:, None] * osc[None, :])
-            amp += contrib if abs(lam.imag) <= ZERO_TOL else 2.0 * contrib
-        g = amp**2
-        J = np.trapezoid(env[None, :] * g, t_grid, axis=1)
-        if period is not None:
-            sel = t_grid >= horizon - period
-            g_bar = np.mean(g[:, sel], axis=1)
-        else:
-            g_bar = g[:, -1]
-        J += g_bar * math.exp(-2.0 * v * horizon) / (2.0 * v)
-        z = rng.standard_normal(nc)
-        delta[lo : lo + nc] = z * np.sqrt(J)
-        info[lo : lo + nc] = J
-    return delta, info
+    A = 1.0 / (2.0 * v + 1j * (phi[:, None] + phi[None, :]))
+    B = 1.0 / (2.0 * v + 1j * (phi[:, None] - phi[None, :]))
+    J = 0.5 * np.sum((b @ A) * b + (b @ B) * np.conj(b), axis=1).real
+    z = rng.standard_normal(n)
+    return z * np.sqrt(J), J
 
 
 def sample_plamn(
@@ -285,7 +268,6 @@ def sample_plamn(
     x0: InitialPath,
     d: float,
     rng: np.random.Generator,
-    horizon: float | None = None,
 ) -> LimitSample:
-    dd, ii = sample_plamn_many(theta, a, report, x0, d, 1, rng, horizon=horizon)
+    dd, ii = sample_plamn_many(theta, a, report, x0, d, 1, rng)
     return LimitSample(delta=float(dd[0]), info=float(ii[0]), regime="PLAMN", d_offset=d)

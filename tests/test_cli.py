@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sddelab
 from sddelab.cli import main
 
 DIRAC0 = {"r": 1.0, "atoms": [{"u": 0.0, "w": 1.0}]}
@@ -227,3 +230,11 @@ def test_analyze_scaling_descriptor_lamn(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["regime"] == "LAMN"
     assert doc["scaling"].startswith("T^-0*exp(-0.5671432904")
+
+
+def test_cli_import_loads_no_scipy_integrate():
+    src = os.path.dirname(os.path.dirname(sddelab.__file__))
+    code = "import sys, sddelab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

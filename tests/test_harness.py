@@ -233,6 +233,9 @@ def test_unknown_config_key_rejected():
     # a typo must not fall back to the default of the intended key
     with pytest.raises(HarnessError, match="n_replicate"):
         config(n_replicate=50)
+    # a key that no longer exists fails by name instead of running
+    with pytest.raises(HarnessError, match="limit_steps"):
+        config(limit_steps=10_000)
 
 
 def test_config_defaults_and_roundtrip():

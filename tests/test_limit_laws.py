@@ -1,12 +1,14 @@
+import importlib.resources
+import json
 import math
 
 import numpy as np
 import pytest
 
-from sddelab.harness import ks_two_sample, ks_vs_standard_normal
+from sddelab.harness import ks_two_sample, ks_vs_standard_normal, sample_limit
 from sddelab.limit_laws import (
     LimitLawError,
-    _iterated_left,
+    _bridge_pair,
     sample_lamn,
     sample_lamn_many,
     sample_lan,
@@ -18,7 +20,7 @@ from sddelab.limit_laws import (
 )
 from sddelab.measures import SignedMeasure
 from sddelab.simulate import InitialPath
-from sddelab.spectrum import classify
+from sddelab.spectrum import ZERO_TOL, classify
 
 D0 = SignedMeasure.point_masses(1.0, (0.0, 1.0))
 DM1 = SignedMeasure.point_masses(1.0, (-1.0, 1.0))
@@ -83,30 +85,84 @@ def test_laq_requires_laq_report():
 
 def test_laq_deterministic_given_seed():
     rep = classify(0.0, D0)
-    a1 = sample_laq_many(0.0, D0, rep, 32, rng_(9), n_steps=2000)
-    a2 = sample_laq_many(0.0, D0, rep, 32, rng_(9), n_steps=2000)
+    a1 = sample_laq_many(0.0, D0, rep, 32, rng_(9))
+    a2 = sample_laq_many(0.0, D0, rep, 32, rng_(9))
     np.testing.assert_array_equal(a1[0], a2[0])
     np.testing.assert_array_equal(a1[1], a2[1])
 
 
-def test_laq_discretization_refinement_coupled():
-    # halving the Euler step moves E[J] by well under 1%: couple the two
-    # resolutions through common increments
-    n_fine, n_draws = 20_000, 2000
-    ds = 1.0 / n_fine
-    rng = rng_(6)
-    j_fine = np.empty(n_draws)
-    j_coarse = np.empty(n_draws)
-    s_fine = (np.arange(n_fine) * ds)[None, :]
-    s_coarse = (np.arange(n_fine // 2) * 2 * ds)[None, :]
-    for lo in range(0, n_draws, 200):
-        dW = rng.standard_normal((200, n_fine)) * math.sqrt(ds)
-        zf = _iterated_left(dW, s_fine, 0)
-        j_fine[lo : lo + 200] = np.einsum("ij,ij->i", zf, zf) * ds
-        dWc = dW[:, 0::2] + dW[:, 1::2]
-        zc = _iterated_left(dWc, s_coarse, 0)
-        j_coarse[lo : lo + 200] = np.einsum("ij,ij->i", zc, zc) * 2 * ds
-    assert abs(np.mean(j_fine) - np.mean(j_coarse)) < 0.01 * 0.5
+def test_laq_truncation_refinement_coupled():
+    # K and 2K bridge terms taken from the first normals of one draw: the
+    # mean-square gap of delta and of info shrinks like 1/K (the complex
+    # m* = 0 delta carries the slowest tail, the Levy area's)
+    for m in (0, 1):
+        for complex_z in (False, True):
+            g = rng_(6).standard_normal((2, 2000, 257))
+            xi = (g[0] + 1j * g[1]) / math.sqrt(2.0) if complex_z else g[0]
+            for K in (32, 64, 128):
+                d_k, i_k = _bridge_pair(xi[:, : K + 1], m)
+                d_2k, i_2k = _bridge_pair(xi[:, : 2 * K + 1], m)
+                assert float(np.mean(np.abs(d_k - d_2k) ** 2)) <= 0.1 / K, (m, complex_z, K)
+                assert float(np.mean((i_k - i_2k) ** 2)) <= 0.1 / K, (m, complex_z, K)
+
+
+def test_laq_dickey_fuller_quantiles():
+    # theta = 0 with a = dirac0: delta/info = int W dW / int W^2 is the
+    # Dickey-Fuller law, Fuller (1976), Table 8.5.1, n = infinity; the
+    # tolerances are 4 Monte Carlo SDs of a 40 000-draw quantile
+    rep = classify(0.0, D0)
+    delta, info = sample_laq_many(0.0, D0, rep, 40_000, rng_(21))
+    probs = [0.01, 0.025, 0.05, 0.10, 0.90, 0.95, 0.975, 0.99]
+    table = [-13.8, -10.5, -8.1, -5.7, 0.93, 1.28, 1.60, 2.03]
+    tol = [0.6, 0.5, 0.27, 0.17, 0.04, 0.045, 0.06, 0.06]
+    got = np.quantile(delta / info, probs)
+    for p, g, want, t in zip(probs, got, table, tol):
+        assert abs(g - want) <= t, (p, g, want)
+
+
+def test_laq_white_moments():
+    # White (1958): E int W^2 = 1/2, Var int W^2 = 1/3, Var int W dW = 1/2
+    rep = classify(0.0, D0)
+    delta, info = sample_laq_many(0.0, D0, rep, 20_000, rng_(22))
+    n = info.size
+
+    def var_se(x):
+        c = x - np.mean(x)
+        return math.sqrt((np.mean(c**4) - np.mean(c**2) ** 2) / n)
+
+    assert abs(np.mean(info) - 0.5) <= 4.0 * np.std(info) / math.sqrt(n)
+    assert abs(np.var(info) - 1.0 / 3.0) <= 4.0 * var_se(info)
+    assert abs(np.var(delta) - 0.5) <= 4.0 * var_se(delta)
+
+
+def expected_information(report) -> float:
+    """E[J] for x0 = 0 and d = 0, by quadrature in t of e^(-2 v* t) E[amp(t)^2],
+    with amp(t) = sum over real and upper roots of w Re(c G e^(-i phi t))
+    and E[G_j G_k] = 1/(lam_j + lam_k), E[G_j conj(G_k)] = 1/(lam_j + conj(lam_k))."""
+    m = int(report.m_star)
+    kept = [
+        (complex(rt.lam.real, 0.0), rt.P_poly[m], 1.0) if abs(rt.lam.imag) <= ZERO_TOL else (complex(rt.lam), rt.P_poly[m], 2.0)
+        for rt in report.contributing_roots
+        if rt.lam.imag >= -ZERO_TOL
+    ]
+    v = report.v_star
+    t = np.linspace(0.0, 40.0 / v, 400_001)
+    beta = [w * c * np.exp(-1j * lam.imag * t) for lam, c, w in kept]
+    second = np.zeros_like(t)
+    for j, (lam_j, _, _) in enumerate(kept):
+        for k, (lam_k, _, _) in enumerate(kept):
+            prod = beta[j] * beta[k] / (lam_j + lam_k) + beta[j] * np.conj(beta[k]) / (lam_j + np.conj(lam_k))
+            second += 0.5 * prod.real
+    return float(np.trapezoid(np.exp(-2.0 * v * t) * second, t))
+
+
+@pytest.mark.parametrize("name, theta", [("sin_density", 1.0), ("dirac_delay", -2.0), ("dirac_delay", 1.0)])
+def test_limit_mean_information(name, theta):
+    a = SignedMeasure.from_dict(json.loads(importlib.resources.files("sddelab").joinpath("configs", f"{name}.json").read_text()))
+    rep = classify(theta, a)
+    _, info, _ = sample_limit(theta, a, rep, InitialPath.zero(), 20_000, rng_(23))
+    want = expected_information(rep)
+    assert abs(np.mean(info) - want) <= 4.0 * np.std(info) / math.sqrt(info.size), (np.mean(info), want)
 
 
 # ---------------------------------------------------------------------------
@@ -241,5 +297,5 @@ def test_single_draw_wrappers():
     s = sample_lan(2.0, rng_(1))
     assert s.regime == "LAN" and s.info == 2.0
     rep = classify(0.0, D0)
-    s2 = sample_laq(0.0, D0, rep, rng_(2), n_steps=2000)
+    s2 = sample_laq(0.0, D0, rep, rng_(2))
     assert s2.regime == "LAQ" and np.isfinite(s2.delta)
