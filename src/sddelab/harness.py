@@ -6,8 +6,9 @@ Replicates are streamed in chunks: `simulate_sums` steps a chunk through a
 sliding window of the delay horizon and keeps only the running sums the
 statistics need, so memory grows with n_delay * REPLICATE_CHUNK and not with
 the number of steps.  Every replicate draws its own counter-based stream
-from a splittable seed and every sum runs in step order, so for atom-only
-measures results are bit-identical for any chunk size.  A density's
+from a splittable seed (on every core, so the number of cores changes no
+number) and every sum runs in step order, so for atom-only measures
+results are bit-identical for any chunk size.  A density's
 delay-window sum is a BLAS product whose rounding depends on the batch
 shape, so with a density they agree across chunk sizes to rounding only.
 """
@@ -33,7 +34,7 @@ from .simulate import InitialPath, derive_seed, simulate_batch, simulate_sums  #
 from .spectrum import RegimeReport, classify
 
 # replicates streamed together, the one memory bound: a chunk holds about
-# n_delay + 3 * simulate.BLOCK floats per replicate, whatever the number of
+# n_delay + 1 + simulate.BLOCK floats per replicate, whatever the number of
 # steps (the chunk size moves density results by rounding only)
 REPLICATE_CHUNK = 1024
 

@@ -78,7 +78,7 @@ class Grid:
 class Kernel:
     grid: Grid
     x0_values: np.ndarray  # fundamental solution on [-r, T]
-    y_values: np.ndarray | None = None  # kernel y on [0, T], filled lazily
+    y_values: np.ndarray | None = None  # kernel y on [0, T], as solve_fundamental records it
 
 
 # ---------------------------------------------------------------------------
@@ -174,29 +174,41 @@ class DelayStencil:
 # fundamental solution
 
 
-def solve_fundamental(theta: float, a: SignedMeasure, grid: Grid) -> Kernel:
+def solve_fundamental(theta: float, a: SignedMeasure, grid: Grid, prefix: Kernel | None = None) -> Kernel:
     """Fundamental solution on [-r, T]: zero before 0, one at 0, then the
-    delay ODE integrated by trapezoidal (Heun) steps."""
+    delay ODE integrated by trapezoidal (Heun) steps.  Each step's predictor
+    evaluates the kernel y at its left node, so y on [0, T] is recorded too
+    (apply at node j reads only nodes <= j: the bits of `y_kernel`).
+    `prefix`, a solution of the same problem on a grid with the same r and
+    n_delay and no more steps, is continued from its last node rather than
+    solved again: every node is the bits of a fresh solve."""
     nd, ns = grid.n_delay, grid.n_steps
     dt = grid.dt
     x = np.zeros(nd + ns + 1)
+    y = np.empty(ns + 1)
     x[nd] = 1.0
-    if theta == 0.0:
-        x[nd:] = 1.0
-        return Kernel(grid=grid, x0_values=x)
+    k0 = 0
+    if prefix is not None:
+        k0 = prefix.grid.n_steps
+        if (prefix.grid.r, prefix.grid.n_delay) != (grid.r, nd) or k0 > ns:
+            raise KernelError("prefix must be a shorter solve on the same delay grid")
+        x[: nd + k0 + 1] = prefix.x0_values
+        y[:k0] = y_kernel(theta, a, prefix)[:k0]
     st = DelayStencil(a, grid)
-    for k in range(ns):
+    for k in range(k0, ns):
         j = nd + k
-        f_right = st.apply(x, j, start=nd)
+        y[k] = f_right = st.apply(x, j, start=nd)
         x[j + 1] = x[j] + dt * theta * f_right  # predictor, in place
         f_left = st.apply(x, j + 1, start=nd, left=True)
         x[j + 1] = x[j] + 0.5 * dt * theta * (f_right + f_left)
-    return Kernel(grid=grid, x0_values=x)
+    y[ns] = st.apply(x, nd + ns, start=nd)
+    return Kernel(grid=grid, x0_values=x, y_values=y)
 
 
 def y_kernel(theta: float, a: SignedMeasure, kernel: Kernel) -> np.ndarray:
     """y(t) = integral x(t+u) a(du) on [0, T] (atom hits at the jump use the
-    actual value x(0) = 1)."""
+    actual value x(0) = 1); recorded by `solve_fundamental`, recomputed for
+    a kernel built without it."""
     if kernel.y_values is not None:
         return kernel.y_values
     st = DelayStencil(a, kernel.grid)
@@ -256,9 +268,9 @@ def fisher_limit(
     C = float(np.max(np.abs(y[window]) * np.exp(-c * ts[window])))
     if C > 0.0:
         t_cut = math.log(tail_tol * 2.0 * abs(c) / C**2) / (2.0 * c)
-        if t_cut > grid.T:
+        if t_cut > grid.T:  # carry the same solve on to t_cut
             grid = Grid(r=a.r, n_delay=n_delay, n_steps=int(math.ceil(t_cut / (a.r / n_delay))))
-            kern = solve_fundamental(theta, a, grid)
+            kern = solve_fundamental(theta, a, grid, prefix=kern)
             y = y_kernel(theta, a, kern)
         tail = C**2 * math.exp(2.0 * c * grid.T) / (2.0 * abs(c))
     else:

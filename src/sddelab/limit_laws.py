@@ -70,6 +70,8 @@ def sample_lan(J: float, rng: np.random.Generator) -> LimitSample:
 
 # terms of the Brownian-bridge expansion of each LAQ Wiener process
 LAQ_TERMS = 256
+# draws whose bridge coefficients are held at once
+LAQ_ROWS = 256
 
 
 @functools.lru_cache(maxsize=None)
@@ -106,6 +108,16 @@ def _bridge_pair(xi: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return ito, energy + 1.0 / ((2 * m + 1) * (2 * m + 2)) - np.trace(G)
 
 
+def _row_blocks(n: int):
+    """[lo, hi) blocks of LAQ_ROWS draws.  A lone trailing row joins the
+    block before it: a one-row einsum sums in another order than a row of a
+    matrix, and any other block shape keeps the bits of one (n, K+1) draw."""
+    cuts = list(range(0, n, LAQ_ROWS)) + [n]
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        del cuts[-2]
+    return zip(cuts, cuts[1:])
+
+
 def sample_laq_many(
     theta: float,
     a: SignedMeasure,
@@ -113,19 +125,24 @@ def sample_laq_many(
     n: int,
     rng: np.random.Generator,
 ):
-    """(delta, info) draws of the critical-regime limit law."""
+    """(delta, info) draws of the critical-regime limit law.  The bridge
+    coefficients are drawn and reduced LAQ_ROWS draws at a time, so memory
+    does not grow with n."""
     if report.regime != "LAQ":
         raise LimitLawError(f"sample_laq needs an LAQ report, got {report.regime}")
     m_star, roots = _contributing(report)
     delta = np.zeros(n, dtype=complex)
     info = np.zeros(n)
     for phi in sorted({round(abs(lam.imag), 12) for lam, _ in roots}):
-        if phi <= ZERO_TOL:
-            xi = rng.standard_normal((n, LAQ_TERMS + 1))
-        else:
-            g = rng.standard_normal((2, n, LAQ_TERMS + 1))
-            xi = (g[0] + 1j * g[1]) / math.sqrt(2.0)
-        ito, energy = _bridge_pair(xi, m_star)
+        ito = np.empty(n, dtype=complex if phi > ZERO_TOL else float)
+        energy = np.empty(n)
+        for lo, hi in _row_blocks(n):
+            if phi <= ZERO_TOL:
+                xi = rng.standard_normal((hi - lo, LAQ_TERMS + 1))
+            else:
+                g = rng.standard_normal((2, hi - lo, LAQ_TERMS + 1))
+                xi = (g[0] + 1j * g[1]) / math.sqrt(2.0)
+            ito[lo:hi], energy[lo:hi] = _bridge_pair(xi, m_star)
         for lam, c in roots:
             if round(abs(lam.imag), 12) != phi:
                 continue

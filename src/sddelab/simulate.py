@@ -9,20 +9,26 @@ hash so replicates are reproducible and order-independent.
 One time-major stepper advances a batch of paths together: node i of the
 state is the row X[i] of replicates, and the delay functional is the one
 `kernels.DelayStencil`, applied at a node of that buffer (a simulated path
-begins at node 0, since its initial segment is continuous).
+begins at node 0, since its initial segment is continuous).  Row j + 1
+holds the increment dW before step j adds X(t_j) + theta dt Y(t_j) to it.
 `simulate_batch` steps a buffer covering [-r, T] and returns row-major
 (W, X, Y).  `simulate_sums` keeps only a window of n_delay + 1 + BLOCK nodes
-whose last n_delay + 1 rows slide to the front after each block, draws each
-replicate's increments block by block (the same numbers as
-`brownian_increments`), and returns running sums of Y dX, Y^2 and Y, so its
-memory grows with n_delay and not with the number of steps.  Every sum is
-accumulated element by element in step order, so for atom-only measures a
-replicate's numbers do not depend on the batch it is simulated in.
+whose last n_delay + 1 rows slide to the front after each block, and
+returns running sums of Y dX, Y^2 and Y, so its memory grows with n_delay
+and not with the number of steps.  `increment_blocks` draws each block's
+increments (the same numbers as `brownian_increments`) straight into the
+window rows they will update, on every core: each replicate owns its
+Philox stream, so the split of the replicates across threads changes no
+number.  Every sum is accumulated element by element in step order, so for
+atom-only measures a replicate's numbers do not depend on the batch it is
+simulated in.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,7 +123,16 @@ def brownian_increments(seed: int, n_steps: int, dt: float) -> np.ndarray:
     return gen.standard_normal(n_steps) * math.sqrt(dt)
 
 
-BLOCK = 256  # steps per block of increment draws and of the sliding window
+BLOCK = 1024  # steps per block of increment draws and of the sliding window
+DRAW_TILE = 64  # generators drawn into one cache-sized tile, then copied into the window
+
+
+def _draw_workers() -> int:
+    """Threads that draw a block of increments: one per core this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity interface on this platform
+        return os.cpu_count() or 1
 
 
 @dataclass
@@ -131,12 +146,13 @@ class RunningSums:
     y_end: np.ndarray  # Y(T)
 
 
-def _step(st: DelayStencil, buf: np.ndarray, j: int, theta_dt: float, dw: np.ndarray):
-    """One Euler step of the time-major buffer at node j: returns Y, the
-    delay functional at j, and sets buf[j + 1] = buf[j] + (theta dt) Y + dw."""
+def _step(st: DelayStencil, buf: np.ndarray, j: int, theta_dt: float):
+    """One Euler step of the time-major buffer at node j, whose row j + 1
+    holds the increment dW: returns Y, the delay functional at j, and adds
+    buf[j] + (theta dt) Y to row j + 1 (addition commutes, so the row is
+    buf[j] + (theta dt) Y + dW bit for bit)."""
     y = st.apply(buf, j)
-    np.add(buf[j], theta_dt * y, out=buf[j + 1])
-    buf[j + 1] += dw
+    buf[j + 1] += buf[j] + theta_dt * y
     return y
 
 
@@ -165,28 +181,47 @@ def simulate_batch(
         dW = dW.T
     X = np.empty((nd + ns + 1, n))
     X[: nd + 1] = x0.values_on(grid)[:, None]
+    X[nd + 1 :] = dW
     Y = np.empty((ns + 1, n))
     st = DelayStencil(a, grid)
     for k in range(ns):
-        Y[k] = _step(st, X, nd + k, theta * dt, dW[k])
+        Y[k] = _step(st, X, nd + k, theta * dt)
     Y[ns] = st.apply(X, nd + ns)
     W = np.zeros((n, ns + 1))
     W[:, 1:] = np.cumsum(dW, axis=0).T
     return W, np.ascontiguousarray(X.T), np.ascontiguousarray(Y.T)
 
 
-def increment_blocks(seeds, n_steps: int, dt: float):
-    """The increments brownian_increments(seed, n_steps, dt) of every seed,
-    time-major, BLOCK steps at a time: each block is a (steps, seeds) array,
-    drawn from one Philox stream per seed that carries on across blocks."""
+def increment_blocks(seeds, n_steps: int, dt: float, out: np.ndarray):
+    """Draw the increments brownian_increments(seed, n_steps, dt) of every
+    seed into the time-major rows of `out` (a column per seed, and at least
+    min(BLOCK, n_steps) rows), BLOCK steps at a time: yields b once out[:b]
+    holds the next b steps.  Each seed's Philox stream carries on across
+    blocks.  The seeds
+    are split into one contiguous group per draw worker; a worker draws
+    DRAW_TILE streams at a time into its own tile, one standard_normal call
+    per stream (numpy fills it without the GIL), and copies the tile into
+    its columns of `out`.  The pool lives as long as the generator."""
     gens = [np.random.Generator(np.random.Philox(key=seed)) for seed in seeds]
-    draws = np.empty((len(gens), BLOCK))
     sqrt_dt = math.sqrt(dt)
-    for k0 in range(0, n_steps, BLOCK):
-        b = min(BLOCK, n_steps - k0)
-        for gen, row in zip(gens, draws):
-            gen.standard_normal(out=row[:b])
-        yield np.multiply(draws[:, :b].T, sqrt_dt, order="C")
+    n_workers = max(1, min(_draw_workers(), len(gens)))
+    bounds = [len(gens) * i // n_workers for i in range(n_workers + 1)]
+    tiles = [np.empty((DRAW_TILE, min(BLOCK, n_steps))) for _ in range(n_workers)]
+
+    def draw(lo, hi, tile, b):
+        for t0 in range(lo, hi, DRAW_TILE):
+            t1 = min(t0 + DRAW_TILE, hi)
+            for gen, row in zip(gens[t0:t1], tile):
+                gen.standard_normal(out=row[:b])
+            np.multiply(tile[: t1 - t0, :b].T, sqrt_dt, out=out[:b, t0:t1])
+
+    with ThreadPoolExecutor(n_workers) as pool:
+        for k0 in range(0, n_steps, BLOCK):
+            b = min(BLOCK, n_steps - k0)
+            tasks = [pool.submit(draw, lo, hi, tile, b) for lo, hi, tile in zip(bounds, bounds[1:], tiles)]
+            for task in tasks:
+                task.result()
+            yield b
 
 
 def simulate_sums(theta: float, a: SignedMeasure, x0: InitialPath, grid: Grid, seeds) -> RunningSums:
@@ -196,19 +231,18 @@ def simulate_sums(theta: float, a: SignedMeasure, x0: InitialPath, grid: Grid, s
     n = len(seeds)
     nd, ns, theta_dt = grid.n_delay, grid.n_steps, theta * grid.dt
     st = DelayStencil(a, grid)
-    buf = np.empty((nd + 1 + BLOCK, n))
+    buf = np.empty((nd + 1 + min(BLOCK, ns), n))
     buf[: nd + 1] = x0.values_on(grid)[:, None]
     terms = np.empty((3, n))  # Y dX, Y^2 and Y of one step
     sums = np.zeros((3, n))
-    for dW in increment_blocks(seeds, ns, grid.dt):
-        for k, dw in enumerate(dW):
-            j = nd + k
-            y = _step(st, buf, j, theta_dt, dw)
+    for b in increment_blocks(seeds, ns, grid.dt, buf[nd + 1 :]):
+        for j in range(nd, nd + b):
+            y = _step(st, buf, j, theta_dt)
             terms[1:] = y
             np.subtract(buf[j + 1], buf[j], out=terms[0])
             terms[:2] *= y
             sums += terms
-        buf[: nd + 1] = buf[len(dW) : len(dW) + nd + 1]
+        buf[: nd + 1] = buf[b : b + nd + 1]
     y_end = np.empty(n)
     y_end[:] = st.apply(buf, nd)
     return RunningSums(y_dx=sums[0], y_y=sums[1], y=sums[2], y_end=y_end)

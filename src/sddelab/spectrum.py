@@ -151,6 +151,10 @@ class _DegenerateContour(Exception):
 
 
 _MAX_CONTOUR_POINTS = 200_000
+# the most moment values one evaluation of the initial contour may hold: a
+# point costs one for the atoms and degree + 2 kernel moments per density
+# piece (measures._density_moments)
+_MAX_CONTOUR_VALUES = 10 * _MAX_CONTOUR_POINTS
 
 
 def _winding_count(theta: float, a: SignedMeasure, rect: tuple[float, float, float, float]) -> int:
@@ -180,12 +184,15 @@ def _winding_count(theta: float, a: SignedMeasure, rect: tuple[float, float, flo
         return hv, np.abs(hv) / np.maximum(np.abs(1.0 - theta * m1), 1e-300)
 
     spacing = min(0.5, 1.0 / (1.0 + a.r))
-    pts: list[complex] = []
-    for z0, z1 in zip(corners, corners[1:] + corners[:1]):
-        n = max(8, int(math.ceil(abs(z1 - z0) / spacing)))
-        seg = (np.arange(n) / n)[:, None]
-        pts.extend((z0 + (z1 - z0) * seg).ravel().tolist())
-    z = np.array(pts, dtype=complex)
+    sides = list(zip(corners, corners[1:] + corners[:1]))
+    counts = [max(8, int(math.ceil(abs(z1 - z0) / spacing))) for z0, z1 in sides]
+    values = sum(counts) * (1 + sum(len(p.coeffs) + 1 for p in a.density_pieces))
+    if values > _MAX_CONTOUR_VALUES:
+        raise SpectrumError(
+            f"initial contour of {sum(counts)} points needs {values} moment values, "
+            f"more than {_MAX_CONTOUR_VALUES}"
+        )
+    z = np.concatenate([z0 + (z1 - z0) * (np.arange(n) / n) for (z0, z1), n in zip(sides, counts)])
     h, dist = h_and_dist(z)
 
     def refine_until_smooth(z, h, dist):

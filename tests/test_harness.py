@@ -1,6 +1,8 @@
 import dataclasses
+import importlib
 import io
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -101,6 +103,22 @@ def test_experiment_thread_count_invariance(monkeypatch):
     for chunk in (128, 250, 1200):
         monkeypatch.setattr(H, "REPLICATE_CHUNK", chunk)
         res = run_experiment(config(n_replicates=600))
+        buf = io.StringIO()
+        write_samples_csv(res, buf)
+        outs.append(buf.getvalue())
+    assert outs[0] == outs[1] == outs[2]
+
+
+def test_experiment_draw_workers_invariance_and_joined(monkeypatch):
+    # every replicate owns its Philox stream, so the number of draw threads
+    # changes no byte; the threads are joined when each chunk is stepped
+    sim = importlib.import_module("sddelab.simulate")
+    baseline = threading.active_count()
+    outs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(sim, "_draw_workers", lambda: workers)
+        res = run_experiment(config(n_replicates=301))
+        assert threading.active_count() == baseline
         buf = io.StringIO()
         write_samples_csv(res, buf)
         outs.append(buf.getvalue())

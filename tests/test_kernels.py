@@ -1,3 +1,4 @@
+import importlib
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from sddelab.kernels import (
     DelayStencil,
     Grid,
+    Kernel,
     KernelError,
     fisher_limit,
     fisher_theta0,
@@ -351,3 +353,56 @@ def test_kernel_polynomial_expansion_matches_solver(theta, a):
             pv = pv * t[sel] + c
         acc += pv * np.exp(rt.lam * t[sel])
     assert np.max(np.abs(acc.real - y[sel])) <= 1e-4
+
+
+def test_recorded_kernel_y_matches_y_kernel():
+    # solve_fundamental records y from its predictor's stencil sums; y_kernel
+    # recomputes it over the finished path: the same bits (apply at node j
+    # reads only nodes <= j), for atoms on and off the grid, at the jump, and
+    # a density
+    off_grid = SignedMeasure.point_masses(1.0, (-0.3737, 0.8), (0.0, -0.3))
+    dens = SignedMeasure.from_dict(
+        {"r": 1.0, "atoms": [{"u": -1.0, "w": 0.5}], "density": [{"lo": -0.7, "hi": -0.2, "coeffs": [0.5, -1.25]}]}
+    )
+    g = Grid(r=1.0, n_delay=40, n_steps=300)
+    for theta, a in ((-0.8, off_grid), (1.1, dens), (-1.0, BAL), (0.0, BAL)):
+        kern = solve_fundamental(theta, a, g)
+        fresh = Kernel(grid=g, x0_values=kern.x0_values)
+        np.testing.assert_array_equal(kern.y_values, y_kernel(theta, a, fresh))
+
+
+def test_continued_fundamental_matches_fresh_solve():
+    dens = SignedMeasure.from_dict(
+        {"r": 1.0, "atoms": [{"u": 0.0, "w": 1.0}], "density": [{"lo": -1.0, "hi": 0.0, "coeffs": [1.0, 1.0]}]}
+    )
+    short, long = Grid(r=1.0, n_delay=50, n_steps=120), Grid(r=1.0, n_delay=50, n_steps=777)
+    for theta, a in ((-0.5, dens), (-1.0, SignedMeasure.point_masses(1.0, (-1.0, 1.0)))):
+        cont = solve_fundamental(theta, a, long, prefix=solve_fundamental(theta, a, short))
+        fresh = solve_fundamental(theta, a, long)
+        np.testing.assert_array_equal(cont.x0_values, fresh.x0_values)
+        np.testing.assert_array_equal(cont.y_values, fresh.y_values)
+    with pytest.raises(KernelError):
+        solve_fundamental(-0.5, dens, short, prefix=fresh)
+
+
+def test_fisher_limit_continues_its_solve(monkeypatch):
+    # when the tail bound asks for t_cut > T, fisher_limit continues its
+    # first solve; the longer kernel is the bits of a fresh solve on that grid
+    kernels = importlib.import_module("sddelab.kernels")
+    solve = kernels.solve_fundamental
+    calls = []
+
+    def recording(theta, a, grid, prefix=None):
+        calls.append((grid, prefix, solve(theta, a, grid, prefix)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(kernels, "solve_fundamental", recording)
+    a = SignedMeasure.point_masses(1.0, (-1.0, 1.0))
+    J = fisher_limit(-1.0, a)
+    assert len(calls) == 2 and calls[1][1] is calls[0][2]
+    grid, _, cont = calls[1]
+    assert grid.n_steps > calls[0][0].n_steps
+    fresh = solve(-1.0, a, grid)
+    np.testing.assert_array_equal(cont.x0_values, fresh.x0_values)
+    np.testing.assert_array_equal(cont.y_values, fresh.y_values)
+    assert J == pytest.approx(float(np.trapezoid(fresh.y_values**2, dx=grid.dt)), abs=1e-9)

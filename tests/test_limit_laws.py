@@ -1,6 +1,8 @@
+import importlib
 import importlib.resources
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +91,40 @@ def test_laq_deterministic_given_seed():
     a2 = sample_laq_many(0.0, D0, rep, 32, rng_(9))
     np.testing.assert_array_equal(a1[0], a2[0])
     np.testing.assert_array_equal(a1[1], a2[1])
+
+
+def test_laq_row_blocks_keep_the_unblocked_bits(monkeypatch):
+    # row blocks of one C-order (n, K+1) stream are the same normals; a
+    # trailing block of 208 rows (n = 2000) keeps the bits, and n = 257 and
+    # 513 leave no lone trailing row
+    limit_laws = importlib.import_module("sddelab.limit_laws")
+    rep = classify(0.0, D0)
+    for n in (2000, 257, 513):
+        blocked = sample_laq_many(0.0, D0, rep, n, rng_(5))
+        monkeypatch.setattr(limit_laws, "LAQ_ROWS", n)  # one block: the unblocked draw
+        whole = sample_laq_many(0.0, D0, rep, n, rng_(5))
+        monkeypatch.undo()
+        np.testing.assert_array_equal(blocked[0], whole[0])
+        np.testing.assert_array_equal(blocked[1], whole[1])
+
+
+def test_laq_memory_does_not_grow_with_draws():
+    # bridge coefficients are held LAQ_ROWS draws at a time, so from 2000 to
+    # 10 000 draws the peak grows by the output arrays and their temporaries
+    # only (under 200 bytes a draw), not by the 257 coefficients per draw and
+    # frequency (2 kB real, 4 kB complex)
+    for theta, a in ((0.0, D0), (-np.pi / 2, DM1)):
+        rep = classify(theta, a)
+        sample_laq_many(theta, a, rep, 10, rng_(0))  # caches the quadratic forms
+        peaks = []
+        for n in (2000, 10_000):
+            tracemalloc.start()
+            try:
+                sample_laq_many(theta, a, rep, n, rng_(1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 200 * 8000, peaks
 
 
 def test_laq_truncation_refinement_coupled():

@@ -1,3 +1,4 @@
+import importlib
 import io
 
 import numpy as np
@@ -27,6 +28,8 @@ ATOM_DENS = SignedMeasure.from_dict(
     {"r": 1.0, "atoms": [{"u": 0.0, "w": 1.0}], "density": [{"lo": -1.0, "hi": 0.0, "coeffs": [1.0, 1.0]}]}
 )
 OFF_GRID = SignedMeasure.point_masses(1.0, (-0.3737, 0.8), (0.0, -0.3))
+# the module, which the package's `simulate` function shadows as an attribute
+S = importlib.import_module("sddelab.simulate")
 
 
 def test_theta_zero_path_is_shifted_wiener():
@@ -97,13 +100,18 @@ def test_single_path_matches_batch_row():
     np.testing.assert_array_equal(p2.Y, Y[2])
 
 
-def test_increment_blocks_match_brownian_increments():
-    seeds = [derive_seed(21, i) for i in range(3)]
-    for n_steps in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 37):
-        blocks = list(increment_blocks(seeds, n_steps, 0.01))
-        assert [len(b) for b in blocks[:-1]] == [BLOCK] * (len(blocks) - 1)
-        want = np.stack([brownian_increments(s, n_steps, 0.01) for s in seeds], axis=1)
-        np.testing.assert_array_equal(np.concatenate(blocks), want)
+def test_increment_blocks_match_brownian_increments(monkeypatch):
+    # 131 seeds: with one worker, two full tiles of DRAW_TILE streams and a
+    # partial one; with 2 and 3 workers, groups of unequal size
+    seeds = [derive_seed(21, i) for i in range(131)]
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(S, "_draw_workers", lambda: workers)
+        for n_steps in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 37):
+            out = np.full((BLOCK, len(seeds)), np.nan)
+            blocks = [out[:b].copy() for b in increment_blocks(seeds, n_steps, 0.01, out)]
+            assert [len(b) for b in blocks[:-1]] == [BLOCK] * (len(blocks) - 1)
+            want = np.stack([brownian_increments(s, n_steps, 0.01) for s in seeds], axis=1)
+            np.testing.assert_array_equal(np.concatenate(blocks), want)
 
 
 def _step_order_sums(X, Y, n_delay):

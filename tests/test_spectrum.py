@@ -1,3 +1,4 @@
+import importlib
 import importlib.resources
 import json
 import math
@@ -582,3 +583,30 @@ def test_classify_invariant_under_time_rescaling(r, atoms, theta):
         else:
             assert r * x == pytest.approx(y, abs=1e-9 * (1 + abs(y)))
     assert len(scaled.H) == len(unit.H)
+
+
+def test_initial_contour_above_cap_refused_before_sampling(monkeypatch):
+    # r = 1: sample spacing 0.5, so the rectangle [-1, 0] x [-h, h] starts
+    # with 8 + 4h + 8 + 4h points.  A point costs one moment value for atoms
+    # and degree + 2 more per density piece, 3 for a constant one.  h is
+    # never evaluated above the cap, and is evaluated on it.
+    spectrum = importlib.import_module("sddelab.spectrum")
+    cap = spectrum._MAX_CONTOUR_VALUES
+    assert cap == 2_000_000
+    flat = SignedMeasure.polynomial_density(1.0, [(-1.0, 0.0, (1.0,))])
+
+    class Evaluated(Exception):
+        pass
+
+    def refuse(a, pts):
+        raise Evaluated(len(pts))
+
+    monkeypatch.setattr(spectrum, "exp_moments_01_many", refuse)
+    for a, width, h_over in ((D0, 1, 249_999.0), (flat, 3, 83_332.0)):
+        points = 16 + 8 * int(h_over)
+        assert points * width > cap >= (points - 8) * width
+        with pytest.raises(SpectrumError, match=f"{points} points needs {points * width} moment values"):
+            count_zeros(-0.5, a, -1.0, 0.0, -h_over, h_over)
+        with pytest.raises(Evaluated) as hit:
+            count_zeros(-0.5, a, -1.0, 0.0, 1.0 - h_over, h_over - 1.0)
+        assert hit.value.args == (points - 8,)
