@@ -26,6 +26,7 @@ from .harness import (
 )
 from .inference import mle, score_and_info
 from .kernels import Grid, KernelError, solve_fundamental, y_kernel
+from .limit_laws import LimitLawError
 from .measures import MeasureError, SignedMeasure
 from .simulate import InitialPath, path_from_csv, path_to_csv, simulate
 from .spectrum import SpectrumError, classify
@@ -221,7 +222,9 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
     try:
         return args.func(args)
-    except (CliError, MeasureError, KernelError, HarnessError, SpectrumError, OSError, KeyError, ValueError) as exc:
+    except (
+        CliError, MeasureError, KernelError, HarnessError, SpectrumError, LimitLawError, OSError, KeyError, ValueError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,10 +7,13 @@ sliding window of the delay horizon and keeps only the running sums the
 statistics need, so memory grows with n_delay * REPLICATE_CHUNK and not with
 the number of steps.  Every replicate draws its own counter-based stream
 from a splittable seed (on every core, so the number of cores changes no
-number) and every sum runs in step order, so for atom-only measures
+replicate) and every sum runs in step order, so for atom-only measures
 results are bit-identical for any chunk size.  A density's
 delay-window sum is a BLAS product whose rounding depends on the batch
 shape, so with a density they agree across chunk sizes to rounding only.
+The LAQ limit draws come from a BLAS matrix product too, so they can
+differ in their last bits with the BLAS thread count (the core count,
+unless it is pinned).
 """
 
 from __future__ import annotations

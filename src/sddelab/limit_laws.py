@@ -215,6 +215,8 @@ def sample_lamn_many(
     if abs(lam.imag) > ZERO_TOL or abs(c.imag) > 1e-8 * (1.0 + abs(c)):
         raise LimitLawError("LAMN requires a single real contributing root")
     v = lam.real
+    if not v > 0.0:
+        raise LimitLawError(f"LAMN needs v* > 0, got v* = {v:.17g}")
     u_det = float(x0.eval(np.array(0.0), a.r)) + (_initial_mix(theta, a, x0, lam)).real
     U = u_det + (math.sqrt(1.0 / (2.0 * v)) * rng.standard_normal(n) if noise else np.zeros(n))
     J = (c.real**2 / (2.0 * v)) * U**2

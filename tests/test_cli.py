@@ -225,6 +225,39 @@ def test_limits_plamn_with_phase(tmp_path):
     assert all(float(l.split(",")[1]) > 0 for l in lines[1:])
 
 
+@pytest.mark.parametrize("hint", ["LAMN", "LAQ"])
+def test_limits_hint_without_roots_usage_error(hint, capsys):
+    # balanced_atoms at theta = 0 has no contributing root for either law
+    code = main(["limits", "--theta", "0", "--measure", "balanced_atoms.json", "--regime-hint", hint, "--n", "5"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: regime {hint} has no contributing roots\n"
+
+
+def test_limits_lamn_hint_stable_root_usage_error(capsys):
+    code = main(["limits", "--theta", "-0.5", "--measure", "dirac0.json", "--regime-hint", "LAMN", "--n", "5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: LAMN needs v* > 0") and "-0.5" in err
+
+
+def test_experiment_hint_without_roots_usage_error(tmp_path, capsys):
+    cfg = {
+        "measure": {"r": 1.0, "atoms": [{"u": 0.0, "w": 1.0}, {"u": -1.0, "w": -1.0}]},
+        "theta": 0.0,
+        "T": 5.0,
+        "dt": 0.1,
+        "n_replicates": 10,
+        "n_limit_draws": 10,
+        "tests": [],
+        "regime_hint": "LAMN",
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: regime LAMN has no contributing roots\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_analyze_scaling_descriptor_lamn(capsys):
     assert main(["analyze", "--theta", "1.0", "--measure", "dirac_delay.json"]) == 0
     doc = json.loads(capsys.readouterr().out)

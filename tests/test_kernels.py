@@ -23,6 +23,8 @@ from sddelab.spectrum import build_root_data, classify, roots_in_strip
 D0 = SignedMeasure.point_masses(1.0, (0.0, 1.0))
 DM1 = SignedMeasure.point_masses(1.0, (-1.0, 1.0))
 BAL = SignedMeasure.point_masses(1.0, (0.0, 1.0), (-1.0, -1.0))
+OFF_GRID_DELAY = SignedMeasure.point_masses(1.0, (-0.3737, 1.0))
+TWO_DELAYS = SignedMeasure.point_masses(2.0, (-2.0, 1.0), (-0.7531, -0.5))
 
 
 def sin_measure(n=4097):
@@ -365,7 +367,14 @@ def test_recorded_kernel_y_matches_y_kernel():
         {"r": 1.0, "atoms": [{"u": -1.0, "w": 0.5}], "density": [{"lo": -0.7, "hi": -0.2, "coeffs": [0.5, -1.25]}]}
     )
     g = Grid(r=1.0, n_delay=40, n_steps=300)
-    for theta, a in ((-0.8, off_grid), (1.1, dens), (-1.0, BAL), (0.0, BAL)):
+    cases = [(-0.8, off_grid, g), (1.1, dens, g), (-1.0, BAL, g), (0.0, BAL, g)]
+    # pure delays, every atom at least 18 nodes back: an off-grid one, and
+    # two on r = 2, one of them off the grid
+    cases += [
+        (-0.8, OFF_GRID_DELAY, Grid(r=1.0, n_delay=50, n_steps=300)),
+        (-0.6, TWO_DELAYS, Grid(r=2.0, n_delay=50, n_steps=300)),
+    ]
+    for theta, a, g in cases:
         kern = solve_fundamental(theta, a, g)
         fresh = Kernel(grid=g, x0_values=kern.x0_values)
         np.testing.assert_array_equal(kern.y_values, y_kernel(theta, a, fresh))
@@ -375,14 +384,56 @@ def test_continued_fundamental_matches_fresh_solve():
     dens = SignedMeasure.from_dict(
         {"r": 1.0, "atoms": [{"u": 0.0, "w": 1.0}], "density": [{"lo": -1.0, "hi": 0.0, "coeffs": [1.0, 1.0]}]}
     )
-    short, long = Grid(r=1.0, n_delay=50, n_steps=120), Grid(r=1.0, n_delay=50, n_steps=777)
-    for theta, a in ((-0.5, dens), (-1.0, SignedMeasure.point_masses(1.0, (-1.0, 1.0)))):
+    # on these grids the pure delays advance 18, 18 and 50 nodes at a time,
+    # so the 120-step prefix ends inside a chunk
+    cases = ((-0.8, OFF_GRID_DELAY), (-0.6, TWO_DELAYS), (-0.5, dens), (-1.0, DM1))
+    for theta, a in cases:
+        short, long = Grid(r=a.r, n_delay=50, n_steps=120), Grid(r=a.r, n_delay=50, n_steps=777)
         cont = solve_fundamental(theta, a, long, prefix=solve_fundamental(theta, a, short))
         fresh = solve_fundamental(theta, a, long)
         np.testing.assert_array_equal(cont.x0_values, fresh.x0_values)
         np.testing.assert_array_equal(cont.y_values, fresh.y_values)
     with pytest.raises(KernelError):
         solve_fundamental(-0.5, dens, short, prefix=fresh)
+
+
+def _heun_reference(theta, a, grid):
+    # the method of steps one node at a time over numpy arrays: a predictor,
+    # then the trapezoidal corrector, each from DelayStencil.apply
+    nd, ns, dt = grid.n_delay, grid.n_steps, grid.dt
+    st = DelayStencil(a, grid)
+    x, y = np.zeros(nd + ns + 1), np.empty(ns + 1)
+    x[nd] = 1.0
+    for k in range(ns):
+        j = nd + k
+        y[k] = f_right = st.apply(x, j, start=nd)
+        x[j + 1] = x[j] + dt * theta * f_right
+        f_left = st.apply(x, j + 1, start=nd, left=True)
+        x[j + 1] = x[j] + 0.5 * dt * theta * (f_right + f_left)
+    y[ns] = st.apply(x, nd + ns, start=nd)
+    return x, y
+
+
+@pytest.mark.parametrize(
+    "theta, a, n_delay, n_steps",
+    [
+        (-1.0, DM1, 1000, 4321),  # whole chunks of 1000 steps, a partial last one
+        (1.3, DM1, 1000, 2500),
+        (-1.0, BAL, 100, 2000),  # lag-0 atom, and an atom on the jump node
+        (0.7, BAL, 100, 2000),
+        (-0.8, SignedMeasure.point_masses(1.0, (-0.3737, 0.8), (0.0, -0.3)), 100, 2000),
+        (-0.8, OFF_GRID_DELAY, 100, 2000),
+        (-0.6, TWO_DELAYS, 50, 1500),
+        (np.float32(-0.7), BAL, 50, 500),  # theta's own precision in dt*theta
+        (np.float32(-0.7), DM1, 50, 500),
+    ],
+)
+def test_fundamental_matches_reference_heun_loop(theta, a, n_delay, n_steps):
+    grid = Grid(r=a.r, n_delay=n_delay, n_steps=n_steps)
+    x, y = _heun_reference(theta, a, grid)
+    kern = solve_fundamental(theta, a, grid)
+    np.testing.assert_array_equal(kern.x0_values, x)
+    np.testing.assert_array_equal(kern.y_values, y)
 
 
 def test_fisher_limit_continues_its_solve(monkeypatch):

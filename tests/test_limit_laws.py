@@ -235,6 +235,14 @@ def test_lamn_requires_lamn_report():
         sample_lamn(0.0, D0, classify(0.0, D0), InitialPath.zero(), rng_(0))
 
 
+def test_lamn_hint_needs_positive_v_star():
+    # a LAMN hint on a stable measure: the mixing variance 1/(2 v*) does not
+    # exist, and the sampler says so instead of failing in math.sqrt
+    rep = classify(-0.5, D0, regime_hint="LAMN")
+    with pytest.raises(LimitLawError, match=r"LAMN needs v\* > 0, got v\* = -0\.5"):
+        sample_lamn_many(-0.5, D0, rep, InitialPath.zero(), 5, rng_(0))
+
+
 # ---------------------------------------------------------------------------
 # PLAMN
 
