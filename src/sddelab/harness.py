@@ -9,8 +9,9 @@ the number of steps.  Every replicate draws its own counter-based stream
 from a splittable seed (on every core, so the number of cores changes no
 replicate) and every sum runs in step order, so for atom-only measures
 results are bit-identical for any chunk size.  A density's
-delay-window sum is a BLAS product whose rounding depends on the batch
-shape, so with a density they agree across chunk sizes to rounding only.
+delay-window sum is formed by BLAS products, one per tile of steps, whose
+rounding depends on the batch shape and the tile split, so with a density
+they agree across chunk sizes to rounding only.
 The LAQ limit draws come from a BLAS matrix product too, so they can
 differ in their last bits with the BLAS thread count (the core count,
 unless it is pinned).
@@ -37,8 +38,9 @@ from .simulate import InitialPath, derive_seed, simulate_batch, simulate_sums  #
 from .spectrum import RegimeReport, classify
 
 # replicates streamed together, the one memory bound: a chunk holds about
-# n_delay + 1 + simulate.BLOCK floats per replicate, whatever the number of
-# steps (the chunk size moves density results by rounding only)
+# n_delay + 1 + simulate.BLOCK floats per replicate, and a tile scratch of
+# (simulate.TILE + 1) * 3 more, whatever the number of steps (the chunk size
+# moves density results by rounding only)
 REPLICATE_CHUNK = 1024
 
 KNOWN_TESTS = ("ks_delta", "ks_info", "normal_delta", "mean_info", "ergodic")
@@ -331,6 +333,8 @@ def ergodic_check(config: ExperimentConfig) -> dict:
 
 
 def _fmt(x) -> str:
+    if type(x) is float:  # the common case, a float vector's tolist() element
+        return format(x, ".17g") if math.isfinite(x) else "null"
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if x is None:
@@ -357,12 +361,13 @@ def dump_json(obj, fh, indent=0) -> None:
             fh.write(",\n" if i < len(obj) - 1 else "\n")
         fh.write(pad + "}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
+        # a float vector's tolist() holds Python floats, the cheapest to format
+        floats = isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim == 1
+        seq = obj.tolist() if floats else list(obj)
         if not seq:
             fh.write("[]")
             return
-        simple = all(isinstance(v, (int, float, np.integer, np.floating)) for v in seq)
-        if simple:
+        if floats or all(isinstance(v, (int, float, np.integer, np.floating)) for v in seq):
             fh.write("[" + ", ".join(_fmt(v) for v in seq) + "]")
         else:
             fh.write("[\n")

@@ -150,34 +150,39 @@ class DelayStencil:
         # its floor)
         self.lag = min((-s - (frac != 0.0) for s, frac, _ in self.atoms), default=nd)
 
-    def apply(self, X: np.ndarray, j: int, start: int = 0, left: bool = False):
+    def apply(self, X: np.ndarray, j: int, start: int = 0, left: bool = False, out=None, density: bool = True):
         """Delay functional at node j >= n_delay.  X is zero before node
         `start`: 0 for a simulated path (continuous initial segment),
         n_delay for the fundamental solution (jump at time 0).  `left` takes
         the left limit at `start`: an atom landing on it sees zero.  X may
-        be a memoryview of a path, whose reads are Python floats."""
+        be a memoryview of a path, whose reads are Python floats.  With
+        `out`, a row of replicates, the terms are added to it in place and
+        it is returned: from a row of +0.0 that is the bits of the sum
+        without `out`, which starts from 0.0 and adds the atoms in order.
+        `density=False` leaves out the density's window sum, for a caller
+        that forms it itself."""
         nd = self.grid.n_delay
-        out = 0.0
+        acc = 0.0 if out is None else out
         for s, frac, w in self.atoms:
             idx = j + s
             if frac == 0.0:
                 if idx < start or (idx == start and left):
                     continue
-                out += w * X[idx]
+                acc += w * X[idx]
             else:
                 if idx + 1 <= start:
                     continue
                 lo_val = X[idx] if idx >= start else 0.0
-                out += w * ((1.0 - frac) * lo_val + frac * X[idx + 1])
-        if self.has_density:
+                acc += w * ((1.0 - frac) * lo_val + frac * X[idx + 1])
+        if self.has_density and density:
             lo = start + nd - j  # first panel whose nodes are at/after start
             if lo <= 0:
-                out += X[j - nd : j + 1].T @ self.q
+                acc += X[j - nd : j + 1].T @ self.q
             else:
                 seg = X[start : j + 1]
-                out += seg[1:].T @ self.panel_right[lo:]
-                out += seg[:-1].T @ self.panel_left[lo:]
-        return out
+                acc += seg[1:].T @ self.panel_right[lo:]
+                acc += seg[:-1].T @ self.panel_left[lo:]
+        return acc
 
     def apply_span(self, X: np.ndarray, j: int, m: int, start: int, left: bool = False) -> np.ndarray:
         """`apply` of an atom-only stencil at nodes j, ..., j+m-1 of a path

@@ -257,6 +257,8 @@ def sample_plamn_many(
         raise LimitLawError(f"sample_plamn needs a PLAMN report, got {report.regime}")
     m_star, roots = _contributing(report)
     v = report.v_star
+    if not v > 0.0:
+        raise LimitLawError(f"PLAMN needs v* > 0, got v* = {v:.17g}")
     kept = [(complex(lam.real, 0.0), c, 1.0) for lam, c in roots if abs(lam.imag) <= ZERO_TOL]
     kept += [(lam, c, 2.0) for lam, c in roots if lam.imag > ZERO_TOL]
     lam = np.array([k[0] for k in kept])

@@ -11,17 +11,25 @@ state is the row X[i] of replicates, and the delay functional is the one
 `kernels.DelayStencil`, applied at a node of that buffer (a simulated path
 begins at node 0, since its initial segment is continuous).  Row j + 1
 holds the increment dW before step j adds X(t_j) + theta dt Y(t_j) to it.
+`_tile` advances TILE steps at a time, and both simulators call it: its
+step loop keeps only the Euler recurrence, with the atoms added straight
+into the row of Y, and a density's window sum over the nodes known at the
+tile's start is one matrix product per tile (the method of steps), so with
+a density the numbers also depend, to rounding, on the tile split.
 `simulate_batch` steps a buffer covering [-r, T] and returns row-major
 (W, X, Y).  `simulate_sums` keeps only a window of n_delay + 1 + BLOCK nodes
-whose last n_delay + 1 rows slide to the front after each block, and
-returns running sums of Y dX, Y^2 and Y, so its memory grows with n_delay
-and not with the number of steps.  `increment_blocks` draws each block's
-increments (the same numbers as `brownian_increments`) straight into the
-window rows they will update, on every core: each replicate owns its
-Philox stream, so the split of the replicates across threads changes no
-number.  Every sum is accumulated element by element in step order, so for
-atom-only measures a replicate's numbers do not depend on the batch it is
-simulated in.
+whose last n_delay + 1 rows slide to the front after each block, and a tile
+scratch of (TILE + 1) * 3 * n floats for n replicates (plus TILE *
+(n_delay + 1) tile weights with a density), and returns running sums of
+Y dX, Y^2 and Y, so its memory grows with n_delay and not with the number
+of steps.  `increment_blocks` draws each block's increments (the same
+numbers as `brownian_increments`) straight into the window rows they will
+update, on every core: each replicate owns its Philox stream, so the split
+of the replicates across threads changes no number.  Every sum is
+accumulated element by element in step order (a tile's terms are reduced
+into the sums along a step axis that is never the contiguous one, so numpy
+adds them in order rather than pairwise), so for atom-only measures a
+replicate's numbers do not depend on the batch it is simulated in.
 """
 
 from __future__ import annotations
@@ -124,6 +132,7 @@ def brownian_increments(seed: int, n_steps: int, dt: float) -> np.ndarray:
 
 
 BLOCK = 1024  # steps per block of increment draws and of the sliding window
+TILE = 16  # steps whose running sums and known density sums are formed at once; divides BLOCK
 DRAW_TILE = 64  # generators drawn into one cache-sized tile, then copied into the window
 
 
@@ -146,14 +155,39 @@ class RunningSums:
     y_end: np.ndarray  # Y(T)
 
 
-def _step(st: DelayStencil, buf: np.ndarray, j: int, theta_dt: float):
-    """One Euler step of the time-major buffer at node j, whose row j + 1
-    holds the increment dW: returns Y, the delay functional at j, and adds
-    buf[j] + (theta dt) Y to row j + 1 (addition commutes, so the row is
-    buf[j] + (theta dt) Y + dW bit for bit)."""
-    y = st.apply(buf, j)
-    buf[j + 1] += buf[j] + theta_dt * y
-    return y
+def _tile_weights(st: DelayStencil) -> np.ndarray | None:
+    """Qt[k, c] = q[c - k] for c >= k, else 0: row k of Qt @ X[j0 - nd : j0 + 1]
+    is the density's window sum at node j0 + k over the nodes known at j0.
+    None for an atom-only stencil."""
+    if not st.has_density:
+        return None
+    shift = np.arange(st.grid.n_delay + 1) - np.arange(TILE)[:, None]
+    return np.where(shift >= 0, st.q[np.maximum(shift, 0)], 0.0)
+
+
+def _tile(st: DelayStencil, qt, buf: np.ndarray, j0: int, m: int, theta_dt: float, Y, tmp):
+    """m <= TILE Euler steps of the time-major buffer from node j0, whose rows
+    j0 + 1, ..., j0 + m hold the increments dW: Y[k] receives the delay
+    functional at node j0 + k, and row j + 1 becomes buf[j] + (theta dt) Y + dW
+    (addition commutes, so these are the bits of adding the drift to dW).
+    Y starts from +0.0, or with a density from its window sums over the
+    nodes known at j0, one product with the tile weights `qt`; the atoms are
+    added step by step, and so is the density's product over the at most k
+    nodes stepped inside the tile.  `tmp` is a row of scratch."""
+    nd = st.grid.n_delay
+    if qt is None:
+        Y[:m] = 0.0
+    else:
+        np.matmul(qt[:m], buf[j0 - nd : j0 + 1], out=Y[:m])
+    for k in range(m):
+        j = j0 + k
+        y = st.apply(buf, j, out=Y[k], density=False)
+        if qt is not None and k:
+            lo = max(j0 + 1, j - nd)
+            y += np.dot(st.q[nd - (j - lo) :], buf[lo : j + 1], out=tmp)
+        np.multiply(y, theta_dt, out=tmp)
+        tmp += buf[j]
+        buf[j + 1] += tmp
 
 
 def simulate_batch(
@@ -184,8 +218,9 @@ def simulate_batch(
     X[nd + 1 :] = dW
     Y = np.empty((ns + 1, n))
     st = DelayStencil(a, grid)
-    for k in range(ns):
-        Y[k] = _step(st, X, nd + k, theta * dt)
+    qt, tmp = _tile_weights(st), np.empty(n)
+    for k0 in range(0, ns, TILE):
+        _tile(st, qt, X, nd + k0, min(TILE, ns - k0), theta * dt, Y[k0:], tmp)
     Y[ns] = st.apply(X, nd + ns)
     W = np.zeros((n, ns + 1))
     W[:, 1:] = np.cumsum(dW, axis=0).T
@@ -233,15 +268,21 @@ def simulate_sums(theta: float, a: SignedMeasure, x0: InitialPath, grid: Grid, s
     st = DelayStencil(a, grid)
     buf = np.empty((nd + 1 + min(BLOCK, ns), n))
     buf[: nd + 1] = x0.values_on(grid)[:, None]
-    terms = np.empty((3, n))  # Y dX, Y^2 and Y of one step
+    qt, tmp = _tile_weights(st), np.empty(n)
+    # step-major: row 0 the running sums, row 1 + k the Y dX, Y^2 and Y of
+    # step k of a tile, so a reduce over axis 0 adds them in step order
+    terms = np.empty((TILE + 1, 3, n))
     sums = np.zeros((3, n))
     for b in increment_blocks(seeds, ns, grid.dt, buf[nd + 1 :]):
-        for j in range(nd, nd + b):
-            y = _step(st, buf, j, theta_dt)
-            terms[1:] = y
-            np.subtract(buf[j + 1], buf[j], out=terms[0])
-            terms[:2] *= y
-            sums += terms
+        for j0 in range(nd, nd + b, TILE):
+            m = min(TILE, nd + b - j0)
+            dx, yy, y = terms[1 : m + 1].transpose(1, 0, 2)
+            _tile(st, qt, buf, j0, m, theta_dt, y, tmp)
+            np.subtract(buf[j0 + 1 : j0 + m + 1], buf[j0 : j0 + m], out=dx)
+            dx *= y
+            np.multiply(y, y, out=yy)
+            terms[0] = sums
+            np.add.reduce(terms[: m + 1], axis=0, out=sums)
         buf[: nd + 1] = buf[b : b + nd + 1]
     y_end = np.empty(n)
     y_end[:] = st.apply(buf, nd)

@@ -79,7 +79,7 @@ class ScalingLaw:
             return "T^-1/2"
         if self.kind == "poly":
             return f"T^-{self.m_star + 1:g}"
-        return f"T^-{self.m_star:g}*exp(-{self.v_star:.12g}*T)"
+        return f"T^-{self.m_star:g}*exp({-self.v_star:.12g}*T)"
 
 
 @dataclass
@@ -604,4 +604,10 @@ def _apply_hint(report: RegimeReport, hint: str | None, notes: list[str]) -> Reg
             report.scaling = ScalingLaw("poly", m_star=m)
         else:
             report.scaling = ScalingLaw("exp", m_star=report.m_star, v_star=report.v_star)
+            if not report.v_star > 0.0:
+                trend = "grows with T" if report.v_star < 0.0 else "is 1 for every T"
+                notes.append(
+                    f"v* = {report.v_star:.12g} <= 0: the rate exp(-v* T) of the forced scaling "
+                    f"{report.scaling.describe()} {trend}"
+                )
     return report

@@ -240,6 +240,14 @@ def test_limits_lamn_hint_stable_root_usage_error(capsys):
     assert err.startswith("error: LAMN needs v* > 0") and "-0.5" in err
 
 
+def test_limits_plamn_hint_stable_root_usage_error(capsys):
+    code = main(["limits", "--theta", "-0.5", "--measure", "dirac0.json", "--regime-hint", "PLAMN", "--n", "3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: PLAMN needs v* > 0") and "-0.5" in captured.err
+    assert captured.out == ""
+
+
 def test_experiment_hint_without_roots_usage_error(tmp_path, capsys):
     cfg = {
         "measure": {"r": 1.0, "atoms": [{"u": 0.0, "w": 1.0}, {"u": -1.0, "w": -1.0}]},
@@ -263,6 +271,14 @@ def test_analyze_scaling_descriptor_lamn(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["regime"] == "LAMN"
     assert doc["scaling"].startswith("T^-0*exp(-0.5671432904")
+
+
+def test_analyze_forced_lamn_on_stable_root_states_growing_rate(capsys):
+    assert main(["analyze", "--theta", "-0.5", "--measure", "dirac0.json", "--regime-hint", "LAMN"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["regime"] == "LAMN"
+    assert doc["scaling"] == "T^-0*exp(0.5*T)"
+    assert doc["warnings"][-1] == "v* = -0.5 <= 0: the rate exp(-v* T) of the forced scaling T^-0*exp(0.5*T) grows with T"
 
 
 def test_cli_import_loads_no_scipy_integrate():

@@ -1,6 +1,8 @@
 import dataclasses
 import importlib
+import importlib.resources
 import io
+import json
 import math
 import threading
 import tracemalloc
@@ -15,6 +17,7 @@ from sddelab.harness import (
     dump_json,
     ergodic_check,
     ks_two_sample,
+    result_to_dict,
     run_experiment,
     write_result_json,
     write_samples_csv,
@@ -294,6 +297,68 @@ def test_dump_json_17_digits():
     text = buf.getvalue()
     assert "0.33333333333333331" in text
     assert '"none": null' in text and '"inf": null' in text
+
+
+def _fmt_per_value(x) -> str:
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if x is None:
+        return "null"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    xf = float(x)
+    return format(xf, ".17g") if math.isfinite(xf) else "null"
+
+
+def _dump_json_per_value(obj, fh, indent=0):
+    """Reference writer: every element of a number sequence, numpy scalars
+    included, through one type-dispatching formatter."""
+    pad = " " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            fh.write("{}")
+            return
+        fh.write("{\n")
+        for i, (k, v) in enumerate(obj.items()):
+            fh.write(pad + "  " + json.dumps(str(k)) + ": ")
+            _dump_json_per_value(v, fh, indent + 2)
+            fh.write(",\n" if i < len(obj) - 1 else "\n")
+        fh.write(pad + "}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        seq = list(obj)
+        if not seq:
+            fh.write("[]")
+        elif all(isinstance(v, (int, float, np.integer, np.floating)) for v in seq):
+            fh.write("[" + ", ".join(_fmt_per_value(v) for v in seq) + "]")
+        else:
+            fh.write("[\n")
+            for i, v in enumerate(seq):
+                fh.write(pad + "  ")
+                _dump_json_per_value(v, fh, indent + 2)
+                fh.write(",\n" if i < len(seq) - 1 else "\n")
+            fh.write(pad + "]")
+    elif isinstance(obj, str):
+        fh.write(json.dumps(obj))
+    else:
+        fh.write(_fmt_per_value(obj))
+
+
+def test_dump_json_float_vectors_match_per_value_format():
+    res = run_experiment(ExperimentConfig.from_dict(json.loads(
+        importlib.resources.files("sddelab").joinpath("configs", "lan_ou.json").read_text()
+    )))
+    res.delta[:3] = (np.nan, np.inf, -0.0)  # non-finite values and a signed zero
+    fast, slow = io.StringIO(), io.StringIO()
+    write_result_json(res, fast)
+    _dump_json_per_value(result_to_dict(res), slow)
+    slow.write("\n")
+    assert fast.getvalue() == slow.getvalue()
+    mixed = {"f32": np.array([0.1, np.nan], dtype=np.float32), "ints": np.arange(3), "flags": np.array([True, False]),
+             "grid": np.eye(2), "list": [1, 2.5, np.float64(3.0), True], "empty": np.array([])}
+    fast, slow = io.StringIO(), io.StringIO()
+    dump_json(mixed, fast)
+    _dump_json_per_value(mixed, slow)
+    assert fast.getvalue() == slow.getvalue()
 
 
 def test_result_files_roundtrip():

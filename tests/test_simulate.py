@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from sddelab.inference import batch_statistics, row_dots, statistics_from_sums
-from sddelab.kernels import Grid, fisher_limit, fisher_theta0
+from sddelab.kernels import DelayStencil, Grid, fisher_limit, fisher_theta0
 from sddelab.measures import SignedMeasure
 from sddelab.simulate import (
     BLOCK,
+    TILE,
     InitialPath,
     brownian_increments,
     derive_seed,
@@ -28,6 +29,7 @@ ATOM_DENS = SignedMeasure.from_dict(
     {"r": 1.0, "atoms": [{"u": 0.0, "w": 1.0}], "density": [{"lo": -1.0, "hi": 0.0, "coeffs": [1.0, 1.0]}]}
 )
 OFF_GRID = SignedMeasure.point_masses(1.0, (-0.3737, 0.8), (0.0, -0.3))
+NEG = SignedMeasure.point_masses(1.0, (-0.5, -1.0))  # w X = -0 on a zero node
 # the module, which the package's `simulate` function shadows as an attribute
 S = importlib.import_module("sddelab.simulate")
 
@@ -139,6 +141,86 @@ def test_streamed_sums_run_in_step_order():
     whole = simulate_sums(0.4, OFF_GRID, x0, g, seeds)
     for name in ("y_dx", "y_y", "y", "y_end"):
         np.testing.assert_array_equal(np.concatenate([getattr(p, name) for p in parts]), getattr(whole, name))
+
+
+def _reference_paths(theta, a, x0, g, seeds):
+    """Reference: one Euler step at a time, X[j+1] = dW + (X[j] + theta dt Y)
+    with Y from `DelayStencil.apply` on the whole row of replicates."""
+    st = DelayStencil(a, g)
+    nd, ns = g.n_delay, g.n_steps
+    X = np.empty((g.n_total, len(seeds)))
+    X[: nd + 1] = x0.values_on(g)[:, None]
+    X[nd + 1 :] = np.stack([brownian_increments(s, ns, g.dt) for s in seeds], axis=1)
+    Y = np.empty((ns + 1, len(seeds)))
+    for k in range(ns + 1):
+        Y[k] = st.apply(X, nd + k)
+        if k < ns:
+            X[nd + k + 1] += X[nd + k] + theta * g.dt * Y[k]
+    return X.T, Y.T
+
+
+def _same_bits(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 1000])
+def test_tiled_stepper_is_the_step_loop_bit_for_bit(n):
+    # tiles of TILE steps inside blocks of BLOCK: a partial tile, one tile,
+    # one more step, and two full blocks plus a partial one.  With one
+    # replicate, a reduce over a contiguous step axis would add pairwise.
+    seeds = [derive_seed(17, i) for i in range(n)]
+    x0 = InitialPath.zero()  # zero nodes: the first atom's 0.0 + w X keeps +0
+    for n_steps in (TILE - 1, TILE, TILE + 1, 2 * BLOCK + 37):
+        g = Grid(r=1.0, n_delay=10, n_steps=n_steps)
+        for a in (BAL, OFF_GRID, NEG):
+            _, X, Y = simulate_batch(-0.7, a, x0, g, seeds)
+            Xr, Yr = _reference_paths(-0.7, a, x0, g, seeds)
+            _same_bits(X, Xr)
+            _same_bits(Y, Yr)
+            got = simulate_sums(-0.7, a, x0, g, seeds)
+            _same_bits(np.array([got.y_dx, got.y_y, got.y]), _step_order_sums(X, Y, g.n_delay))
+            _same_bits(got.y_end, Y[:, -1])
+
+
+@pytest.mark.parametrize("n_delay", [8, 100])
+def test_tiled_density_within_summation_bound(n_delay):
+    # The tile splits the window sum at the nodes known at its start, so Y
+    # is y_process's sum of the same terms (n_delay + 1 nodal products of
+    # the density and at most one atom, N <= n_delay + 2) in another order.
+    # Each order errs by at most (N - 1) u sum|term|, and a product formed
+    # with or without a fused multiply-add by at most u |term|, so to first
+    # order the two differ by at most N eps sum|term| (eps = 2u).
+    # n_delay = 8 < TILE: late steps of a tile read no node known at its
+    # start.
+    g = Grid(r=1.0, n_delay=n_delay, n_steps=2 * TILE + 5)
+    seeds = [derive_seed(5, i) for i in range(3)]
+    for a in (ATOM_DENS, LEB):
+        _, X, Y = simulate_batch(0.6, a, InitialPath.constant(0.3), g, seeds)
+        st = DelayStencil(a, g)
+        nd = g.n_delay
+        terms = np.stack(
+            [np.abs(st.q) @ np.abs(X[:, k : k + nd + 1]).T for k in range(g.n_steps + 1)], axis=1
+        )
+        for s, _, w in st.atoms:  # on-grid atoms only in these measures
+            terms += abs(w) * np.abs(X[:, nd + s : nd + s + g.n_steps + 1])
+        bound = (nd + 2) * np.finfo(float).eps * terms
+        assert np.all(np.abs(Y - y_process(X, a, g)) <= bound)
+
+
+def test_apply_out_has_the_bits_of_apply():
+    g = Grid(r=1.0, n_delay=50, n_steps=40)
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((g.n_total, 6))
+    X[::7] = 0.0  # atoms reading +0 with a negative weight give -0 products
+    for a in (D0, BAL, OFF_GRID, NEG, ATOM_DENS):
+        st = DelayStencil(a, g)
+        for j in (g.n_delay, g.n_delay + 17, g.n_total - 1):
+            for start, left in ((0, False), (g.n_delay, False), (g.n_delay, True), (j, True)):
+                want = st.apply(X, j, start=start, left=left)
+                out = np.zeros(6)
+                assert st.apply(X, j, start=start, left=left, out=out) is out
+                _same_bits(out, np.broadcast_to(want, out.shape))
 
 
 def test_streamed_statistics_match_batch_statistics():
