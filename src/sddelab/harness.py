@@ -73,7 +73,20 @@ class ExperimentConfig:
         for name in ("n_replicates", "seed", "n_limit_draws"):
             setattr(self, name, int(getattr(self, name)))
         self.tests = tuple(self.tests)
-        self.mean_info_band = tuple(self.mean_info_band)
+        self.mean_info_band = band = tuple(self.mean_info_band)
+        if self.n_replicates < 1:
+            raise HarnessError(f"n_replicates must be >= 1, got {self.n_replicates}")
+        if self.seed < 0:
+            raise HarnessError(f"seed must be >= 0, got {self.seed}")
+        if self.n_limit_draws < 0:
+            raise HarnessError(f"n_limit_draws must be >= 0, got {self.n_limit_draws}")
+        if not 0.0 < self.p_threshold < 1.0:
+            raise HarnessError(f"p_threshold must lie in (0, 1), got {self.p_threshold}")
+        finite = all(isinstance(v, (int, float)) and math.isfinite(v) for v in band)
+        if not (len(band) == 2 and finite and 0 < band[0] <= band[1]):
+            raise HarnessError(f"mean_info_band must be two finite numbers 0 < lo <= hi, got {list(band)}")
+        if not self.ergodic_rel > 0.0:
+            raise HarnessError(f"ergodic_rel must be > 0, got {self.ergodic_rel}")
         for t in self.tests:
             if t not in KNOWN_TESTS:
                 raise HarnessError(f"unknown test {t!r}; known: {KNOWN_TESTS}")
@@ -378,8 +391,6 @@ def dump_json(obj, fh, indent=0) -> None:
             fh.write(pad + "]")
     elif isinstance(obj, str):
         fh.write(json.dumps(obj))
-    elif isinstance(obj, (bool, np.bool_)) or obj is None:
-        fh.write(_fmt(obj) if not isinstance(obj, (bool, np.bool_)) else ("true" if obj else "false"))
     else:
         fh.write(_fmt(obj))
 

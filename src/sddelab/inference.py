@@ -5,6 +5,9 @@ maximum likelihood estimator theta_hat = (int Y dX) / (int Y^2 dt).
 All stochastic integrals are left-point Ito sums on the path grid; the
 Brownian increments under a hypothesized theta are recovered as
 dW = dX - theta * Y dt, so everything is computable from observation data.
+Every statistic, of one path or a batch, is `statistics_from_sums` of the
+sums of Y dX and Y^2 that `simulate.path_sums` adds with the stepper's tile
+reduction, so a path's statistics are the same bits through every route.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulate import SamplePath
+from .simulate import SamplePath, path_sums
 
 
 class InferenceError(ValueError):
@@ -28,48 +31,34 @@ class ScorePair:
     T: float
 
 
-def _sums(path: SamplePath) -> tuple[np.ndarray, np.ndarray, float]:
+def _statistics(path: SamplePath, theta: float, scaling: float) -> list[float]:
+    """(delta, info, theta_hat) of one path from its `path_sums`."""
     grid = path.grid
     if path.Y.shape[0] != grid.n_steps + 1 or path.X.shape[0] != grid.n_total:
         raise InferenceError("path arrays do not match the path grid")
-    Y = path.Y[:-1]
-    dX = np.diff(path.X[grid.n_delay :])
-    return Y, dX, grid.dt
+    sums = path_sums(path.X[None], path.Y[None], grid.n_delay)
+    return [float(v[0]) for v in statistics_from_sums(sums.y_dx, sums.y_y, grid.dt, theta, scaling)]
 
 
 def log_likelihood_ratio(path: SamplePath, theta_num: float, theta_den: float) -> float:
-    """log dP_num/dP_den along the observed path (left-point Ito sums)."""
-    Y, dX, dt = _sums(path)
-    s1 = float(Y @ dX)
-    s2 = float(Y @ Y) * dt
-    return (theta_num - theta_den) * s1 - 0.5 * (theta_num**2 - theta_den**2) * s2
+    """log dP_num/dP_den along the observed path (left-point Ito sums), as
+    h delta - h^2/2 info at theta_den with h = theta_num - theta_den."""
+    delta, info, _ = _statistics(path, theta_den, 1.0)
+    return (theta_num - theta_den) * delta - 0.5 * (theta_num - theta_den) ** 2 * info
 
 
 def score_and_info(path: SamplePath, theta: float, scaling: float) -> ScorePair:
     """Scaled score and observed information at the hypothesized theta."""
-    Y, dX, dt = _sums(path)
-    dW = dX - theta * Y * dt
-    delta = scaling * float(Y @ dW)
-    info = scaling**2 * float(Y @ Y) * dt
+    delta, info, _ = _statistics(path, theta, scaling)
     return ScorePair(delta=delta, info=info, scaling=scaling, T=path.grid.T)
 
 
 def mle(path: SamplePath) -> float:
     """Maximizer of the quadratic log-likelihood in theta."""
-    Y, dX, dt = _sums(path)
-    s2 = float(Y @ Y) * dt
-    if s2 <= 1e-12:
+    _, info, theta_hat = _statistics(path, 0.0, 1.0)
+    if info <= 1e-12:
         raise InferenceError("degenerate path: int Y^2 dt vanishes")
-    return float(Y @ dX) / s2
-
-
-def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Row-wise dot products A[i] . B[i].  einsum sums a lone row in another
-    order than the rows of a matrix, so a single row is doubled first: a
-    row's value then does not depend on how many rows come with it."""
-    if A.shape[0] == 1:
-        return row_dots(np.repeat(A, 2, axis=0), np.repeat(B, 2, axis=0))[:1]
-    return np.einsum("ij,ij->i", A, B)
+    return theta_hat
 
 
 def statistics_from_sums(
@@ -89,6 +78,5 @@ def batch_statistics(
     Y: np.ndarray, X: np.ndarray, n_delay: int, dt: float, theta: float, scaling: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (delta, info, theta_hat) over rows of a simulated batch."""
-    Yl = Y[:, :-1]
-    dX = np.diff(X[:, n_delay:], axis=1)
-    return statistics_from_sums(row_dots(Yl, dX), row_dots(Yl, Yl), dt, theta, scaling)
+    sums = path_sums(X, Y, n_delay)
+    return statistics_from_sums(sums.y_dx, sums.y_y, dt, theta, scaling)

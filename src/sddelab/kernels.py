@@ -51,8 +51,8 @@ class Grid:
     n_steps: int
 
     def __post_init__(self):
-        if self.r <= 0 or self.n_delay < 1 or self.n_steps < 1:
-            raise KernelError("grid needs r > 0, n_delay >= 1, n_steps >= 1")
+        if not (math.isfinite(self.r) and self.r > 0) or self.n_delay < 1 or self.n_steps < 1:
+            raise KernelError("grid needs a finite r > 0, n_delay >= 1, n_steps >= 1")
 
     @property
     def dt(self) -> float:
@@ -77,6 +77,8 @@ class Grid:
     def build(r: float, T: float, dt: float) -> "Grid":
         """Grid with dt snapped to an exact divisor of r (dt := r/n_delay)
         and T snapped to the nearest grid multiple (within half a step)."""
+        if not (math.isfinite(T) and math.isfinite(dt)):
+            raise KernelError(f"grid needs a finite T and dt, got T={T}, dt={dt}")
         n_delay = int(round(r / dt))
         if n_delay < 1:
             raise KernelError(f"dt={dt} exceeds the delay horizon r={r}")
@@ -233,6 +235,8 @@ def solve_fundamental(theta: float, a: SignedMeasure, grid: Grid, prefix: Kernel
     the sequential additions of the step loop.  Any other atom-only stencil
     steps on Python floats through memoryviews of x and y.  Both give the
     bits of the step loop over numpy arrays, which a density keeps."""
+    if not math.isfinite(theta):
+        raise KernelError(f"theta must be finite, got {theta}")
     nd, ns = grid.n_delay, grid.n_steps
     dt = grid.dt
     x = np.zeros(nd + ns + 1)

@@ -26,10 +26,10 @@ of steps.  `increment_blocks` draws each block's increments (the same
 numbers as `brownian_increments`) straight into the window rows they will
 update, on every core: each replicate owns its Philox stream, so the split
 of the replicates across threads changes no number.  Every sum is
-accumulated element by element in step order (a tile's terms are reduced
-into the sums along a step axis that is never the contiguous one, so numpy
-adds them in order rather than pairwise), so for atom-only measures a
-replicate's numbers do not depend on the batch it is simulated in.
+accumulated element by element in step order by one tile reduction,
+`_add_tile`, which `path_sums` also feeds with the rows of finished paths,
+so for atom-only measures a replicate's numbers do not depend on the batch
+it is simulated in nor on the route to its statistics.
 """
 
 from __future__ import annotations
@@ -190,6 +190,19 @@ def _tile(st: DelayStencil, qt, buf: np.ndarray, j0: int, m: int, theta_dt: floa
         buf[j + 1] += tmp
 
 
+def _add_tile(terms: np.ndarray, sums: np.ndarray, x: np.ndarray) -> None:
+    """Add a tile's left-point terms to the (3, n) sums of Y dX, Y^2 and Y;
+    x holds the states at its m + 1 nodes, terms[1 : m + 1, 2] the Y of its
+    m steps.  Row 0 of the step-major (TILE + 1, 3, n) scratch takes the
+    sums, so the reduce over axis 0 adds in step order, also for n = 1."""
+    dx, yy, y = terms[1 : len(x)].transpose(1, 0, 2)
+    np.subtract(x[1:], x[:-1], out=dx)
+    dx *= y
+    np.multiply(y, y, out=yy)
+    terms[0] = sums
+    np.add.reduce(terms[: len(x)], axis=0, out=sums)
+
+
 def simulate_batch(
     theta: float,
     a: SignedMeasure,
@@ -201,6 +214,8 @@ def simulate_batch(
     """Simulate len(seeds) paths together; returns (W, X, Y) with rows =
     replicates.  `dW` overrides the Brownian increments (rows matching
     seeds), e.g. zeros for a noise-free integration check."""
+    if not math.isfinite(theta):
+        raise SimulationError(f"theta must be finite, got {theta}")
     seeds = list(seeds)
     n = len(seeds)
     nd, ns, dt = grid.n_delay, grid.n_steps, grid.dt
@@ -262,6 +277,8 @@ def increment_blocks(seeds, n_steps: int, dt: float, out: np.ndarray):
 def simulate_sums(theta: float, a: SignedMeasure, x0: InitialPath, grid: Grid, seeds) -> RunningSums:
     """The paths of `simulate_batch`, reduced to their running sums as they
     are stepped; memory grows with n_delay * len(seeds), not with n_steps."""
+    if not math.isfinite(theta):
+        raise SimulationError(f"theta must be finite, got {theta}")
     seeds = list(seeds)
     n = len(seeds)
     nd, ns, theta_dt = grid.n_delay, grid.n_steps, theta * grid.dt
@@ -269,24 +286,29 @@ def simulate_sums(theta: float, a: SignedMeasure, x0: InitialPath, grid: Grid, s
     buf = np.empty((nd + 1 + min(BLOCK, ns), n))
     buf[: nd + 1] = x0.values_on(grid)[:, None]
     qt, tmp = _tile_weights(st), np.empty(n)
-    # step-major: row 0 the running sums, row 1 + k the Y dX, Y^2 and Y of
-    # step k of a tile, so a reduce over axis 0 adds them in step order
-    terms = np.empty((TILE + 1, 3, n))
+    terms = np.empty((TILE + 1, 3, n))  # the scratch of `_add_tile`
     sums = np.zeros((3, n))
     for b in increment_blocks(seeds, ns, grid.dt, buf[nd + 1 :]):
         for j0 in range(nd, nd + b, TILE):
             m = min(TILE, nd + b - j0)
-            dx, yy, y = terms[1 : m + 1].transpose(1, 0, 2)
-            _tile(st, qt, buf, j0, m, theta_dt, y, tmp)
-            np.subtract(buf[j0 + 1 : j0 + m + 1], buf[j0 : j0 + m], out=dx)
-            dx *= y
-            np.multiply(y, y, out=yy)
-            terms[0] = sums
-            np.add.reduce(terms[: m + 1], axis=0, out=sums)
+            _tile(st, qt, buf, j0, m, theta_dt, terms[1 : m + 1, 2], tmp)
+            _add_tile(terms, sums, buf[j0 : j0 + m + 1])
         buf[: nd + 1] = buf[b : b + nd + 1]
     y_end = np.empty(n)
     y_end[:] = st.apply(buf, nd)
     return RunningSums(y_dx=sums[0], y_y=sums[1], y=sums[2], y_end=y_end)
+
+
+def path_sums(X: np.ndarray, Y: np.ndarray, n_delay: int) -> RunningSums:
+    """The sums of `simulate_sums`, bit for bit, of path rows as
+    `simulate_batch` returns them, fed tile by tile through `_add_tile`."""
+    n, ns = Y.shape[0], Y.shape[1] - 1
+    terms, sums = np.empty((TILE + 1, 3, n)), np.zeros((3, n))
+    for k0 in range(0, ns, TILE):
+        m = min(TILE, ns - k0)
+        terms[1 : m + 1, 2] = Y.T[k0 : k0 + m]
+        _add_tile(terms, sums, X.T[n_delay + k0 : n_delay + k0 + m + 1])
+    return RunningSums(y_dx=sums[0], y_y=sums[1], y=sums[2], y_end=Y[:, -1].copy())
 
 
 def simulate(
@@ -352,9 +374,9 @@ def path_from_csv(fh, theta_true: float = float("nan"), seed: int = 0) -> Sample
     ns = len(Ws) - 1
     if ns < 1 or nd < 1:
         raise SimulationError("path CSV too short")
-    dt = float(ts[1] - ts[0])
-    r = nd * dt
-    grid = Grid(r=r, n_delay=nd, n_steps=ns)
+    # t_0 = -n_delay * (r / n_delay) gives back the simulating grid's dt,
+    # where the difference of two rounded times would not
+    grid = Grid(r=float(-ts[0]), n_delay=nd, n_steps=ns)
     return SamplePath(
         grid=grid,
         W=np.asarray(Ws),

@@ -44,7 +44,7 @@ class SpectrumError(RuntimeError):
 class CharRoot:
     """A characteristic root with its expansion data.
 
-    laurent holds A_k for k = -multiplicity .. laurent_top; p_poly are the
+    laurent holds A_k for k = -multiplicity .. 0; p_poly are the
     coefficients (ascending powers of t) of the residue polynomial of the
     fundamental solution at this root; P_poly the coefficients of the kernel
     polynomial whose degree is m_tilde (-inf for the zero polynomial).
@@ -53,7 +53,6 @@ class CharRoot:
     lam: complex
     multiplicity: int
     laurent: tuple[complex, ...] = ()
-    laurent_top: int = -1
     p_poly: tuple[complex, ...] = ()
     P_poly: tuple[complex, ...] = ()
     m_tilde: float = NEG_INF
@@ -185,6 +184,8 @@ def _winding_count(theta: float, a: SignedMeasure, rect: tuple[float, float, flo
 
     spacing = min(0.5, 1.0 / (1.0 + a.r))
     sides = list(zip(corners, corners[1:] + corners[:1]))
+    if not all(math.isfinite(abs(z1 - z0) / spacing) for z0, z1 in sides):
+        raise SpectrumError(f"root search contour {rect} for theta={theta} is too long to sample")
     counts = [max(8, int(math.ceil(abs(z1 - z0) / spacing))) for z0, z1 in sides]
     values = sum(counts) * (1 + sum(len(p.coeffs) + 1 for p in a.density_pieces))
     if values > _MAX_CONTOUR_VALUES:
@@ -309,8 +310,11 @@ def roots_in_strip(theta: float, a: SignedMeasure, c: float) -> list[CharRoot]:
     confined to |lambda| <= |theta| ||a|| e^(|c| r) and are found by
     subdividing rectangles on argument-principle counts, Newton polish,
     merging of sub-1e-8 clusters, and conjugate mirroring of the upper
-    half-strip scan.
+    half-strip scan.  A non-finite theta or c is refused, and so is a bound
+    too large to sample (`_winding_count`).
     """
+    if not (math.isfinite(theta) and math.isfinite(c)):
+        raise SpectrumError(f"root search needs a finite theta and strip, got theta={theta}, c={c}")
     if theta == 0.0:
         return [CharRoot(0.0 + 0.0j, 1)] if c <= 0.0 else []
     tv = total_variation(a)
@@ -434,11 +438,11 @@ def laurent_coeffs(
     return b
 
 
-def build_root_data(theta: float, a: SignedMeasure, root: CharRoot, K: int = 0) -> CharRoot:
+def build_root_data(theta: float, a: SignedMeasure, root: CharRoot) -> CharRoot:
     """Fill Laurent coefficients, the residue polynomial, the kernel
     polynomial and its degree for a located root."""
     lam, m = complex(root.lam), root.multiplicity
-    A = laurent_coeffs(theta, a, lam, m, K=K)  # A_{-m} .. A_K
+    A = laurent_coeffs(theta, a, lam, m)  # A_{-m} .. A_0
 
     def A_at(k: int) -> complex:
         return A[k + m]
@@ -470,7 +474,6 @@ def build_root_data(theta: float, a: SignedMeasure, root: CharRoot, K: int = 0) 
         lam=lam,
         multiplicity=m,
         laurent=tuple(A),
-        laurent_top=K,
         p_poly=p_poly,
         P_poly=tuple(c),
         m_tilde=degree,

@@ -193,6 +193,66 @@ def test_experiment_override_validated(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--theta", "inf", "--measure", "dirac0.json"],
+        ["limits", "--theta", "inf", "--measure", "dirac0.json", "--n", "3"],
+        ["analyze", "--theta", "1e308", "--measure", "balanced_atoms.json"],
+        ["analyze", "--theta", "nan", "--measure", "dirac0.json"],
+        ["kernel", "--theta", "nan", "--measure", "dirac0.json", "--T", "1.0"],
+        ["simulate", "--theta", "nan", "--measure", "dirac0.json", "--T", "1.0", "--dt", "0.1"],
+    ],
+    ids=["analyze-inf", "limits-inf", "analyze-1e308", "analyze-nan", "kernel-nan", "simulate-nan"],
+)
+def test_non_finite_theta_usage_error(argv, tmp_path, capsys):
+    # a theta that is not finite, or whose root search bound overflows, is a
+    # usage error that names it, and no output is written
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "theta" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--T", "inf"), ("--dt", "nan")])
+def test_non_finite_grid_usage_error(flag, value, capsys):
+    argv = ["simulate", "--theta", "-0.5", "--measure", "dirac0.json", "--T", "1.0", "--dt", "0.1"]
+    argv[argv.index(flag) + 1] = value
+    assert main(argv) == 2
+    assert "finite T and dt" in capsys.readouterr().err
+
+
+def test_experiment_zero_replicates_usage_error(tmp_path, capsys):
+    # without distributional tests nothing else bounds the replicate count
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"measure": DIRAC0, "theta": -0.5, "T": 2.0, "dt": 0.1, "tests": []}))
+    code = main(["experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o"), "--n-replicates", "0"])
+    assert code == 2
+    assert "n_replicates" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_estimate_reproduces_experiment_rows(tmp_path):
+    # replicate i of an experiment is the path `simulate --seed
+    # derive_seed(seed, i)` writes, and `estimate` gives back its row of
+    # samples.csv, bit for bit
+    from sddelab.simulate import derive_seed
+
+    out_dir = tmp_path / "exp"
+    code = main(["experiment", "--config", "lan_ou.json", "--out-dir", str(out_dir), "--n-replicates", "100"])
+    assert code in (0, 1)
+    rows = (out_dir / "samples.csv").read_text().splitlines()[1:4]
+    for i, row in enumerate(rows):
+        _, seed, delta, info, theta_hat = row.split(",")
+        assert int(seed) == derive_seed(42, i)
+        path_csv, est = tmp_path / f"path{i}.csv", tmp_path / f"est{i}.json"
+        argv = ["simulate", "--theta", "-0.5", "--measure", "dirac0.json", "--T", "200", "--dt", "0.01"]
+        assert main(argv + ["--seed", seed, "--out", str(path_csv)]) == 0
+        assert main(["estimate", "--path", str(path_csv), "--theta", "-0.5", "--out", str(est)]) == 0
+        doc = json.loads(est.read_text())
+        assert (doc["delta"], doc["info"], doc["theta_hat"]) == (float(delta), float(info), float(theta_hat))
+
+
 def test_x0_spec_parsing(tmp_path):
     from sddelab.cli import CliError, _parse_x0
 

@@ -287,6 +287,54 @@ def test_distributional_tests_need_replicates():
         config(tests=["ks_delta"], n_replicates=50)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("n_replicates", 0),
+        ("n_replicates", -3),
+        ("seed", -1),
+        ("n_limit_draws", -1),
+        ("p_threshold", -1.0),
+        ("p_threshold", 0.0),
+        ("p_threshold", 1.0),
+        ("p_threshold", float("nan")),
+        ("mean_info_band", [1.05, 0.95]),
+        ("mean_info_band", [0.9, 1.0, 1.1]),
+        ("mean_info_band", [0.0, 1.0]),
+        ("mean_info_band", [0.9, float("inf")]),
+        ("mean_info_band", ["a", "b"]),
+        ("ergodic_rel", 0.0),
+        ("ergodic_rel", -0.05),
+    ],
+)
+def test_config_values_refused_by_name(key, value):
+    # checked on the object that runs, so an override cannot bypass it
+    with pytest.raises(HarnessError, match=key):
+        config(**{key: value})
+    with pytest.raises(HarnessError, match=key):
+        dataclasses.replace(config(), **{key: value})
+
+
+@pytest.mark.parametrize("name", ["lan_ou.json", "laq_bm.json", "lamn_ou.json"])
+def test_single_path_statistics_are_experiment_rows(name):
+    # a replicate's statistics are the same bits through simulate +
+    # score_and_info / mle as in run_experiment's streamed chunks
+    from sddelab.inference import mle, score_and_info
+    from sddelab.kernels import Grid
+    from sddelab.measures import SignedMeasure
+    from sddelab.simulate import InitialPath, derive_seed, simulate
+
+    doc = json.loads(importlib.resources.files("sddelab").joinpath("configs", name).read_text())
+    res = run_experiment(ExperimentConfig.from_dict({**doc, "n_replicates": 5, "n_limit_draws": 50, "tests": []}))
+    a = SignedMeasure.from_dict(res.config.measure)
+    grid = Grid.build(a.r, res.config.T, res.config.dt)
+    scaling = res.report.scaling.value(grid.T)
+    for i in range(5):
+        path = simulate(res.config.theta, a, InitialPath.from_dict(res.config.x0), grid, derive_seed(res.config.seed, i))
+        pair = score_and_info(path, res.config.theta, scaling)
+        assert (pair.delta, pair.info, mle(path)) == (res.delta[i], res.info[i], res.theta_hat[i])
+
+
 # ---------------------------------------------------------------------------
 # persistence
 

@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from sddelab.inference import batch_statistics, row_dots, statistics_from_sums
+from sddelab.inference import batch_statistics, mle, score_and_info, statistics_from_sums
 from sddelab.kernels import DelayStencil, Grid, fisher_limit, fisher_theta0
 from sddelab.measures import SignedMeasure
 from sddelab.simulate import (
@@ -15,6 +15,7 @@ from sddelab.simulate import (
     derive_seed,
     increment_blocks,
     path_from_csv,
+    path_sums,
     path_to_csv,
     simulate,
     simulate_batch,
@@ -224,8 +225,7 @@ def test_apply_out_has_the_bits_of_apply():
 
 
 def test_streamed_statistics_match_batch_statistics():
-    # summation order aside, the streamed statistics are batch_statistics';
-    # delta = r (s1 - theta s2) is bounded relative to its two terms
+    # the batch's statistics are the streamed ones, bit for bit
     g = Grid.build(1.0, 6.0, 0.01)
     seeds = [derive_seed(8, i) for i in range(6)]
     theta, r = -0.4, g.T**-0.5
@@ -234,11 +234,30 @@ def test_streamed_statistics_match_batch_statistics():
         delta, info, hat = batch_statistics(Y, X, g.n_delay, g.dt, theta, r)
         sums = simulate_sums(theta, a, InitialPath.zero(), g, seeds)
         delta2, info2, hat2 = statistics_from_sums(sums.y_dx, sums.y_y, g.dt, theta, r)
-        s1 = row_dots(Y[:, :-1], np.diff(X[:, g.n_delay :], axis=1))
-        s2 = row_dots(Y[:, :-1], Y[:, :-1]) * g.dt
-        assert np.all(np.abs(delta2 - delta) <= 1e-12 * (1 + np.abs(r * s1) + np.abs(r * theta * s2)))
-        assert np.all(np.abs(info2 - info) <= 1e-12 * (1 + np.abs(info)))
-        assert np.all(np.abs(hat2 - hat) <= 1e-12 * (1 + np.abs(hat)))
+        _same_bits(delta2, delta)
+        _same_bits(info2, info)
+        _same_bits(hat2, hat)
+
+
+@pytest.mark.parametrize("a", [BAL, ATOM_DENS], ids=["atoms", "atom+density"])
+@pytest.mark.parametrize("n", [1, 2, 1000])
+@pytest.mark.parametrize("n_steps", [TILE - 1, TILE, TILE + 1, 2 * BLOCK + 37])
+def test_batch_route_is_the_streamed_summation(a, n, n_steps):
+    # simulate_batch + batch_statistics and simulate_sums +
+    # statistics_from_sums add the same terms in the same order, whatever
+    # the batch size and however the steps fall into tiles and blocks
+    g = Grid(r=1.0, n_delay=10, n_steps=n_steps)
+    seeds = [derive_seed(21, i) for i in range(n)]
+    theta, scaling = -0.7, g.T**-0.5
+    _, X, Y = simulate_batch(theta, a, InitialPath.constant(0.5), g, seeds)
+    sums = simulate_sums(theta, a, InitialPath.constant(0.5), g, seeds)
+    got = batch_statistics(Y, X, g.n_delay, g.dt, theta, scaling)
+    want = statistics_from_sums(sums.y_dx, sums.y_y, g.dt, theta, scaling)
+    for x, y in zip(got, want):
+        _same_bits(x, y)
+    ps = path_sums(X, Y, g.n_delay)
+    for name in ("y_dx", "y_y", "y"):
+        _same_bits(getattr(ps, name), getattr(sums, name))
 
 
 def test_strong_order_one_under_refinement():
@@ -301,6 +320,21 @@ def test_csv_roundtrip():
     np.testing.assert_array_equal(q.X, p.X)
     np.testing.assert_array_equal(q.W, p.W)
     np.testing.assert_array_equal(q.Y, p.Y)
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.003, 0.1])
+def test_csv_roundtrip_keeps_grid_and_statistics(dt):
+    # the grid comes back from t_0 = -r, not from a difference of rounded
+    # times, so dt, T and every statistic of the path are unchanged
+    g = Grid.build(1.0, 3.0, dt)
+    p = simulate(-0.5, D0, InitialPath.constant(1.0), g, seed=5)
+    buf = io.StringIO()
+    path_to_csv(p, buf)
+    buf.seek(0)
+    q = path_from_csv(buf)
+    assert (q.grid.dt, q.grid.T) == (g.dt, g.T)
+    assert score_and_info(q, -0.5, 0.7) == score_and_info(p, -0.5, 0.7)
+    assert mle(q) == mle(p)
 
 
 def test_initial_path_kinds():
