@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .inference import ScorePair, log_likelihood_ratio, mle, score_and_info
 from .kernels import Grid, Kernel, fisher_limit, fisher_theta0, residue_expansion_eval, solve_fundamental, y_kernel
-from .limit_laws import LimitSample, sample_lamn, sample_lan, sample_laq, sample_plamn
+from .limit_laws import sample_lamn_many, sample_lan_many, sample_laq_many, sample_plamn_many
 from .measures import SignedMeasure, exp_moment, tail_mass, total_variation
 from .simulate import InitialPath, SamplePath, derive_seed, simulate, y_process
 from .spectrum import (
@@ -56,9 +56,8 @@ __all__ = [
     "log_likelihood_ratio",
     "score_and_info",
     "mle",
-    "LimitSample",
-    "sample_lan",
-    "sample_laq",
-    "sample_lamn",
-    "sample_plamn",
+    "sample_lan_many",
+    "sample_laq_many",
+    "sample_lamn_many",
+    "sample_plamn_many",
 ]

@@ -33,7 +33,7 @@ from . import __version__
 from .inference import batch_statistics, statistics_from_sums  # noqa: F401
 from .kernels import Grid, fisher_limit, fisher_theta0
 from .limit_laws import sample_lamn_many, sample_lan_many, sample_laq_many, sample_plamn_many
-from .measures import SignedMeasure, tail_mass, total_variation
+from .measures import SignedMeasure, has_zero_mass
 from .simulate import InitialPath, derive_seed, simulate_batch, simulate_sums  # noqa: F401
 from .spectrum import RegimeReport, classify
 
@@ -168,7 +168,7 @@ def ks_vs_standard_normal(x) -> tuple[float, float]:
 
 def limit_information(theta: float, a: SignedMeasure, report: RegimeReport) -> float:
     """Deterministic LAN information constant."""
-    if theta == 0.0 and abs(tail_mass(a, a.r)) <= 1e-12 * (1.0 + total_variation(a)):
+    if theta == 0.0 and has_zero_mass(a):
         return fisher_theta0(a)
     return fisher_limit(theta, a, report)
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import SignedMeasure, _poly_defint, tail_mass, total_variation
+from .measures import SignedMeasure, _poly_defint, has_zero_mass, tail_mass
 from .spectrum import NEG_INF, RegimeReport, ZERO_TOL, classify
 
 ATOM_SNAP = 1e-12
@@ -349,8 +349,7 @@ def fisher_limit(
 def fisher_theta0(a: SignedMeasure) -> float:
     """J_0 = integral over [0, r] of a([-t, 0])^2 dt, requiring
     a([-r, 0]) = 0 (the theta = 0 LAN case)."""
-    tv = total_variation(a)
-    if abs(tail_mass(a, a.r)) > 1e-12 * (1.0 + tv):
+    if not has_zero_mass(a):
         raise KernelError("fisher_theta0 requires a([-r,0]) = 0 (otherwise theta=0 is LAQ)")
     # piecewise-polynomial tail mass: integrate its square exactly between
     # breakpoints with Gauss-Legendre of sufficient order

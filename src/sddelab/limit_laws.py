@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,14 +27,6 @@ from .spectrum import RegimeReport, ZERO_TOL
 
 class LimitLawError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class LimitSample:
-    delta: float
-    info: float
-    regime: str
-    d_offset: float = 0.0
 
 
 def _contributing(report: RegimeReport):
@@ -58,11 +49,6 @@ def sample_lan_many(J: float, n: int, rng: np.random.Generator):
         raise LimitLawError("LAN limit needs J > 0")
     z = rng.standard_normal(n)
     return np.sqrt(J) * z, np.full(n, float(J))
-
-
-def sample_lan(J: float, rng: np.random.Generator) -> LimitSample:
-    d, i = sample_lan_many(J, 1, rng)
-    return LimitSample(delta=float(d[0]), info=float(i[0]), regime="LAN")
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +115,7 @@ def sample_laq_many(
     coefficients are drawn and reduced LAQ_ROWS draws at a time, so memory
     does not grow with n."""
     if report.regime != "LAQ":
-        raise LimitLawError(f"sample_laq needs an LAQ report, got {report.regime}")
+        raise LimitLawError(f"sample_laq_many needs an LAQ report, got {report.regime}")
     m_star, roots = _contributing(report)
     delta = np.zeros(n, dtype=complex)
     info = np.zeros(n)
@@ -155,16 +141,6 @@ def sample_laq_many(
             f"LAQ delta has imaginary residual {resid:g}; conjugate pairing broken"
         )
     return delta.real, info
-
-
-def sample_laq(
-    theta: float,
-    a: SignedMeasure,
-    report: RegimeReport,
-    rng: np.random.Generator,
-) -> LimitSample:
-    d, i = sample_laq_many(theta, a, report, 1, rng)
-    return LimitSample(delta=float(d[0]), info=float(i[0]), regime="LAQ")
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +185,7 @@ def sample_lamn_many(
     noise: bool = True,
 ):
     if report.regime != "LAMN":
-        raise LimitLawError(f"sample_lamn needs an LAMN report, got {report.regime}")
+        raise LimitLawError(f"sample_lamn_many needs an LAMN report, got {report.regime}")
     m_star, roots = _contributing(report)
     lam, c = roots[0]
     if abs(lam.imag) > ZERO_TOL or abs(c.imag) > 1e-8 * (1.0 + abs(c)):
@@ -222,18 +198,6 @@ def sample_lamn_many(
     J = (c.real**2 / (2.0 * v)) * U**2
     z = rng.standard_normal(n)
     return z * np.sqrt(J), J
-
-
-def sample_lamn(
-    theta: float,
-    a: SignedMeasure,
-    report: RegimeReport,
-    x0: InitialPath,
-    rng: np.random.Generator,
-    noise: bool = True,
-) -> LimitSample:
-    d, i = sample_lamn_many(theta, a, report, x0, 1, rng, noise=noise)
-    return LimitSample(delta=float(d[0]), info=float(i[0]), regime="LAMN")
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +218,7 @@ def sample_plamn_many(
     conjugate pair as twice its upper root, and J = int_0^inf e^(-2 v* t)
     amp(t)^2 dt is a quadratic form in the b_j."""
     if report.regime not in ("PLAMN", "LAMN"):
-        raise LimitLawError(f"sample_plamn needs a PLAMN report, got {report.regime}")
+        raise LimitLawError(f"sample_plamn_many needs a PLAMN report, got {report.regime}")
     m_star, roots = _contributing(report)
     v = report.v_star
     if not v > 0.0:
@@ -280,15 +244,3 @@ def sample_plamn_many(
     J = 0.5 * np.sum((b @ A) * b + (b @ B) * np.conj(b), axis=1).real
     z = rng.standard_normal(n)
     return z * np.sqrt(J), J
-
-
-def sample_plamn(
-    theta: float,
-    a: SignedMeasure,
-    report: RegimeReport,
-    x0: InitialPath,
-    d: float,
-    rng: np.random.Generator,
-) -> LimitSample:
-    dd, ii = sample_plamn_many(theta, a, report, x0, d, 1, rng)
-    return LimitSample(delta=float(dd[0]), info=float(ii[0]), regime="PLAMN", d_offset=d)

@@ -316,6 +316,11 @@ def tail_mass(a: SignedMeasure, t: float) -> float:
     return float(total)
 
 
+def has_zero_mass(a: SignedMeasure) -> bool:
+    """a([-r, 0]) = 0 to rounding: then lambda = 0 is a root for every theta."""
+    return abs(tail_mass(a, a.r)) <= 1e-12 * (1.0 + total_variation(a))
+
+
 def exp_moment(a: SignedMeasure, lam: complex, j: int = 0) -> complex:
     """M_j(lambda) = integral of u^j e^(lambda u) a(du)."""
     if j < 0 or j > 16 + 8:

@@ -110,12 +110,20 @@ class InitialPath:
 
 @dataclass
 class SamplePath:
+    """One path on a grid; a non-finite value is refused, naming its time."""
+
     grid: Grid
     W: np.ndarray  # cumulative Wiener values on [0, T], W[0] = 0
     X: np.ndarray  # state on [-r, T]
     Y: np.ndarray  # delay functional on [0, T]
     theta_true: float
     seed: int
+
+    def __post_init__(self):
+        nd = self.grid.n_delay  # node of t = 0 in X, of W[0] and Y[0]
+        bad = [k + i for k, v in ((0, self.X), (nd, self.W), (nd, self.Y)) for i in np.flatnonzero(~np.isfinite(v))[:1]]
+        if bad:
+            raise SimulationError(f"sample path is not finite at t = {(min(bad) - nd) * self.grid.dt:.6g}")
 
 
 def derive_seed(master: int, index: int, stream: int = 0) -> int:
@@ -320,9 +328,11 @@ def simulate(
     dW: np.ndarray | None = None,
 ) -> SamplePath:
     """Single path; the numbers of the corresponding batch row (bit for bit
-    for atom-only measures, to rounding with a density)."""
+    for atom-only measures, to rounding with a density).  A path that leaves
+    the float range is refused."""
     dW2 = None if dW is None else np.asarray(dW, dtype=float)[None, :]
-    W, X, Y = simulate_batch(theta, a, x0, grid, [seed], dW=dW2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        W, X, Y = simulate_batch(theta, a, x0, grid, [seed], dW=dW2)
     return SamplePath(grid=grid, W=W[0], X=X[0], Y=Y[0], theta_true=theta, seed=int(seed))
 
 

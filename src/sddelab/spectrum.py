@@ -10,7 +10,7 @@ scanning only the upper half strip and mirroring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .measures import (
     SignedMeasure,
     exp_moment,
     exp_moments_01_many,
-    tail_mass,
+    has_zero_mass,
     total_variation,
 )
 
@@ -31,9 +31,6 @@ MERGE_TOL = 1e-8
 # |v*| r below this counts as the critical (LAQ) boundary: a band in units
 # of 1/r, so the regime does not change under the time rescaling t -> t/r.
 ZERO_TOL = 1e-8
-
-# Relative size below which a P-polynomial coefficient is treated as zero.
-COEFF_ZERO_REL = 1e-10
 
 
 class SpectrumError(RuntimeError):
@@ -48,6 +45,12 @@ class CharRoot:
     coefficients (ascending powers of t) of the residue polynomial of the
     fundamental solution at this root; P_poly the coefficients of the kernel
     polynomial whose degree is m_tilde (-inf for the zero polynomial).
+
+    The kernel polynomial is the residue polynomial of e^(lam t) lam /
+    (theta h(lam)), because theta M_0(lam) = lam - h(lam).  So for theta != 0,
+    m_tilde = m - 1 at a root lam != 0 and m - 2 at lam = 0 (a root exactly
+    when a([-r, 0]) = 0; -inf if it is simple); for theta = 0, m_tilde = 0
+    unless a([-r, 0]) = 0.
     """
 
     lam: complex
@@ -190,8 +193,8 @@ def _winding_count(theta: float, a: SignedMeasure, rect: tuple[float, float, flo
     values = sum(counts) * (1 + sum(len(p.coeffs) + 1 for p in a.density_pieces))
     if values > _MAX_CONTOUR_VALUES:
         raise SpectrumError(
-            f"initial contour of {sum(counts)} points needs {values} moment values, "
-            f"more than {_MAX_CONTOUR_VALUES}"
+            f"initial contour of {sum(counts):.3g} points needs {values:.3g} moment values, "
+            f"more than {_MAX_CONTOUR_VALUES:.3g}"
         )
     z = np.concatenate([z0 + (z1 - z0) * (np.arange(n) / n) for (z0, z1), n in zip(sides, counts)])
     h, dist = h_and_dist(z)
@@ -438,46 +441,35 @@ def laurent_coeffs(
     return b
 
 
+def _at_zero(a: SignedMeasure, lam: complex) -> bool:
+    """lam is the root at 0 that a vanishing a([-r, 0]) puts there."""
+    return abs(lam) <= MERGE_TOL and has_zero_mass(a)
+
+
+def _kernel_degree(theta: float, a: SignedMeasure, root: CharRoot) -> float:
+    """m_tilde from the multiplicity (see CharRoot)."""
+    if theta == 0.0:
+        return NEG_INF if has_zero_mass(a) else 0.0
+    deg = root.multiplicity - (2 if _at_zero(a, root.lam) else 1)
+    return float(deg) if deg >= 0 else NEG_INF
+
+
 def build_root_data(theta: float, a: SignedMeasure, root: CharRoot) -> CharRoot:
     """Fill Laurent coefficients, the residue polynomial, the kernel
-    polynomial and its degree for a located root."""
+    polynomial and its degree for a located root: P_l = (lam A_{-1-l} +
+    A_{-2-l}) / (theta l!) with A_k = 0 below k = -m and lam exactly 0 at the
+    zero root (see CharRoot); P = (a([-r, 0]),) for theta = 0."""
     lam, m = complex(root.lam), root.multiplicity
     A = laurent_coeffs(theta, a, lam, m)  # A_{-m} .. A_0
-
-    def A_at(k: int) -> complex:
-        return A[k + m]
-
-    p_poly = tuple(A_at(-1 - ell) / math.factorial(ell) for ell in range(m))
-
-    tv = total_variation(a)
-    moments = [exp_moment(a, lam, j) for j in range(m)]
-    # exact-cancellation guard: a root at 0 has M_0(0) = a([-r,0]); snap the
-    # computed moment to zero when the tail mass vanishes exactly
-    if abs(lam) <= 1e-12 and abs(tail_mass(a, a.r)) <= 1e-12 * (1.0 + tv):
-        moments[0] = 0.0 + 0.0j
-
-    c = []
-    for ell in range(m):
-        acc = 0.0 + 0.0j
-        for j in range(m - ell):
-            acc += A_at(-j - 1 - ell) / math.factorial(j) * moments[j]
-        c.append(acc / math.factorial(ell))
-    a_max = max(abs(z) for z in A)
-    tiny = COEFF_ZERO_REL * (1.0 + a_max) * tv
-    c = [z if abs(z) > tiny else 0.0 + 0.0j for z in c]
-    degree = NEG_INF
-    for ell in range(m - 1, -1, -1):
-        if c[ell] != 0.0:
-            degree = float(ell)
-            break
-    return CharRoot(
-        lam=lam,
-        multiplicity=m,
-        laurent=tuple(A),
-        p_poly=p_poly,
-        P_poly=tuple(c),
-        m_tilde=degree,
-    )
+    p_poly = tuple(A[m - 1 - ell] / math.factorial(ell) for ell in range(m))
+    if theta == 0.0:
+        P = (0j if has_zero_mass(a) else exp_moment(a, 0.0, 0),)
+    else:
+        z = 0.0 if _at_zero(a, lam) else lam
+        B = [0j, *A]  # A_{-m-1} .. A_0
+        P = tuple((z * B[m - ell] + B[m - 1 - ell]) / (theta * math.factorial(ell)) for ell in range(m))
+    degree = max((float(ell) for ell, c in enumerate(P) if c != 0.0), default=NEG_INF)
+    return CharRoot(lam=lam, multiplicity=m, laurent=tuple(A), p_poly=p_poly, P_poly=P, m_tilde=degree)
 
 
 # ---------------------------------------------------------------------------
@@ -520,18 +512,20 @@ def classify(
     asymptotic regime with its scaling law.
 
     Cut lines c = 0, -1/r, -2/r, ... descend to the floor -10/r, so the work
-    is invariant under the time rescaling t -> t/r.  The descent stops at the
-    first cut above which some root has a nonzero kernel polynomial: v0 and
-    v* are then decided.  The report lists the roots above that cut (above
-    the floor when no cut decides, and then v* = -inf with a warning).
-    The regime is LAQ for |v*| r <= ZERO_TOL, LAN below that band and LAMN
-    or PLAMN above it.
+    is invariant under the time rescaling t -> t/r.  Only a simple zero root
+    has a zero kernel polynomial (see CharRoot), so the descent passes a cut
+    only when the strip above it holds no other root, and theta = 0 (root
+    set {0} at every cut) stops at the first.  The report lists the roots
+    above the last cut with their m_tilde; only contributing_roots carry
+    Laurent data.  With no nonzero kernel polynomial down to the floor,
+    v* = -inf with a warning.  The regime is LAQ for |v*| r <= ZERO_TOL, LAN
+    below that band and LAMN or PLAMN above it.
     """
     notes: list[str] = []
     c_floor = -10.0 / a.r
     for k in range(11):
-        roots = [build_root_data(theta, a, rt) for rt in roots_in_strip(theta, a, -k / a.r)]
-        if any(rt.m_tilde >= 0 for rt in roots):
+        roots = [replace(rt, m_tilde=_kernel_degree(theta, a, rt)) for rt in roots_in_strip(theta, a, -k / a.r)]
+        if theta == 0.0 or any(rt.m_tilde >= 0 for rt in roots):
             break
     v0 = max((rt.lam.real for rt in roots), default=NEG_INF)
 
@@ -540,7 +534,7 @@ def classify(
         v_star = max(rt.lam.real for rt in qual)
         at_vstar = [rt for rt in qual if abs(rt.lam.real - v_star) <= ZERO_TOL * (1 + abs(v_star))]
         m_star = max(rt.m_tilde for rt in at_vstar)
-        contributing = [rt for rt in at_vstar if rt.m_tilde == m_star]
+        contributing = [build_root_data(theta, a, rt) for rt in at_vstar if rt.m_tilde == m_star]
     else:
         v_star, m_star, contributing = NEG_INF, NEG_INF, []
         if not roots:

@@ -67,6 +67,34 @@ def test_simulate_then_estimate_roundtrip(tmp_path):
     assert abs(doc["theta_hat"] + 0.5) < 0.5
 
 
+def test_simulate_overflowing_path_usage_error(tmp_path, capsys):
+    # theta dt = 10 per step: the path leaves the float range before T = 50
+    out = tmp_path / "path.csv"
+    args = ["simulate", "--theta", "100", "--measure", "dirac0.json", "--T", "50", "--dt", "0.1", "--out", str(out)]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: sample path is not finite at t = ")
+    assert not out.exists()
+
+
+def test_estimate_refuses_non_finite_path(tmp_path, capsys):
+    path_csv = tmp_path / "path.csv"
+    args = ["simulate", "--theta", "-0.5", "--measure", "dirac0.json", "--T", "1", "--dt", "0.1", "--out", str(path_csv)]
+    assert main(args) == 0
+    lines = path_csv.read_text().splitlines()
+    t, w, x, y = lines[-3].split(",")
+    lines[-3] = ",".join([t, w, "inf", y])
+    path_csv.write_text("\n".join(lines) + "\n")
+    assert main(["estimate", "--path", str(path_csv)]) == 2
+    assert capsys.readouterr().err == f"error: sample path is not finite at t = {float(t):.6g}\n"
+
+
+def test_limits_root_search_budget_error_is_readable(capsys):
+    # theta = 1e300 asks for a contour of about 8e300 points
+    assert main(["limits", "--theta", "1e300", "--measure", "dirac0.json"]) == 2
+    err = capsys.readouterr().err
+    assert "moment values" in err and len(err) < 200
+
+
 def test_simulate_byte_determinism(tmp_path):
     outs = []
     for name in ("a.csv", "b.csv"):

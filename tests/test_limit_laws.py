@@ -11,13 +11,9 @@ from sddelab.harness import ks_two_sample, ks_vs_standard_normal, sample_limit
 from sddelab.limit_laws import (
     LimitLawError,
     _bridge_pair,
-    sample_lamn,
     sample_lamn_many,
-    sample_lan,
     sample_lan_many,
-    sample_laq,
     sample_laq_many,
-    sample_plamn,
     sample_plamn_many,
 )
 from sddelab.measures import SignedMeasure
@@ -52,7 +48,7 @@ def test_lan_normality():
 
 def test_lan_rejects_bad_J():
     with pytest.raises(LimitLawError):
-        sample_lan(0.0, rng_(0))
+        sample_lan_many(0.0, 1, rng_(0))
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +78,7 @@ def test_laq_hayes_expected_information():
 def test_laq_requires_laq_report():
     rep = classify(-0.5, D0)
     with pytest.raises(LimitLawError):
-        sample_laq(0.0, D0, rep, rng_(0))
+        sample_laq_many(0.0, D0, rep, 1, rng_(0))
 
 
 def test_laq_deterministic_given_seed():
@@ -226,13 +222,13 @@ def test_lamn_initial_shift():
 
 def test_lamn_degenerate_noise_off():
     rep = classify(0.5, D0)
-    s = sample_lamn(0.5, D0, rep, InitialPath.constant(1.0), rng_(0), noise=False)
-    assert s.info == pytest.approx(1.0 / (2 * 0.5), rel=1e-9)
+    _, info = sample_lamn_many(0.5, D0, rep, InitialPath.constant(1.0), 1, rng_(0), noise=False)
+    assert info[0] == pytest.approx(1.0 / (2 * 0.5), rel=1e-9)
 
 
 def test_lamn_requires_lamn_report():
     with pytest.raises(LimitLawError):
-        sample_lamn(0.0, D0, classify(0.0, D0), InitialPath.zero(), rng_(0))
+        sample_lamn_many(0.0, D0, classify(0.0, D0), InitialPath.zero(), 1, rng_(0))
 
 
 def test_lamn_hint_needs_positive_v_star():
@@ -271,10 +267,13 @@ def test_plamn_single_real_root_reduces_to_lamn():
     assert p_info > 0.01 and p_delta > 0.01
 
 
-def test_plamn_sample_record_carries_phase():
+def test_plamn_single_draw_uses_phase():
+    # one draw at phase 0.4 has the information of the same draw a period on
     rep = classify(-2.0, DM1)
-    s = sample_plamn(-2.0, DM1, rep, InitialPath.zero(), 0.4, rng_(15))
-    assert s.regime == "PLAMN" and s.d_offset == 0.4 and s.info > 0
+    _, info = sample_plamn_many(-2.0, DM1, rep, InitialPath.zero(), 0.4, 1, rng_(15))
+    _, info_next = sample_plamn_many(-2.0, DM1, rep, InitialPath.zero(), 0.4 + rep.period, 1, rng_(15))
+    assert info.shape == (1,) and info[0] > 0
+    assert info_next[0] == pytest.approx(info[0], rel=1e-10)
 
 
 def test_laq_iterated_integral_order_one():
@@ -337,9 +336,10 @@ def test_initial_mix_sampled_path_against_dense_quadrature():
     assert complex(got) == pytest.approx(want, rel=2e-5)
 
 
-def test_single_draw_wrappers():
-    s = sample_lan(2.0, rng_(1))
-    assert s.regime == "LAN" and s.info == 2.0
+def test_single_draws():
+    delta, info = sample_lan_many(2.0, 1, rng_(1))
+    assert delta.shape == (1,) and info[0] == 2.0
     rep = classify(0.0, D0)
-    s2 = sample_laq(0.0, D0, rep, rng_(2))
-    assert s2.regime == "LAQ" and np.isfinite(s2.delta)
+    assert rep.regime == "LAQ"
+    delta, _ = sample_laq_many(0.0, D0, rep, 1, rng_(2))
+    assert delta.shape == (1,) and np.isfinite(delta[0])

@@ -2,15 +2,17 @@ import importlib
 import importlib.resources
 import json
 import math
+import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sddelab.kernels import KernelError, fisher_limit
-from sddelab.measures import SignedMeasure
+from sddelab.measures import SignedMeasure, exp_moment
 from sddelab.spectrum import (
     NEG_INF,
     CharRoot,
@@ -252,6 +254,106 @@ def test_hayes_contributing_coefficient():
     up = next(z for z in bare if z.lam.imag > 0)
     data = build_root_data(-np.pi / 2, DM1, up)
     assert data.P_poly[0] == pytest.approx(-1j / (1 + 1j * np.pi / 2), abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    r=st.sampled_from([0.5, 1.0, 2.0]),
+    atoms=st.lists(
+        st.tuples(
+            st.sampled_from([0.0, -0.25, -0.5, -1.0 / 3.0, -1.0]),
+            st.floats(-2.0, 2.0).filter(lambda w: abs(w) > 1e-3),
+        ),
+        min_size=1,
+        max_size=3,
+        unique_by=lambda atom: atom[0],
+    ),
+    balance=st.booleans(),
+    theta=st.floats(-2.5, 2.5).filter(lambda x: abs(x) > 1e-3),
+)
+def test_kernel_polynomial_from_multiplicity(r, atoms, balance, theta):
+    # the degree is m - 1 at a root lam != 0 and m - 2 at the zero root that
+    # a vanishing total mass puts there, and P equals the moment sum
+    # sum_j A_{-j-1-l} M_j(lam) / (j! l!) that defines the kernel polynomial
+    if balance:  # an atom at -3/4 takes the total mass to exactly zero
+        atoms = [*atoms, (-0.75, -sum(w for _, w in atoms))]
+    assume(balance or abs(sum(w for _, w in atoms)) > 1e-3)
+    a = SignedMeasure.point_masses(r, *[(u * r, w) for u, w in atoms])
+    for rt in roots_in_strip(theta, a, -2.0 / r):
+        data = build_root_data(theta, a, rt)
+        m = rt.multiplicity
+        at_zero = balance and abs(rt.lam) <= 1e-8
+        want = m - 2 if at_zero else m - 1
+        assert data.m_tilde == (want if want >= 0 else NEG_INF)
+        lam = 0.0 if at_zero else rt.lam
+        M = [0.0 if j == 0 and at_zero else exp_moment(a, lam, j) for j in range(m)]
+        A = data.laurent  # A_{-m} .. A_0
+        ref = [
+            sum(A[m - 1 - j - ell] * M[j] / math.factorial(j) for j in range(m - ell)) / math.factorial(ell)
+            for ell in range(m)
+        ]
+        scale = max(abs(c) for c in ref)
+        assert all(abs(p - q) <= 1e-10 * scale for p, q in zip(data.P_poly, ref))
+
+
+@pytest.mark.parametrize(
+    "atoms",
+    [
+        ((0, 1), (-1, -1)),  # balanced_atoms: P_0 = 2 at theta = 1
+        ((0, 3), (Fraction(-1, 2), -2), (-1, -1)),
+        ((0, 1), (Fraction(-1, 4), -2), (-1, 1)),
+    ],
+)
+def test_double_zero_root_kernel_polynomial_exact(atoms):
+    # zero total mass and theta = 1/M_1: h(z) = -theta M_2 z^2/2 + ..., so
+    # lam = 0 is a double root with A_{-2} = -2/(theta M_2) and the kernel
+    # polynomial is the constant P_0 = A_{-2}/theta = -2 M_1^2/M_2
+    M1, M2 = (sum(Fraction(w) * Fraction(u) ** j for u, w in atoms) for j in (1, 2))
+    theta = 1 / M1
+    a = SignedMeasure.point_masses(1.0, *[(float(u), float(w)) for u, w in atoms])
+    zero = next(rt for rt in roots_in_strip(float(theta), a, -1.0) if abs(rt.lam) <= 1e-8)
+    assert zero.multiplicity == 2
+    data = build_root_data(float(theta), a, zero)
+    assert data.m_tilde == 0 and data.P_poly[1] == 0.0
+    assert data.P_poly[0] == pytest.approx(float(-2 * M1**2 / M2), rel=1e-12)
+    if atoms == ((0, 1), (-1, -1)):
+        rep = classify(1.0, packaged_measure("balanced_atoms.json"))
+        assert [rt.P_poly[0] for rt in rep.contributing_roots] == pytest.approx([2.0], rel=1e-12)
+
+
+CATALOG = [
+    ("dirac0.json", -0.5),
+    ("dirac0.json", 0.5),
+    ("dirac_delay.json", -1.0),
+    ("dirac_delay.json", 1.0),
+    ("hayes_boundary.json", -np.pi / 2),
+    ("balanced_atoms.json", 0.0),
+    ("balanced_atoms.json", 1.0),
+    ("sin_density.json", 1.0),
+]
+
+
+def test_classify_builds_root_data_only_for_contributing_roots(monkeypatch):
+    spectrum = importlib.import_module("sddelab.spectrum")
+    calls = {"build": 0, "strip": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(spectrum, "build_root_data", counted("build", spectrum.build_root_data))
+    monkeypatch.setattr(spectrum, "roots_in_strip", counted("strip", spectrum.roots_in_strip))
+    for name, theta in CATALOG:
+        calls.update(build=0, strip=0)
+        rep = classify(theta, packaged_measure(name))
+        assert calls["build"] == len(rep.contributing_roots), (name, theta)
+        assert all(rt.laurent for rt in rep.contributing_roots)
+    calls.update(build=0, strip=0)
+    rep = classify(0.0, packaged_measure("balanced_atoms.json"))
+    assert rep.regime == "LAN" and calls == {"build": 0, "strip": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +707,7 @@ def test_initial_contour_above_cap_refused_before_sampling(monkeypatch):
     for a, width, h_over in ((D0, 1, 249_999.0), (flat, 3, 83_332.0)):
         points = 16 + 8 * int(h_over)
         assert points * width > cap >= (points - 8) * width
-        with pytest.raises(SpectrumError, match=f"{points} points needs {points * width} moment values"):
+        with pytest.raises(SpectrumError, match=re.escape(f"{points:.3g} points needs {points * width:.3g} moment values")):
             count_zeros(-0.5, a, -1.0, 0.0, -h_over, h_over)
         with pytest.raises(Evaluated) as hit:
             count_zeros(-0.5, a, -1.0, 0.0, 1.0 - h_over, h_over - 1.0)
