@@ -19,6 +19,7 @@ unless it is pinned).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -42,8 +43,6 @@ from .spectrum import RegimeReport, classify
 # (simulate.TILE + 1) * 3 more, whatever the number of steps (the chunk size
 # moves density results by rounding only)
 REPLICATE_CHUNK = 1024
-
-KNOWN_TESTS = ("ks_delta", "ks_info", "normal_delta", "mean_info", "ergodic")
 
 
 class HarnessError(RuntimeError):
@@ -88,8 +87,8 @@ class ExperimentConfig:
         if not self.ergodic_rel > 0.0:
             raise HarnessError(f"ergodic_rel must be > 0, got {self.ergodic_rel}")
         for t in self.tests:
-            if t not in KNOWN_TESTS:
-                raise HarnessError(f"unknown test {t!r}; known: {KNOWN_TESTS}")
+            if t not in TESTS:
+                raise HarnessError(f"unknown test {t!r}; known: {tuple(TESTS)}")
         distributional = {"ks_delta", "ks_info", "normal_delta"} & set(self.tests)
         if distributional and self.n_replicates < 100:
             raise HarnessError("distributional tests need n_replicates >= 100")
@@ -225,120 +224,100 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         config.theta, a, report, x0, config.n_limit_draws, rng_limit, d=d_phase
     )
     r_val = report.scaling.value(T)
-
-    n = config.n_replicates
-    seeds = np.array([derive_seed(config.seed, i) for i in range(n)], dtype=np.uint64)
-
-    def run_chunk(lo):
-        chunk = seeds[lo : lo + REPLICATE_CHUNK].tolist()
-        sums = simulate_sums(config.theta, a, x0, grid, chunk)
-        delta, info, theta_hat = statistics_from_sums(sums.y_dx, sums.y_y, grid.dt, config.theta, r_val)
-        mean_Y = sums.y * grid.dt / T
-        mean_Y2 = sums.y_y * grid.dt / T
-        scaled_end = sums.y_end * r_val
-        return delta, info, theta_hat, mean_Y, mean_Y2, scaled_end
-
-    parts = [run_chunk(lo) for lo in range(0, n, REPLICATE_CHUNK)]
-    delta, info, theta_hat, mean_Y, mean_Y2, scaled_Y_T = (
-        np.concatenate([p[i] for p in parts]) for i in range(6)
-    )
+    samples = {**replicate_statistics(config, a, x0, grid, r_val), "limit_delta": limit_delta, "limit_info": limit_info}
 
     diagnostics: dict = {
         "regime": report.regime,
         "scaling_value_at_T": r_val,
-        "median_mean_Y": float(np.median(mean_Y)),
-        "median_mean_Y2": float(np.median(mean_Y2)),
-        "median_scaled_Y_T": float(np.median(scaled_Y_T)),
-        "nan_theta_hat": int(np.count_nonzero(np.isnan(theta_hat))),
+        **{f"median_{k}": float(np.median(samples[k])) for k in ("mean_Y", "mean_Y2", "scaled_Y_T")},
+        "nan_theta_hat": int(np.count_nonzero(np.isnan(samples["theta_hat"]))),
     }
     if J_const is not None:
         diagnostics["J_limit"] = J_const
     if d_phase is not None:
         diagnostics["plamn_d"] = d_phase
 
-    if J_const is None and {"mean_info", "ergodic"} & set(config.tests):
-        J_const = limit_information(config.theta, a, report)
-    tests: list[dict] = []
-    for name in config.tests:
-        if name == "ks_delta":
-            stat, p = ks_two_sample(delta, limit_delta)
-            tests.append(_test_row(name, stat, p, p > config.p_threshold, config.p_threshold))
-        elif name == "ks_info":
-            stat, p = ks_two_sample(info, limit_info)
-            tests.append(_test_row(name, stat, p, p > config.p_threshold, config.p_threshold))
-        elif name == "normal_delta":
-            ok = info > 0  # a replicate without information has no normalised score
-            stat, p = ks_vs_standard_normal(delta[ok] / np.sqrt(info[ok])) if ok.any() else (math.nan, math.nan)
-            row = _test_row(name, stat, p, p > config.p_threshold, config.p_threshold)
-            row["dropped"] = int(np.count_nonzero(~ok))
-            tests.append(row)
-        elif name == "mean_info":
-            m = float(np.mean(info))
-            lo_b, hi_b = config.mean_info_band[0] * J_const, config.mean_info_band[1] * J_const
-            tests.append(
-                {
-                    "name": name,
-                    "statistic": m,
-                    "band": [lo_b, hi_b],
-                    "passed": bool(lo_b <= m <= hi_b),
-                }
-            )
-        elif name == "ergodic":
-            row = _ergodic_eval(mean_Y, mean_Y2, J_const, config.ergodic_rel)
-            row["name"] = name
-            tests.append(row)
-
-    passed = all(t["passed"] for t in tests)
+    # the LAN information constant, computed only if a test asks for it
+    J = functools.cache(lambda: J_const if J_const is not None else limit_information(config.theta, a, report))
+    tests = [TESTS[name](samples, config, J) for name in config.tests]
     return ExperimentResult(
         config=config,
         report=report,
-        seeds=seeds,
-        delta=delta,
-        info=info,
-        theta_hat=theta_hat,
-        mean_Y=mean_Y,
-        mean_Y2=mean_Y2,
-        scaled_Y_T=scaled_Y_T,
-        limit_delta=limit_delta,
-        limit_info=limit_info,
+        **samples,
         tests=tests,
         diagnostics=diagnostics,
         version=__version__,
-        passed=passed,
+        passed=all(t["passed"] for t in tests),
     )
 
 
-def _test_row(name, stat, p, passed, threshold) -> dict:
+def replicate_statistics(
+    config: ExperimentConfig, a: SignedMeasure, x0: InitialPath, grid: Grid, r_val: float
+) -> dict[str, np.ndarray]:
+    """seeds, delta, info, theta_hat, mean_Y, mean_Y2 and scaled_Y_T of every
+    replicate, stepped in chunks of REPLICATE_CHUNK with r_val the scaling at
+    T.  A replicate whose score or information is not finite is refused."""
+    seeds = np.array([derive_seed(config.seed, i) for i in range(config.n_replicates)], dtype=np.uint64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        chunks = [
+            simulate_sums(config.theta, a, x0, grid, seeds[lo : lo + REPLICATE_CHUNK].tolist())
+            for lo in range(0, seeds.size, REPLICATE_CHUNK)
+        ]
+        y_dx, y_y, y, y_end = (np.concatenate([getattr(c, f) for c in chunks]) for f in ("y_dx", "y_y", "y", "y_end"))
+        stats = dict(zip(("delta", "info", "theta_hat"), statistics_from_sums(y_dx, y_y, grid.dt, config.theta, r_val)))
+        stats.update(mean_Y=y * grid.dt / grid.T, mean_Y2=y_y * grid.dt / grid.T, scaled_Y_T=y_end * r_val)
+    bad = np.flatnonzero(~(np.isfinite(stats["delta"]) & np.isfinite(stats["info"])))
+    if bad.size:
+        raise HarnessError(
+            f"replicate {bad[0]} (seed {seeds[bad[0]]}) left the float range: its score or information is not finite"
+        )
+    return {"seeds": seeds, **stats}
+
+
+# ---------------------------------------------------------------------------
+# experiment tests: name -> row of result.json's "tests".  An entry takes the
+# samples under their ExperimentResult names, the config and the memoised LAN
+# constant J(); it looks up the KS functions when it runs, not at import.
+
+
+def _ks_row(name: str, stat_p: tuple[float, float], config: ExperimentConfig) -> dict:
+    stat, p = stat_p
     return {
         "name": name,
         "statistic": float(stat),
         "p_value": float(p),
-        "threshold": threshold,
-        "passed": bool(passed),
+        "threshold": config.p_threshold,
+        "passed": bool(p > config.p_threshold),
     }
 
 
-def _ergodic_eval(mean_Y, mean_Y2, J: float, rel: float) -> dict:
-    med1 = float(np.median(mean_Y))
-    med2 = float(np.median(mean_Y2))
-    ok1 = abs(med1) <= rel * math.sqrt(J)
-    ok2 = abs(med2 - J) <= rel * J
-    return {
-        "median_mean_Y": med1,
-        "median_mean_Y2": med2,
-        "J": J,
-        "passed": bool(ok1 and ok2),
-    }
+def _normal_delta(s: dict, config: ExperimentConfig, J) -> dict:
+    ok = s["info"] > 0  # a replicate without information has no normalised score
+    stat_p = ks_vs_standard_normal(s["delta"][ok] / np.sqrt(s["info"][ok])) if ok.any() else (math.nan, math.nan)
+    return {**_ks_row("normal_delta", stat_p, config), "dropped": int(np.count_nonzero(~ok))}
 
 
-def ergodic_check(config: ExperimentConfig) -> dict:
-    """Time-average diagnostics of the delay functional across replicates
-    (subcritical regime): medians of (1/T) int Y dt and (1/T) int Y^2 dt with
-    pass thresholds relative to the limiting information."""
-    cfg = ExperimentConfig.from_dict({**config.to_dict(), "tests": ["ergodic"]})
-    result = run_experiment(cfg)
-    row = next(t for t in result.tests if t["name"] == "ergodic")
-    return row
+def _mean_info(s: dict, config: ExperimentConfig, J) -> dict:
+    m = float(np.mean(s["info"]))
+    lo, hi = config.mean_info_band[0] * J(), config.mean_info_band[1] * J()
+    return {"name": "mean_info", "statistic": m, "band": [lo, hi], "passed": bool(lo <= m <= hi)}
+
+
+def _ergodic(s: dict, config: ExperimentConfig, J) -> dict:
+    """Medians over replicates of (1/T) int Y dt and (1/T) int Y^2 dt, within
+    ergodic_rel of 0 (on the scale sqrt(J)) and of J."""
+    med1, med2, j = float(np.median(s["mean_Y"])), float(np.median(s["mean_Y2"])), J()
+    ok = abs(med1) <= config.ergodic_rel * math.sqrt(j) and abs(med2 - j) <= config.ergodic_rel * j
+    return {"median_mean_Y": med1, "median_mean_Y2": med2, "J": j, "passed": bool(ok), "name": "ergodic"}
+
+
+TESTS = {
+    "ks_delta": lambda s, config, J: _ks_row("ks_delta", ks_two_sample(s["delta"], s["limit_delta"]), config),
+    "ks_info": lambda s, config, J: _ks_row("ks_info", ks_two_sample(s["info"], s["limit_info"]), config),
+    "normal_delta": _normal_delta,
+    "mean_info": _mean_info,
+    "ergodic": _ergodic,
+}
 
 
 # ---------------------------------------------------------------------------

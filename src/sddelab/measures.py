@@ -9,7 +9,6 @@ M_j(lambda) = integral of u^j e^(lambda u) a(du).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -122,11 +121,6 @@ class SignedMeasure:
                 {"lo": p.lo, "hi": p.hi, "coeffs": list(p.coeffs)} for p in self.density_pieces
             ]
         return d
-
-    @staticmethod
-    def from_json(path) -> "SignedMeasure":
-        with open(path) as fh:
-            return SignedMeasure.from_dict(json.load(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +311,9 @@ def tail_mass(a: SignedMeasure, t: float) -> float:
 
 
 def has_zero_mass(a: SignedMeasure) -> bool:
-    """a([-r, 0]) = 0 to rounding: then lambda = 0 is a root for every theta."""
-    return abs(tail_mass(a, a.r)) <= 1e-12 * (1.0 + total_variation(a))
+    """a([-r, 0]) = 0 to rounding, relative to |a| so that rescaling a does not
+    change the answer: then lambda = 0 is a root for every theta."""
+    return abs(tail_mass(a, a.r)) <= 1e-12 * total_variation(a)
 
 
 def exp_moment(a: SignedMeasure, lam: complex, j: int = 0) -> complex:

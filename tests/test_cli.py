@@ -190,6 +190,27 @@ def test_experiment_all_replicates_dropped_exit_1(tmp_path):
     assert doc["diagnostics"]["nan_theta_hat"] == 100
 
 
+def test_experiment_overflow_is_usage_error(tmp_path, capsys):
+    # theta = 100 on delta_0 grows like e^(100 t): the replicates leave the
+    # float range, which is refused by name before any file is written
+    cfg = {
+        "measure": DIRAC0,
+        "theta": 100.0,
+        "T": 50.0,
+        "dt": 0.1,
+        "n_replicates": 100,
+        "n_limit_draws": 100,
+        "tests": ["normal_delta"],
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "out"
+    assert main(["experiment", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: replicate 0 (seed ") and "not finite" in err
+    assert not (out_dir / "result.json").exists()
+
+
 def test_experiment_missing_config_key(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"measure": DIRAC0, "theta": -0.5, "dt": 0.02}))

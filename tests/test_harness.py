@@ -15,7 +15,6 @@ from sddelab.harness import (
     ExperimentConfig,
     HarnessError,
     dump_json,
-    ergodic_check,
     ks_two_sample,
     result_to_dict,
     run_experiment,
@@ -178,18 +177,52 @@ def test_scaling_stabilizes_and_wrong_scaling_shrinks():
 
 
 def test_ergodic_check_ou_half_information():
-    row = ergodic_check(config(theta=-1.0, T=200.0, dt=0.01, n_replicates=500, seed=2))
+    row = run_experiment(config(theta=-1.0, T=200.0, dt=0.01, n_replicates=500, seed=2, tests=["ergodic"])).tests[0]
     assert row["passed"]
     assert row["J"] == pytest.approx(0.5, abs=1e-4)
     assert abs(row["median_mean_Y2"] - 0.5) <= 0.025
 
 
 def test_ergodic_check_balanced_theta0():
-    row = ergodic_check(
-        config(measure=BALANCED, theta=0.0, T=200.0, dt=0.01, n_replicates=500, seed=3)
-    )
+    row = run_experiment(
+        config(measure=BALANCED, theta=0.0, T=200.0, dt=0.01, n_replicates=500, seed=3, tests=["ergodic"])
+    ).tests[0]
     assert row["passed"]
     assert row["J"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_experiment_rows_key_order():
+    # each row's keys, in result.json's order, whatever the config order
+    keys = {
+        "ks_delta": ["name", "statistic", "p_value", "threshold", "passed"],
+        "ks_info": ["name", "statistic", "p_value", "threshold", "passed"],
+        "normal_delta": ["name", "statistic", "p_value", "threshold", "passed", "dropped"],
+        "mean_info": ["name", "statistic", "band", "passed"],
+        "ergodic": ["median_mean_Y", "median_mean_Y2", "J", "passed", "name"],
+    }
+    assert set(keys) == set(H.TESTS)
+    order = ["ergodic", "ks_info", "mean_info", "normal_delta", "ks_delta"]
+    res = run_experiment(config(n_replicates=100, n_limit_draws=100, tests=order))
+    assert [t["name"] for t in res.tests] == order
+    assert [list(t) for t in res.tests] == [keys[name] for name in order]
+
+
+@pytest.mark.parametrize(
+    "kw, tests, calls",
+    [
+        ({"theta": 0.0}, ["ks_delta", "ks_info"], 0),
+        ({"theta": -0.5, "regime_hint": "LAQ"}, ["mean_info", "ergodic"], 1),
+    ],
+)
+def test_information_constant_computed_only_when_needed(monkeypatch, kw, tests, calls):
+    # J is read only by mean_info and ergodic, once per experiment, and under
+    # a hint that forces a non-LAN law it is not one of the limit draws
+    seen = []
+    real = H.limit_information
+    monkeypatch.setattr(H, "limit_information", lambda *a: seen.append(a) or real(*a))
+    res = run_experiment(config(n_replicates=100, n_limit_draws=100, tests=tests, **kw))
+    assert res.report.regime == "LAQ"
+    assert len(seen) == calls
 
 
 def test_plamn_lattice_distributions_converge():

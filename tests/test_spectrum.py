@@ -509,6 +509,16 @@ def test_classify_laq_band_scale_free():
         fisher_limit(-2e-9, d0_r4)
 
 
+@pytest.mark.parametrize("c", [1e-13, 1e-11, 1e-9])
+def test_classify_zero_mass_scale_free(c):
+    # theta * a is the model, so (1, c * delta_0) and (c, delta_0) are one
+    # problem: the zero-mass test must not read the root at c as lambda = 0
+    small = classify(1.0, SignedMeasure.point_masses(1.0, (0.0, c)))
+    unit = classify(c, D0)
+    assert small.regime == unit.regime
+    assert small.v_star == pytest.approx(unit.v_star, rel=1e-12)
+
+
 def test_classify_regime_hint_override():
     rep = classify(-0.5, D0, regime_hint="LAQ")
     assert rep.regime == "LAQ"
