@@ -12,9 +12,6 @@ results are bit-identical for any chunk size.  A density's
 delay-window sum is formed by BLAS products, one per tile of steps, whose
 rounding depends on the batch shape and the tile split, so with a density
 they agree across chunk sizes to rounding only.
-The LAQ limit draws come from a BLAS matrix product too, so they can
-differ in their last bits with the BLAS thread count (the core count,
-unless it is pinned).
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from . import __version__
 # from this module: perfbench/spans.py wraps them under the harness's names
 from .inference import batch_statistics, statistics_from_sums  # noqa: F401
 from .kernels import Grid, fisher_limit, fisher_theta0
-from .limit_laws import sample_lamn_many, sample_lan_many, sample_laq_many, sample_plamn_many
+from .limit_laws import LimitLawError, sample_lamn_many, sample_lan_many, sample_laq_many, sample_plamn_many
 from .measures import SignedMeasure, has_zero_mass
 from .simulate import InitialPath, derive_seed, simulate_batch, simulate_sums  # noqa: F401
 from .spectrum import RegimeReport, classify
@@ -179,6 +176,8 @@ def sample_limit(
     """n draws (delta, info) of the limit law of the classified regime, and
     the LAN information constant the draws used (None for the other laws).
     `d` is the PLAMN phase offset."""
+    if n < 0:
+        raise LimitLawError(f"n must be >= 0, got {n}")
     if report.regime == "LAN":
         J = limit_information(theta, a, report)
         return (*sample_lan_many(J, n, rng), J)

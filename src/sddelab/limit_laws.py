@@ -6,8 +6,11 @@ LAN: (sqrt(J) Z, J) with deterministic J.  LAQ: quadratic functionals of
 independent standard (complex) Wiener processes Z on [0,1], one per distinct
 contributing frequency, each the Brownian-bridge expansion
 Z(s) = xi_0 s + sum_{k<=K} xi_k sqrt(2) sin(k pi s)/(k pi), which has
-Z(1) = xi_0 exactly.  LAMN/PLAMN: mixed-normal laws whose random information
-is a quadratic form in the limit variables
+Z(1) = xi_0 exactly.  The matrices of its quadratic forms are integrals of
+exponential polynomials on [0,1], computed in closed form on each call, and
+a block of draws is reduced by one real matrix product of its normals, whose
+bits do not depend on the BLAS thread count.  LAMN/PLAMN: mixed-normal laws
+whose random information is a quadratic form in the limit variables
 U_j = X0(0) + theta * (initial-path mixing integral) + G_j, where the
 G_j = int_0^inf e^(-lam_j s) dW are jointly Gaussian with
 E[G_j G_k] = 1/(lam_j + lam_k) and E[G_j conj(G_k)] = 1/(lam_j + conj(lam_k)).
@@ -15,7 +18,6 @@ E[G_j G_k] = 1/(lam_j + lam_k) and E[G_j conj(G_k)] = 1/(lam_j + conj(lam_k)).
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -60,38 +62,85 @@ LAQ_TERMS = 256
 LAQ_ROWS = 256
 
 
-@functools.lru_cache(maxsize=None)
-def _bridge_forms(m: int, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """G = int_0^1 psi psi^T and N = int_0^1 psi e'^T for the K-term bridge
-    expansion, where psi_k(s) = int_0^s (s-u)^m e_k'(u) du, e_0(s) = s and
-    e_k(s) = sqrt(2) sin(k pi s)/(k pi).  Gauss-Legendre with 64 nodes on each
-    of ceil(K/16) panels: at most 16 periods of the highest frequency 2 K pi
-    per panel, which integrates to rounding."""
-    x, w = np.polynomial.legendre.leggauss(64)
-    panels = -(-K // 16)
-    s = ((np.arange(panels)[:, None] + (x + 1.0) / 2.0) / panels).ravel()
-    w = np.tile(w / (2.0 * panels), panels)
-    omega = np.pi * np.arange(1, K + 1)[:, None]
-    z = 1j * omega * s
-    taylor = sum(z**j / math.factorial(j) for j in range(m + 1))
-    osc = math.factorial(m) * (np.exp(z) - taylor) / (1j * omega) ** (m + 1)
-    psi = np.vstack([s ** (m + 1) / (m + 1), math.sqrt(2.0) * osc.real])
-    de = np.vstack([np.ones_like(s), math.sqrt(2.0) * np.cos(omega * s)])
-    G, N = (psi * w) @ psi.T, (psi * w) @ de.T
-    G.flags.writeable = N.flags.writeable = False
-    return G, N
+# (-i)^q for q mod 4, exactly
+_MINUS_I_POW = (1.0, -1j, -1.0, 1j)
 
 
-def _bridge_pair(xi: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(int_0^1 Z_m dconj(Z) as an Ito integral, int_0^1 |Z_m|^2 ds) for the
-    rows xi of bridge coefficients, K = xi.shape[1] - 1.  Subtracting tr N
-    centres the delta (the expansion's own integral is Stratonovich), and
-    1/((2m+1)(2m+2)) - tr G is the mean of the information's truncated tail."""
-    G, N = _bridge_forms(m, xi.shape[1] - 1)
-    xc = np.conj(xi)
-    ito = np.einsum("ij,ij->i", xi @ N, xc) - np.trace(N)
-    energy = np.einsum("ij,ij->i", xi @ G, xc).real
-    return ito, energy + 1.0 / ((2 * m + 1) * (2 * m + 2)) - np.trace(G)
+def _bridge_forms(m: int, K: int) -> np.ndarray:
+    """[N | G], with G = int_0^1 psi psi^T and N = int_0^1 psi e'^T, for the
+    K-term bridge expansion, where psi_k(s) = int_0^s (s-u)^m e_k'(u) du,
+    e_0(s) = s and e_k(s) = sqrt(2) sin(k pi s)/(k pi).  In closed form:
+    psi_0 = s^(m+1)/(m+1) and, with nu = k pi and alpha_k = m!/(i nu)^(m+1),
+    psi_k = T_k - poly_k with T_k = sqrt(2) Re(alpha_k e^(i nu s)) and poly_k
+    its Taylor part of degree <= m.  Writing psi = T - P (1, s, .., s^(m+1)),
+    every entry is a sum of mu_p(n pi) = int_0^1 s^p e^(i n pi s) ds, with
+    mu_p = (e^(i nu) - p mu_(p-1))/(i nu) and mu_0(n pi) = 1 at n = 0, 0 at
+    even n and 2i/(n pi) at odd n.  So G = XX - C P^T - P C^T + P H P^T and
+    N = XY - P D^T, where C = int T s^p, D = int e' s^p, H is the Hilbert
+    matrix, XX = int T T^T = diag(|alpha_k|^2) (alpha_k is real for every k
+    or imaginary for every k, and the trigonometric cross terms fall on
+    odd n) and XY = int T e'^T is nonzero only where j + k is odd or j = k."""
+    k = np.arange(1, K + 1, dtype=float)
+    nu = np.pi * k
+    amp = math.factorial(m) / nu ** (m + 1)
+    alpha = amp * _MINUS_I_POW[(m + 1) % 4]
+    sign = np.where(k % 2, -1.0, 1.0)  # e^(i nu)
+    mu = np.empty((K, m + 2), dtype=complex)
+    mu[:, 0] = (sign - 1.0) / (1j * nu)
+    for p in range(1, m + 2):
+        mu[:, p] = (sign - p * mu[:, p - 1]) / (1j * nu)
+    r2 = math.sqrt(2.0)
+    # rows: psi_0, .., psi_K; columns: s^0, .., s^(m+1)
+    P = np.zeros((K + 1, m + 2))
+    P[0, m + 1] = -1.0 / (m + 1)
+    for j in range(m + 1):
+        q = m + 1 - j  # alpha_k (i nu)^j / j! = m!/j! (-i)^q / nu^q
+        P[1:, j] = r2 * math.factorial(m) / math.factorial(j) * _MINUS_I_POW[q % 4].real / nu**q
+    C = np.zeros((K + 1, m + 2))
+    C[1:] = r2 * (alpha[:, None] * mu).real
+    D = np.empty((K + 1, m + 2))
+    D[0] = 1.0 / np.arange(1, m + 3)
+    D[1:] = r2 * mu.real
+    H = 1.0 / (np.arange(m + 2)[:, None] + np.arange(m + 2) + 1.0)
+
+    NG = np.zeros((K + 1, 2 * (K + 1)))
+    N, G = NG[:, : K + 1], NG[:, K + 1 :]
+    # XY[j, k] = Re(alpha_j (mu_0((j+k) pi) + mu_0((j-k) pi))), j, k >= 1
+    N[1:, 0] = C[1:, 0]
+    den = np.subtract.outer(k * k, k * k)
+    np.fill_diagonal(den, 1.0)
+    odd = sign[:, None] != sign[None, :]
+    np.multiply(((4.0 / np.pi) * (1j * alpha).real * k)[:, None] / den, odd, out=N[1:, 1:])
+    N[1:, 1:][np.diag_indices(K)] = alpha.real
+    N -= P @ D.T
+    # G - XX = B + B^T with B = (P H/2 - C) P^T, so G is exactly symmetric
+    B = (P @ H / 2.0 - C) @ P.T
+    np.add(B, B.T, out=G)
+    G[1:, 1:][np.diag_indices(K)] += amp**2
+    return NG
+
+
+def _bridge_pair(g: np.ndarray, m: int, NG: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(int_0^1 Z_m dconj(Z) as an Ito integral, int_0^1 |Z_m|^2 ds) for rows
+    of bridge coefficients xi, from their real normals: g of shape (n, K+1)
+    is xi of a real Z, and g = (g0, g1) of shape (2, n, K+1) gives
+    xi = (g0 + i g1)/sqrt(2) of a complex Z.  NG = _bridge_forms(m, K).
+    One real product g @ [N | G] gives every quadratic form:
+    xi N conj(xi) = (g0 N g0 + g1 N g1 + i (g1 N g0 - g0 N g1))/2.
+    Subtracting tr N centres the delta (the expansion's own integral is
+    Stratonovich), and 1/((2m+1)(2m+2)) - tr G is the mean of the
+    information's truncated tail."""
+    K1 = g.shape[-1]
+    gNG = (g.reshape(-1, K1) @ NG).reshape(*g.shape[:-1], 2 * K1)
+    gN, gG = gNG[..., :K1], gNG[..., K1:]
+    quad = np.einsum("...j,...j->...", gN, g)
+    energy = np.einsum("...j,...j->...", gG, g)
+    if g.ndim == 3:
+        cross = np.einsum("ij,ij->i", gN[1], g[0]) - np.einsum("ij,ij->i", gN[0], g[1])
+        quad = (quad[0] + quad[1]) / 2.0 + 0.5j * cross
+        energy = (energy[0] + energy[1]) / 2.0
+    N, G = NG[:, :K1], NG[:, K1:]
+    return quad - np.trace(N), energy + 1.0 / ((2 * m + 1) * (2 * m + 2)) - np.trace(G)
 
 
 def _row_blocks(n: int):
@@ -117,18 +166,15 @@ def sample_laq_many(
     if report.regime != "LAQ":
         raise LimitLawError(f"sample_laq_many needs an LAQ report, got {report.regime}")
     m_star, roots = _contributing(report)
+    NG = _bridge_forms(m_star, LAQ_TERMS)
     delta = np.zeros(n, dtype=complex)
     info = np.zeros(n)
     for phi in sorted({round(abs(lam.imag), 12) for lam, _ in roots}):
         ito = np.empty(n, dtype=complex if phi > ZERO_TOL else float)
         energy = np.empty(n)
         for lo, hi in _row_blocks(n):
-            if phi <= ZERO_TOL:
-                xi = rng.standard_normal((hi - lo, LAQ_TERMS + 1))
-            else:
-                g = rng.standard_normal((2, hi - lo, LAQ_TERMS + 1))
-                xi = (g[0] + 1j * g[1]) / math.sqrt(2.0)
-            ito[lo:hi], energy[lo:hi] = _bridge_pair(xi, m_star)
+            shape = (hi - lo, LAQ_TERMS + 1) if phi <= ZERO_TOL else (2, hi - lo, LAQ_TERMS + 1)
+            ito[lo:hi], energy[lo:hi] = _bridge_pair(rng.standard_normal(shape), m_star, NG)
         for lam, c in roots:
             if round(abs(lam.imag), 12) != phi:
                 continue

@@ -342,6 +342,14 @@ def test_limits_hint_without_roots_usage_error(hint, capsys):
     assert capsys.readouterr().err == f"error: regime {hint} has no contributing roots\n"
 
 
+def test_limits_negative_draw_count_usage_error(capsys):
+    code = main(["limits", "--theta", "0", "--measure", "dirac0.json", "--n", "-3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: n must be >= 0, got -3\n"
+    assert captured.out == ""
+
+
 def test_limits_lamn_hint_stable_root_usage_error(capsys):
     code = main(["limits", "--theta", "-0.5", "--measure", "dirac0.json", "--regime-hint", "LAMN", "--n", "5"])
     assert code == 2

@@ -2,14 +2,21 @@ import importlib
 import importlib.resources
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import sddelab
 from sddelab.harness import ks_two_sample, ks_vs_standard_normal, sample_limit
 from sddelab.limit_laws import (
+    LAQ_ROWS,
+    LAQ_TERMS,
     LimitLawError,
+    _bridge_forms,
     _bridge_pair,
     sample_lamn_many,
     sample_lan_many,
@@ -26,6 +33,10 @@ DM1 = SignedMeasure.point_masses(1.0, (-1.0, 1.0))
 
 def rng_(seed=0):
     return np.random.Generator(np.random.Philox(key=seed))
+
+
+def packaged(name):
+    return SignedMeasure.from_dict(json.loads(importlib.resources.files("sddelab").joinpath("configs", f"{name}.json").read_text()))
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +122,7 @@ def test_laq_memory_does_not_grow_with_draws():
     # frequency (2 kB real, 4 kB complex)
     for theta, a in ((0.0, D0), (-np.pi / 2, DM1)):
         rep = classify(theta, a)
-        sample_laq_many(theta, a, rep, 10, rng_(0))  # caches the quadratic forms
+        sample_laq_many(theta, a, rep, 10, rng_(0))  # warms up numpy and BLAS
         peaks = []
         for n in (2000, 10_000):
             tracemalloc.start()
@@ -130,12 +141,124 @@ def test_laq_truncation_refinement_coupled():
     for m in (0, 1):
         for complex_z in (False, True):
             g = rng_(6).standard_normal((2, 2000, 257))
-            xi = (g[0] + 1j * g[1]) / math.sqrt(2.0) if complex_z else g[0]
+            g = g if complex_z else g[0]  # (g0, g1): xi = (g0 + i g1)/sqrt(2)
             for K in (32, 64, 128):
-                d_k, i_k = _bridge_pair(xi[:, : K + 1], m)
-                d_2k, i_2k = _bridge_pair(xi[:, : 2 * K + 1], m)
+                d_k, i_k = _bridge_pair(g[..., : K + 1], m, _bridge_forms(m, K))
+                d_2k, i_2k = _bridge_pair(g[..., : 2 * K + 1], m, _bridge_forms(m, 2 * K))
                 assert float(np.mean(np.abs(d_k - d_2k) ** 2)) <= 0.1 / K, (m, complex_z, K)
                 assert float(np.mean((i_k - i_2k) ** 2)) <= 0.1 / K, (m, complex_z, K)
+
+
+def quadrature_forms(m, K):
+    """G and N of the K-term bridge expansion by Gauss-Legendre quadrature:
+    64 nodes on each of ceil(K/16) panels, at most 16 periods of the highest
+    frequency 2 K pi per panel."""
+    x, w = np.polynomial.legendre.leggauss(64)
+    panels = -(-K // 16)
+    s = ((np.arange(panels)[:, None] + (x + 1.0) / 2.0) / panels).ravel()
+    w = np.tile(w / (2.0 * panels), panels)
+    omega = np.pi * np.arange(1, K + 1)[:, None]
+    z = 1j * omega * s
+    taylor = sum(z**j / math.factorial(j) for j in range(m + 1))
+    osc = math.factorial(m) * (np.exp(z) - taylor) / (1j * omega) ** (m + 1)
+    psi = np.vstack([s ** (m + 1) / (m + 1), math.sqrt(2.0) * osc.real])
+    de = np.vstack([np.ones_like(s), math.sqrt(2.0) * np.cos(omega * s)])
+    return (psi * w) @ psi.T, (psi * w) @ de.T
+
+
+@pytest.mark.parametrize("K", [16, 256])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_bridge_forms_match_quadrature(m, K):
+    G_ref, N_ref = quadrature_forms(m, K)
+    NG = _bridge_forms(m, K)
+    np.testing.assert_allclose(NG[:, K + 1 :], G_ref, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(NG[:, : K + 1], N_ref, rtol=0.0, atol=1e-14)
+
+
+def test_laq_ito_formula_at_m_zero():
+    # Ito's formula for |Z|^2: Re int_0^1 Z dconj(Z) = (|Z(1)|^2 - 1)/2, and
+    # the truncated expansion keeps it exactly since Z(1) = xi_0
+    NG = _bridge_forms(0, LAQ_TERMS)
+    g = rng_(31).standard_normal((2, 500, LAQ_TERMS + 1))
+    ito, _ = _bridge_pair(g[0], 0, NG)
+    np.testing.assert_allclose(ito, (g[0, :, 0] ** 2 - 1.0) / 2.0, rtol=0.0, atol=1e-13)
+    ito, _ = _bridge_pair(g, 0, NG)
+    np.testing.assert_allclose(ito.real, ((g[0, :, 0] ** 2 + g[1, :, 0] ** 2) / 2.0 - 1.0) / 2.0, rtol=0.0, atol=1e-13)
+
+
+def reference_laq(theta, a, report, n, rng):
+    """sample_laq_many for n <= LAQ_ROWS draws by the quadrature forms and
+    complex bridge coefficients xi = (g0 + i g1)/sqrt(2)."""
+    m = int(report.m_star)
+    G, N = quadrature_forms(m, LAQ_TERMS)
+    roots = [(complex(rt.lam), rt.P_poly[m]) for rt in report.contributing_roots]
+    delta, info = np.zeros(n, dtype=complex), np.zeros(n)
+    for phi in sorted({round(abs(lam.imag), 12) for lam, _ in roots}):
+        if phi <= ZERO_TOL:
+            xi = rng.standard_normal((n, LAQ_TERMS + 1))
+        else:
+            g = rng.standard_normal((2, n, LAQ_TERMS + 1))
+            xi = (g[0] + 1j * g[1]) / math.sqrt(2.0)
+        ito = np.einsum("ij,ij->i", xi @ N, np.conj(xi)) - np.trace(N)
+        energy = np.einsum("ij,ij->i", xi @ G, np.conj(xi)).real + 1.0 / ((2 * m + 1) * (2 * m + 2)) - np.trace(G)
+        for lam, c in roots:
+            if round(abs(lam.imag), 12) == phi:
+                delta += c * (np.conj(ito) if lam.imag < -ZERO_TOL else ito)
+                info += abs(c) ** 2 * energy
+    return delta.real, info
+
+
+@pytest.mark.parametrize("name, theta", [("dirac0", 0.0), ("hayes_boundary", -np.pi / 2), ("balanced_atoms", 1.0)])
+def test_laq_matches_complex_quadrature_route(name, theta):
+    a = packaged(name)
+    rep = classify(theta, a)
+    n = LAQ_ROWS - 56
+    delta, info = sample_laq_many(theta, a, rep, n, rng_(32))
+    ref_delta, ref_info = reference_laq(theta, a, rep, n, rng_(32))
+    np.testing.assert_allclose(delta, ref_delta, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(info, ref_info, rtol=1e-12, atol=0.0)
+
+
+def test_laq_memory_of_a_call():
+    # no forms are kept between calls, so every call builds [N | G] (1 MB);
+    # with one block of normals and its product that stays under 8 MB
+    a = packaged("hayes_boundary")
+    rep = classify(-np.pi / 2, a)
+    tracemalloc.start()
+    try:
+        sample_laq_many(-np.pi / 2, a, rep, 2000, rng_(33))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+
+
+def test_laq_draws_do_not_depend_on_blas_threads():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if "openblas" not in blas.lower():
+        pytest.skip(f"numpy's BLAS is {blas}, not OpenBLAS")
+    code = (
+        "import sys, json, importlib.resources, numpy as np\n"
+        "from sddelab.limit_laws import sample_laq_many\n"
+        "from sddelab.measures import SignedMeasure\n"
+        "from sddelab.spectrum import classify\n"
+        "for name, theta in (('dirac0', 0.0), ('hayes_boundary', -np.pi / 2)):\n"
+        "    doc = importlib.resources.files('sddelab').joinpath('configs', name + '.json').read_text()\n"
+        "    a = SignedMeasure.from_dict(json.loads(doc))\n"
+        "    for arr in sample_laq_many(theta, a, classify(theta, a), 2000, np.random.Generator(np.random.Philox(key=7))):\n"
+        "        sys.stdout.buffer.write(arr.tobytes())\n"
+    )
+    src = os.path.dirname(os.path.dirname(sddelab.__file__))
+    out = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, check=True, timeout=120,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert len(out[0]) == 2 * 2 * 2000 * 8
+    assert out[0] == out[1]
 
 
 def test_laq_dickey_fuller_quantiles():
