@@ -81,6 +81,8 @@ class ExperimentConfig:
         finite = all(isinstance(v, (int, float)) and math.isfinite(v) for v in band)
         if not (len(band) == 2 and finite and 0 < band[0] <= band[1]):
             raise HarnessError(f"mean_info_band must be two finite numbers 0 < lo <= hi, got {list(band)}")
+        if self.plamn_d is not None and not math.isfinite(float(self.plamn_d)):
+            raise HarnessError(f"plamn_d must be finite, got {self.plamn_d}")
         if not self.ergodic_rel > 0.0:
             raise HarnessError(f"ergodic_rel must be > 0, got {self.ergodic_rel}")
         for t in self.tests:

@@ -9,11 +9,13 @@ Z(s) = xi_0 s + sum_{k<=K} xi_k sqrt(2) sin(k pi s)/(k pi), which has
 Z(1) = xi_0 exactly.  The matrices of its quadratic forms are integrals of
 exponential polynomials on [0,1], computed in closed form on each call, and
 a block of draws is reduced by one real matrix product of its normals, whose
-bits do not depend on the BLAS thread count.  LAMN/PLAMN: mixed-normal laws
-whose random information is a quadratic form in the limit variables
+bits do not depend on the BLAS thread count.  LAMN/PLAMN: one mixed-normal
+law, whose random information is a quadratic form in the limit variables
 U_j = X0(0) + theta * (initial-path mixing integral) + G_j, where the
 G_j = int_0^inf e^(-lam_j s) dW are jointly Gaussian with
 E[G_j G_k] = 1/(lam_j + lam_k) and E[G_j conj(G_k)] = 1/(lam_j + conj(lam_k)).
+LAMN is its case of one real contributing root, with no frequency and no
+phase.
 """
 
 from __future__ import annotations
@@ -218,57 +220,45 @@ def _initial_mix(theta: float, a: SignedMeasure, x0: InitialPath, lam: complex) 
 
 
 # ---------------------------------------------------------------------------
-# LAMN
+# LAMN and PLAMN: one mixed-normal law
 
 
 def sample_lamn_many(
-    theta: float,
-    a: SignedMeasure,
-    report: RegimeReport,
-    x0: InitialPath,
-    n: int,
-    rng: np.random.Generator,
-    noise: bool = True,
+    theta: float, a: SignedMeasure, report: RegimeReport, x0: InitialPath, n: int, rng: np.random.Generator
 ):
+    """(delta, info) draws of the LAMN law: the mixed-normal law of one real
+    contributing root, where J = c^2 U^2/(2 v*)."""
     if report.regime != "LAMN":
         raise LimitLawError(f"sample_lamn_many needs an LAMN report, got {report.regime}")
-    m_star, roots = _contributing(report)
-    lam, c = roots[0]
+    lam, c = _contributing(report)[1][0]
     if abs(lam.imag) > ZERO_TOL or abs(c.imag) > 1e-8 * (1.0 + abs(c)):
         raise LimitLawError("LAMN requires a single real contributing root")
-    v = lam.real
-    if not v > 0.0:
-        raise LimitLawError(f"LAMN needs v* > 0, got v* = {v:.17g}")
-    u_det = float(x0.eval(np.array(0.0), a.r)) + (_initial_mix(theta, a, x0, lam)).real
-    U = u_det + (math.sqrt(1.0 / (2.0 * v)) * rng.standard_normal(n) if noise else np.zeros(n))
-    J = (c.real**2 / (2.0 * v)) * U**2
-    z = rng.standard_normal(n)
-    return z * np.sqrt(J), J
-
-
-# ---------------------------------------------------------------------------
-# PLAMN
+    return _mixed_normal(theta, a, report, x0, 0.0, n, rng)
 
 
 def sample_plamn_many(
-    theta: float,
-    a: SignedMeasure,
-    report: RegimeReport,
-    x0: InitialPath,
-    d: float,
-    n: int,
-    rng: np.random.Generator,
+    theta: float, a: SignedMeasure, report: RegimeReport, x0: InitialPath, d: float, n: int, rng: np.random.Generator
 ):
-    """(delta, info) draws of the periodic mixed-normal law at phase d.  A real
-    root enters amp(t) = sum_j Re(b_j e^(-i phi_j t)) with weight 1, a
-    conjugate pair as twice its upper root, and J = int_0^inf e^(-2 v* t)
-    amp(t)^2 dt is a quadratic form in the b_j."""
+    """(delta, info) draws of the periodic mixed-normal law at phase d; an
+    LAMN report draws the one-real-root case."""
     if report.regime not in ("PLAMN", "LAMN"):
         raise LimitLawError(f"sample_plamn_many needs a PLAMN report, got {report.regime}")
-    m_star, roots = _contributing(report)
+    return _mixed_normal(theta, a, report, x0, d, n, rng)
+
+
+def _mixed_normal(
+    theta: float, a: SignedMeasure, report: RegimeReport, x0: InitialPath, d: float, n: int, rng: np.random.Generator
+):
+    """(delta, info) draws of the mixed-normal law at phase d.  A real root
+    enters amp(t) = sum_j Re(b_j e^(-i phi_j t)) with weight 1, a conjugate
+    pair as twice its upper root, and J = int_0^inf e^(-2 v* t) amp(t)^2 dt
+    is a quadratic form in the b_j."""
+    if not math.isfinite(d):
+        raise LimitLawError(f"the {report.regime} phase d must be finite, got {d}")
+    _, roots = _contributing(report)
     v = report.v_star
     if not v > 0.0:
-        raise LimitLawError(f"PLAMN needs v* > 0, got v* = {v:.17g}")
+        raise LimitLawError(f"{report.regime} needs v* > 0, got v* = {v:.17g}")
     kept = [(complex(lam.real, 0.0), c, 1.0) for lam, c in roots if abs(lam.imag) <= ZERO_TOL]
     kept += [(lam, c, 2.0) for lam, c in roots if lam.imag > ZERO_TOL]
     lam = np.array([k[0] for k in kept])

@@ -57,6 +57,13 @@ class InitialPath:
     value: float = 0.0
     values: tuple[float, ...] = ()
 
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise SimulationError(f"initial path value must be finite, got {self.value}")
+        bad = [i for i, v in enumerate(self.values) if not math.isfinite(v)]
+        if bad:
+            raise SimulationError(f"initial path values must be finite, got values[{bad[0]}] = {self.values[bad[0]]}")
+
     @staticmethod
     def zero() -> "InitialPath":
         return InitialPath(kind="zero")

@@ -69,6 +69,15 @@ class ScalingLaw:
     m_star: float = NEG_INF
     v_star: float = NEG_INF
 
+    @staticmethod
+    def of(regime: str, m_star: float, v_star: float) -> "ScalingLaw":
+        """sqrt for LAN, poly for LAQ (m* = 0 for -inf), exp for the rest."""
+        if regime == "LAN":
+            return ScalingLaw("sqrt")
+        if regime == "LAQ":
+            return ScalingLaw("poly", m_star=m_star if m_star != NEG_INF else 0.0)
+        return ScalingLaw("exp", m_star=m_star, v_star=v_star)
+
     def value(self, T: float) -> float:
         if self.kind == "sqrt":
             return T**-0.5
@@ -552,23 +561,19 @@ def classify(
     D = None
     if v_star == NEG_INF or v_star * a.r < -ZERO_TOL:
         regime = "LAN"
-        scaling = ScalingLaw("sqrt")
     elif abs(v_star) * a.r <= ZERO_TOL:
         regime = "LAQ"
-        scaling = ScalingLaw("poly", m_star=m_star)
+    elif not H:
+        regime = "LAMN"
     else:
-        scaling = ScalingLaw("exp", m_star=m_star, v_star=v_star)
-        if not H:
-            regime = "LAMN"
+        # tolerance scaled so every frequency sits within 1e-8 (absolute)
+        # of an integer multiple of the reported divisor
+        D = real_gcd(H, tol=min(1e-8, 1e-8 / max(H)))
+        if D is not None:
+            regime = "PLAMN"
         else:
-            # tolerance scaled so every frequency sits within 1e-8 (absolute)
-            # of an integer multiple of the reported divisor
-            D = real_gcd(H, tol=min(1e-8, 1e-8 / max(H)))
-            if D is not None:
-                regime = "PLAMN"
-            else:
-                regime = "UNCLASSIFIED"
-                notes.append("contributing frequencies have no common divisor")
+            regime = "UNCLASSIFIED"
+            notes.append("contributing frequencies have no common divisor")
 
     report = RegimeReport(
         v0=v0,
@@ -577,7 +582,7 @@ def classify(
         H=H,
         D=D,
         regime=regime,
-        scaling=scaling,
+        scaling=ScalingLaw.of(regime, m_star, v_star),
         contributing_roots=contributing,
         roots=roots,
         warnings=notes,
@@ -594,17 +599,11 @@ def _apply_hint(report: RegimeReport, hint: str | None, notes: list[str]) -> Reg
     if hint != report.regime:
         notes.append(f"regime {report.regime} overridden to {hint} by hint")
         report.regime = hint
-        if hint == "LAN":
-            report.scaling = ScalingLaw("sqrt")
-        elif hint == "LAQ":
-            m = report.m_star if report.m_star != NEG_INF else 0.0
-            report.scaling = ScalingLaw("poly", m_star=m)
-        else:
-            report.scaling = ScalingLaw("exp", m_star=report.m_star, v_star=report.v_star)
-            if not report.v_star > 0.0:
-                trend = "grows with T" if report.v_star < 0.0 else "is 1 for every T"
-                notes.append(
-                    f"v* = {report.v_star:.12g} <= 0: the rate exp(-v* T) of the forced scaling "
-                    f"{report.scaling.describe()} {trend}"
-                )
+        report.scaling = ScalingLaw.of(hint, report.m_star, report.v_star)
+        if hint in ("LAMN", "PLAMN") and not report.v_star > 0.0:
+            trend = "grows with T" if report.v_star < 0.0 else "is 1 for every T"
+            notes.append(
+                f"v* = {report.v_star:.12g} <= 0: the rate exp(-v* T) of the forced scaling "
+                f"{report.scaling.describe()} {trend}"
+            )
     return report

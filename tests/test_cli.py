@@ -365,6 +365,50 @@ def test_limits_plamn_hint_stable_root_usage_error(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("d", ["nan", "inf"])
+def test_limits_non_finite_phase_usage_error(d, capsys):
+    code = main(["limits", "--theta", "-2", "--measure", "dirac_delay.json", "--d", d, "--n", "3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: the PLAMN phase d must be finite, got {d}\n"
+    assert captured.out == ""
+
+
+def test_limits_non_finite_initial_path_usage_error(capsys):
+    code = main(["limits", "--theta", "0.5", "--measure", "dirac0.json", "--x0", "constant:nan", "--n", "3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: initial path value must be finite, got nan\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("plamn_d", float("nan"), "plamn_d must be finite, got nan"),
+        ("x0", {"kind": "sampled", "values": [0.0, float("nan"), 1.0]}, "initial path values must be finite, got values[1] = nan"),
+    ],
+)
+def test_experiment_non_finite_input_named(key, value, message, tmp_path, capsys):
+    # a NaN phase or initial value is refused by the name of its key before
+    # anything runs, not blamed on the replicates or the limit draws
+    cfg = {
+        "measure": {"r": 1.0, "atoms": [{"u": -1.0, "w": 1.0}]},
+        "theta": -2.0,
+        "T": 5.0,
+        "dt": 0.1,
+        "n_replicates": 10,
+        "n_limit_draws": 10,
+        "tests": [],
+        key: value,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_experiment_hint_without_roots_usage_error(tmp_path, capsys):
     cfg = {
         "measure": {"r": 1.0, "atoms": [{"u": 0.0, "w": 1.0}, {"u": -1.0, "w": -1.0}]},

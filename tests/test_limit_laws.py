@@ -18,6 +18,7 @@ from sddelab.limit_laws import (
     LimitLawError,
     _bridge_forms,
     _bridge_pair,
+    _initial_mix,
     sample_lamn_many,
     sample_lan_many,
     sample_laq_many,
@@ -325,9 +326,10 @@ def test_limit_mean_information(name, theta):
 
 
 def test_lamn_unit_information():
-    # theta=0.5, a=dirac0, x0=0: U ~ N(0, 1-e^{-S}) and J = U^2
+    # theta=0.5, a=dirac0, x0=0: U ~ N(0, 1) and J = U^2, so Var J = 2 and
+    # the 3% band is 4.2 standard errors of the mean of 40 000 draws
     rep = classify(0.5, D0)
-    delta, info = sample_lamn_many(0.5, D0, rep, InitialPath.zero(), 10_000, rng_(7))
+    delta, info = sample_lamn_many(0.5, D0, rep, InitialPath.zero(), 40_000, rng_(7))
     assert float(np.mean(info)) == pytest.approx(1.0, rel=0.03)
     _, p = ks_vs_standard_normal(delta / np.sqrt(info))
     assert p > 0.001
@@ -344,9 +346,34 @@ def test_lamn_initial_shift():
 
 
 def test_lamn_degenerate_noise_off():
+    # with the noise off, J = c^2 U^2/(2 v*) at U's centre X0(0) + mix: a
+    # point mass at 0 mixes nothing in, so the centre is 1 and J = 1
     rep = classify(0.5, D0)
-    _, info = sample_lamn_many(0.5, D0, rep, InitialPath.constant(1.0), 1, rng_(0), noise=False)
-    assert info[0] == pytest.approx(1.0 / (2 * 0.5), rel=1e-9)
+    ((lam, c),) = [(rt.lam, rt.P_poly[int(rep.m_star)]) for rt in rep.contributing_roots]
+    x0 = InitialPath.constant(1.0)
+    assert _initial_mix(0.5, D0, x0, lam) == 0
+    assert float(x0.eval(np.array(0.0), D0.r)) + _initial_mix(0.5, D0, x0, lam).real == 1.0
+    assert abs(c) ** 2 / (2 * rep.v_star) == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("theta, a, seed", [(0.5, D0, 31), (1.0, DM1, 32)])
+def test_lamn_ratio_is_standard_cauchy(theta, a, seed):
+    # at x0 = 0, U = G ~ N(0, 1/(2 v*)) and delta/info = z/sqrt(J), so
+    # (|c|/(2 v*)) delta/info = z/|sqrt(2 v*) U| is standard Cauchy (White 1958)
+    import scipy.stats as st
+
+    rep = classify(theta, a)
+    c = rep.contributing_roots[0].P_poly[int(rep.m_star)]
+    delta, info = sample_lamn_many(theta, a, rep, InitialPath.zero(), 20_000, rng_(seed))
+    ratio = abs(c) / (2.0 * rep.v_star) * delta / info
+    _, p = st.kstest(ratio, lambda x: 0.5 + np.arctan(x) / np.pi)
+    assert p > 0.001, p
+
+
+def test_lamn_refuses_complex_contributing_root():
+    rep = classify(-2.0, DM1, regime_hint="LAMN")
+    with pytest.raises(LimitLawError, match="LAMN requires a single real contributing root"):
+        sample_lamn_many(-2.0, DM1, rep, InitialPath.zero(), 5, rng_(0))
 
 
 def test_lamn_requires_lamn_report():
@@ -372,6 +399,13 @@ def test_plamn_periodicity_in_d():
     d1, i1 = sample_plamn_many(-2.0, DM1, rep, InitialPath.zero(), 0.7, 64, rng_(11))
     d2, i2 = sample_plamn_many(-2.0, DM1, rep, InitialPath.zero(), 0.7 + period, 64, rng_(11))
     np.testing.assert_allclose(i1, i2, rtol=1e-10)
+
+
+@pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
+def test_plamn_refuses_non_finite_phase(d):
+    rep = classify(-2.0, DM1)
+    with pytest.raises(LimitLawError, match="phase d must be finite"):
+        sample_plamn_many(-2.0, DM1, rep, InitialPath.zero(), d, 5, rng_(0))
 
 
 def test_plamn_information_positive():
@@ -412,8 +446,6 @@ def test_laq_iterated_integral_order_one():
 def test_initial_mix_closed_form():
     # theta=1, unit-delay atom, x0 = 1: integral of e^{-lam(s-u)} over [u,0]
     # gives (1 - e^{-lam})/lam at u = -1
-    from sddelab.limit_laws import _initial_mix
-
     lam = 0.5671432904097838
     got = _initial_mix(1.0, DM1, InitialPath.constant(1.0), lam)
     want = (1 - math.exp(-lam)) / lam
@@ -434,8 +466,6 @@ def test_all_samplers_deterministic_given_seed():
 
 
 def test_initial_mix_sampled_path_against_dense_quadrature():
-    from sddelab.limit_laws import _initial_mix
-
     rng = np.random.default_rng(99)
     x0 = InitialPath.sampled(rng.uniform(-1.0, 1.0, 17))
     lam = 0.4 + 1.1j

@@ -35,6 +35,20 @@ NEG = SignedMeasure.point_masses(1.0, (-0.5, -1.0))  # w X = -0 on a zero node
 S = importlib.import_module("sddelab.simulate")
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: InitialPath.constant(float("nan")), r"initial path value must be finite, got nan"),
+        (lambda: InitialPath(kind="constant", value=float("-inf")), r"initial path value must be finite, got -inf"),
+        (lambda: InitialPath.sampled([0.0, 1.0, float("inf")]), r"initial path values must be finite, got values\[2\] = inf"),
+        (lambda: InitialPath.from_dict({"kind": "sampled", "values": [float("nan"), 0.0]}), r"values\[0\] = nan"),
+    ],
+)
+def test_initial_path_refuses_non_finite_values(make, message):
+    with pytest.raises(S.SimulationError, match=message):
+        make()
+
+
 def test_theta_zero_path_is_shifted_wiener():
     g = Grid.build(1.0, 10.0, 0.01)
     p = simulate(0.0, D0, InitialPath.constant(3.0), g, seed=1)
