@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--measure", required=True)
     pl.add_argument("--n", type=int, default=1000)
     pl.add_argument("--seed", type=int, default=0)
-    pl.add_argument("--d", type=float, default=0.0, help="PLAMN phase offset")
+    pl.add_argument("--d", type=float, default=None, help="PLAMN phase offset (default 0; PLAMN only)")
     pl.add_argument("--x0", default="zero")
     pl.add_argument("--regime-hint", default=None)
     pl.add_argument("--out", default=None)

@@ -173,13 +173,15 @@ def limit_information(theta: float, a: SignedMeasure, report: RegimeReport) -> f
 
 def sample_limit(
     theta: float, a: SignedMeasure, report: RegimeReport, x0: InitialPath, n: int,
-    rng: np.random.Generator, *, d: float = 0.0,
+    rng: np.random.Generator, *, d: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float | None]:
     """n draws (delta, info) of the limit law of the classified regime, and
     the LAN information constant the draws used (None for the other laws).
-    `d` is the PLAMN phase offset."""
+    `d` is the PLAMN phase offset (0 when None); no other law has a phase."""
     if n < 0:
         raise LimitLawError(f"n must be >= 0, got {n}")
+    if d is not None and report.regime != "PLAMN":
+        raise LimitLawError(f"a phase d applies to a PLAMN regime only, got {report.regime}")
     if report.regime == "LAN":
         J = limit_information(theta, a, report)
         return (*sample_lan_many(J, n, rng), J)
@@ -188,7 +190,7 @@ def sample_limit(
     if report.regime == "LAMN":
         return (*sample_lamn_many(theta, a, report, x0, n, rng), None)
     if report.regime == "PLAMN":
-        return (*sample_plamn_many(theta, a, report, x0, d, n, rng), None)
+        return (*sample_plamn_many(theta, a, report, x0, 0.0 if d is None else d, n, rng), None)
     raise HarnessError(
         "regime UNCLASSIFIED (contributing frequencies share no divisor); "
         "pass an explicit regime hint to force a limit family"
@@ -201,6 +203,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     x0 = InitialPath.from_dict(config.x0)
     report = classify(config.theta, a, regime_hint=config.regime_hint)
     T = grid.T
+    if config.plamn_d is not None and report.regime != "PLAMN":
+        raise HarnessError(f"plamn_d applies to a PLAMN regime only, got {report.regime}")
 
     d_phase = None
     if report.regime == "PLAMN":

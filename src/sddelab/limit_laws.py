@@ -7,9 +7,11 @@ independent standard (complex) Wiener processes Z on [0,1], one per distinct
 contributing frequency, each the Brownian-bridge expansion
 Z(s) = xi_0 s + sum_{k<=K} xi_k sqrt(2) sin(k pi s)/(k pi), which has
 Z(1) = xi_0 exactly.  The matrices of its quadratic forms are integrals of
-exponential polynomials on [0,1], computed in closed form on each call, and
-a block of draws is reduced by one real matrix product of its normals, whose
-bits do not depend on the BLAS thread count.  LAMN/PLAMN: one mixed-normal
+exponential polynomials on [0,1], computed in closed form on each call as a
+diagonal plus a low-rank part (and, for the imaginary part of a complex Z,
+the dense antisymmetric part of the Ito matrix).  A block of draws is
+reduced by row sums whose bits depend neither on the block's size nor on the
+BLAS thread count.  LAMN/PLAMN: one mixed-normal
 law, whose random information is a quadratic form in the limit variables
 U_j = X0(0) + theta * (initial-path mixing integral) + G_j, where the
 G_j = int_0^inf e^(-lam_j s) dW are jointly Gaussian with
@@ -68,20 +70,29 @@ LAQ_ROWS = 256
 _MINUS_I_POW = (1.0, -1j, -1.0, 1j)
 
 
-def _bridge_forms(m: int, K: int) -> np.ndarray:
-    """[N | G], with G = int_0^1 psi psi^T and N = int_0^1 psi e'^T, for the
-    K-term bridge expansion, where psi_k(s) = int_0^s (s-u)^m e_k'(u) du,
-    e_0(s) = s and e_k(s) = sqrt(2) sin(k pi s)/(k pi).  In closed form:
-    psi_0 = s^(m+1)/(m+1) and, with nu = k pi and alpha_k = m!/(i nu)^(m+1),
-    psi_k = T_k - poly_k with T_k = sqrt(2) Re(alpha_k e^(i nu s)) and poly_k
-    its Taylor part of degree <= m.  Writing psi = T - P (1, s, .., s^(m+1)),
-    every entry is a sum of mu_p(n pi) = int_0^1 s^p e^(i n pi s) ds, with
+def _bridge_forms(m: int, K: int):
+    """(G, N_sym, N_anti) for the K-term bridge expansion, where
+    G = int_0^1 psi psi^T and N = int_0^1 psi e'^T, psi_k(s) =
+    int_0^s (s-u)^m e_k'(u) du, e_0(s) = s and e_k(s) = sqrt(2) sin(k pi s)/(k pi).
+    G and the symmetric part N_sym of N come as diagonal plus low rank,
+    (d, [U; V]) for diag(d) + U^T V + V^T U with U and V of shape (r, K+1),
+    r <= 2m + 3; the antisymmetric part N_anti = (N - N^T)/2 comes dense.
+
+    In closed form: psi_0 = s^(m+1)/(m+1) and, with nu = k pi and
+    alpha_k = m!/(i nu)^(m+1), psi_k = T_k - poly_k with
+    T_k = sqrt(2) Re(alpha_k e^(i nu s)) and poly_k its Taylor part of degree
+    <= m.  Writing psi = T - P (1, s, .., s^(m+1)), every entry is a sum of
+    mu_p(n pi) = int_0^1 s^p e^(i n pi s) ds, with
     mu_p = (e^(i nu) - p mu_(p-1))/(i nu) and mu_0(n pi) = 1 at n = 0, 0 at
-    even n and 2i/(n pi) at odd n.  So G = XX - C P^T - P C^T + P H P^T and
-    N = XY - P D^T, where C = int T s^p, D = int e' s^p, H is the Hilbert
-    matrix, XX = int T T^T = diag(|alpha_k|^2) (alpha_k is real for every k
-    or imaginary for every k, and the trigonometric cross terms fall on
-    odd n) and XY = int T e'^T is nonzero only where j + k is odd or j = k."""
+    even n and 2i/(n pi) at odd n.  So G = XX + Q P^T + P Q^T with
+    Q = P H/2 - C, and N = XY - P D^T, where C = int T s^p, D = int e' s^p,
+    H is the Hilbert matrix, XX = int T T^T = diag(|alpha_k|^2) (alpha_k is
+    real for every k or imaginary for every k, and the trigonometric cross
+    terms fall on odd n) and XY = int T e'^T.  XY is diag(Re alpha_k), its
+    column 0 C[:, 0] and, where j + k is odd, f_j/(j^2 - k^2) with
+    f_k = (4/pi) Re(i alpha_k) k: f = 0 for odd m and f_k = f_1 k^(-m) for
+    even m, so the symmetric part (f_j - f_k)/(2(j^2 - k^2)) is 0 for m = 0
+    and has rank m for even m >= 2."""
     k = np.arange(1, K + 1, dtype=float)
     nu = np.pi * k
     amp = math.factorial(m) / nu ** (m + 1)
@@ -105,44 +116,79 @@ def _bridge_forms(m: int, K: int) -> np.ndarray:
     D[1:] = r2 * mu.real
     H = 1.0 / (np.arange(m + 2)[:, None] + np.arange(m + 2) + 1.0)
 
-    NG = np.zeros((K + 1, 2 * (K + 1)))
-    N, G = NG[:, : K + 1], NG[:, K + 1 :]
-    # XY[j, k] = Re(alpha_j (mu_0((j+k) pi) + mu_0((j-k) pi))), j, k >= 1
-    N[1:, 0] = C[1:, 0]
-    den = np.subtract.outer(k * k, k * k)
-    np.fill_diagonal(den, 1.0)
-    odd = sign[:, None] != sign[None, :]
-    np.multiply(((4.0 / np.pi) * (1j * alpha).real * k)[:, None] / den, odd, out=N[1:, 1:])
-    N[1:, 1:][np.diag_indices(K)] = alpha.real
-    N -= P @ D.T
-    # G - XX = B + B^T with B = (P H/2 - C) P^T, so G is exactly symmetric
-    B = (P @ H / 2.0 - C) @ P.T
-    np.add(B, B.T, out=G)
-    G[1:, 1:][np.diag_indices(K)] += amp**2
-    return NG
+    # low-rank factors as C-order rows [U; V] of shape (2r, K+1)
+    G = (np.concatenate(([0.0], amp**2)), np.ascontiguousarray(np.hstack((P @ H / 2.0 - C, P)).T))
+
+    # N_sym - diag(Re alpha): the column-0 term, -P D^T and, for even m,
+    # (f_j - f_k)/(2(x_j - x_k)) = -(f_1/2) sum_{i<m/2} x_j^(i-m/2) x_k^(-1-i)
+    # on the odd j + k, x = k^2, split as (even j, odd k) + (odd j, even k)
+    f = (4.0 / np.pi) * (1j * alpha).real * k
+    e0 = np.zeros((1, K + 1))
+    e0[0, 0] = 1.0
+    us, vs = [C[:, :1].T / 2.0, -P.T / 2.0], [e0, D.T]
+    if m % 2 == 0:
+        x = k * k
+        odd = np.concatenate(([0.0], k % 2))
+        even = np.concatenate(([0.0], 1.0 - k % 2))
+        for i in range(m // 2):
+            xu = np.concatenate(([0.0], -f[0] / 4.0 * x ** (i - m // 2)))
+            xv = np.concatenate(([0.0], x ** (-1.0 - i)))
+            us.append(np.vstack((xu * even, xu * odd)))
+            vs.append(np.vstack((xv * odd, xv * even)))
+    N_sym = (np.concatenate(([0.0], alpha.real)), np.ascontiguousarray(np.vstack(us + vs)))
+
+    # N_anti: the antisymmetric part of the column-0 term and of -P D^T as
+    # one product of rank 2m + 6, plus (f_j + f_k)/(2(x_j - x_k)) on the odd
+    # j + k, which is w - w^T for w_jk = f_j/(2(x_j - x_k)) (0 for odd m)
+    L = np.hstack((C[:, :1], e0.T, P, D)) / 2.0
+    R = np.hstack((e0.T, -C[:, :1], -D, P))
+    N_anti = L @ R.T
+    if m % 2 == 0:
+        w = (k * k)[:, None] - k * k
+        w[::2, ::2] = w[1::2, 1::2] = np.inf  # same parity
+        np.divide(f[:, None] / 2.0, w, out=w)
+        N_anti[1:, 1:] += w
+        N_anti[1:, 1:] -= w.T
+    return G, N_sym, N_anti
 
 
-def _bridge_pair(g: np.ndarray, m: int, NG: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _quadratic(g: np.ndarray, gg: np.ndarray, form) -> np.ndarray:
+    """xi^T F xi for each row xi of g (gg = g*g), with F = diag(d) + U^T V +
+    V^T U given as form = (d, [U; V]).  Every sum runs by einsum within a
+    row, in an order that depends neither on the number of rows nor on BLAS
+    (a matrix-vector or skinny matrix product's does)."""
+    d, UV = form
+    guv = np.einsum("...j,rj->...r", g, UV)
+    r = UV.shape[0] // 2
+    return np.einsum("...j,j->...", gg, d) + 2.0 * np.einsum("...r,...r->...", guv[..., :r], guv[..., r:])
+
+
+def _trace(form) -> float:
+    d, UV = form
+    r = UV.shape[0] // 2
+    return float(np.sum(d) + 2.0 * np.einsum("rj,rj->", UV[:r], UV[r:]))
+
+
+def _bridge_pair(g: np.ndarray, m: int, forms) -> tuple[np.ndarray, np.ndarray]:
     """(int_0^1 Z_m dconj(Z) as an Ito integral, int_0^1 |Z_m|^2 ds) for rows
     of bridge coefficients xi, from their real normals: g of shape (n, K+1)
     is xi of a real Z, and g = (g0, g1) of shape (2, n, K+1) gives
-    xi = (g0 + i g1)/sqrt(2) of a complex Z.  NG = _bridge_forms(m, K).
-    One real product g @ [N | G] gives every quadratic form:
-    xi N conj(xi) = (g0 N g0 + g1 N g1 + i (g1 N g0 - g0 N g1))/2.
-    Subtracting tr N centres the delta (the expansion's own integral is
-    Stratonovich), and 1/((2m+1)(2m+2)) - tr G is the mean of the
-    information's truncated tail."""
-    K1 = g.shape[-1]
-    gNG = (g.reshape(-1, K1) @ NG).reshape(*g.shape[:-1], 2 * K1)
-    gN, gG = gNG[..., :K1], gNG[..., K1:]
-    quad = np.einsum("...j,...j->...", gN, g)
-    energy = np.einsum("...j,...j->...", gG, g)
+    xi = (g0 + i g1)/sqrt(2) of a complex Z.  forms = _bridge_forms(m, K).
+    A real g sees only G and N_sym, so it needs no product of size K+1;
+    xi N conj(xi) = (g0 N_sym g0 + g1 N_sym g1)/2 + i g1 N_anti g0 adds one
+    real product g1 @ N_anti for a complex Z.  Subtracting tr N centres the
+    delta (the expansion's own integral is Stratonovich), and
+    1/((2m+1)(2m+2)) - tr G is the mean of the information's truncated
+    tail."""
+    G, N_sym, N_anti = forms
+    gg = g * g
+    quad = _quadratic(g, gg, N_sym)
+    energy = _quadratic(g, gg, G)
     if g.ndim == 3:
-        cross = np.einsum("ij,ij->i", gN[1], g[0]) - np.einsum("ij,ij->i", gN[0], g[1])
-        quad = (quad[0] + quad[1]) / 2.0 + 0.5j * cross
+        cross = np.einsum("ij,ij->i", g[1] @ N_anti, g[0])
+        quad = (quad[0] + quad[1]) / 2.0 + 1j * cross
         energy = (energy[0] + energy[1]) / 2.0
-    N, G = NG[:, :K1], NG[:, K1:]
-    return quad - np.trace(N), energy + 1.0 / ((2 * m + 1) * (2 * m + 2)) - np.trace(G)
+    return quad - _trace(N_sym), energy + 1.0 / ((2 * m + 1) * (2 * m + 2)) - _trace(G)
 
 
 def _row_blocks(n: int):
@@ -168,7 +214,7 @@ def sample_laq_many(
     if report.regime != "LAQ":
         raise LimitLawError(f"sample_laq_many needs an LAQ report, got {report.regime}")
     m_star, roots = _contributing(report)
-    NG = _bridge_forms(m_star, LAQ_TERMS)
+    forms = _bridge_forms(m_star, LAQ_TERMS)
     delta = np.zeros(n, dtype=complex)
     info = np.zeros(n)
     for phi in sorted({round(abs(lam.imag), 12) for lam, _ in roots}):
@@ -176,7 +222,7 @@ def sample_laq_many(
         energy = np.empty(n)
         for lo, hi in _row_blocks(n):
             shape = (hi - lo, LAQ_TERMS + 1) if phi <= ZERO_TOL else (2, hi - lo, LAQ_TERMS + 1)
-            ito[lo:hi], energy[lo:hi] = _bridge_pair(rng.standard_normal(shape), m_star, NG)
+            ito[lo:hi], energy[lo:hi] = _bridge_pair(rng.standard_normal(shape), m_star, forms)
         for lam, c in roots:
             if round(abs(lam.imag), 12) != phi:
                 continue

@@ -202,8 +202,9 @@ def _fit_samples(r: float, values) -> tuple[DensityPiece, ...]:
 # parts recursion B_k = k I_{k-1} + lam I_k (B_k the boundary term) is only
 # used upward where it is relative-error stable, i.e. when the per-step
 # factor k / (|lam| max|u|) stays <= 1/2.  Small |lam| uses the Taylor series
-# in lam (no 1/lam anywhere); the middle band uses Gauss-Legendre quadrature,
-# whose node count stays below ~150 there.
+# in lam (no 1/lam anywhere); the middle band uses Gauss-Legendre quadrature
+# of one order per call, the one its largest |lam| needs, rounded up to a
+# multiple of 16 (at most 400 nodes).
 
 
 def _ik_series(lam, kmax: int, lo: float, hi: float) -> np.ndarray:
@@ -246,15 +247,14 @@ def _ik_gauss(lam, kmax: int, lo: float, hi: float) -> np.ndarray:
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    n_nodes = np.minimum(kmax + 20 + np.ceil(1.6 * np.abs(lam) * half).astype(int), 400)
-    out = np.empty((kmax + 1, lam.size), dtype=complex)
-    for n in np.unique(n_nodes):
-        sel = n_nodes == n
-        t, w = _leggauss_cached(int(n))
-        x = mid + half * t
-        weighted = np.exp(np.multiply.outer(lam[sel], x)) * (w * half)
-        out[:, sel] = np.vander(x, kmax + 1, increasing=True).T @ weighted.T
-    return out
+    # one rule for the call: the order its largest |lam| needs, rounded up
+    # to a multiple of 16 so that calls share rules; more nodes only add
+    # accuracy for these entire integrands
+    need = kmax + 20 + math.ceil(1.6 * float(np.max(np.abs(lam))) * half)
+    t, w = _leggauss_cached(min(-(-need // 16) * 16, 400))
+    x = mid + half * t
+    weighted = np.exp(np.multiply.outer(lam, x)) * (w * half)
+    return np.vander(x, kmax + 1, increasing=True).T @ weighted.T
 
 
 def _exp_kernel_moments(lam, kmax: int, lo: float, hi: float) -> np.ndarray:

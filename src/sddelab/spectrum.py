@@ -209,34 +209,34 @@ def _winding_count(theta: float, a: SignedMeasure, rect: tuple[float, float, flo
     h, dist = h_and_dist(z)
 
     def refine_until_smooth(z, h, dist):
+        """The refined contour and the phase step of h along each segment."""
         for _ in range(80):
             # dist = |h|/|h'| estimates the distance to the nearest root
             # (scaled by 1/multiplicity); the spec's degeneracy criterion is
             # the contour passing within 1e-6 of a root
             if np.any(dist < 1e-6) or np.any(np.abs(h) < 1e-13 * (1.0 + np.abs(z))):
                 raise _DegenerateContour
-            z_next, h_next, d_next = np.roll(z, -1), np.roll(h, -1), np.roll(dist, -1)
+            z_next, h_next, d_next = _next(z), _next(h), _next(dist)
             seg_len = np.abs(z_next - z)
-            bad = np.abs(np.angle(h_next / h)) > 0.5 * math.pi
+            phase = np.angle(h_next / h)
+            bad = np.abs(phase) > 0.5 * math.pi
             bad |= (seg_len > 0.7 * np.minimum(dist, d_next)) & (
                 seg_len > 1e-7 * (1.0 + np.abs(z))
             )
             if not np.any(bad):
-                return z, h, dist
+                return z, h, dist, phase
             if z.size > _MAX_CONTOUR_POINTS:
                 raise _DegenerateContour
             idx = np.nonzero(bad)[0]
             mids = 0.5 * (z[idx] + z_next[idx])
             hm, dm = h_and_dist(mids)
-            z = np.insert(z, idx + 1, mids)
-            h = np.insert(h, idx + 1, hm)
-            dist = np.insert(dist, idx + 1, dm)
+            z, h, dist = _insert_after(idx, (z, mids), (h, hm), (dist, dm))
         raise _DegenerateContour
 
     prev = None
     for _ in range(6):
-        z, h, dist = refine_until_smooth(z, h, dist)
-        total = float(np.sum(np.angle(np.roll(h, -1) / h))) / (2.0 * math.pi)
+        z, h, dist, phase = refine_until_smooth(z, h, dist)
+        total = float(np.sum(phase)) / (2.0 * math.pi)
         n = round(total)
         if abs(total - n) > 0.25:
             raise _DegenerateContour
@@ -245,7 +245,7 @@ def _winding_count(theta: float, a: SignedMeasure, rect: tuple[float, float, flo
         prev = n
         if z.size * 2 > _MAX_CONTOUR_POINTS:
             return int(n)
-        mids = 0.5 * (z + np.roll(z, -1))
+        mids = 0.5 * (z + _next(z))
         hm, dm = h_and_dist(mids)
         znew = np.empty(z.size * 2, dtype=complex)
         hnew = np.empty(z.size * 2, dtype=complex)
@@ -255,6 +255,31 @@ def _winding_count(theta: float, a: SignedMeasure, rect: tuple[float, float, flo
         dnew[0::2], dnew[1::2] = dist, dm
         z, h, dist = znew, hnew, dnew
     raise _DegenerateContour
+
+
+def _next(x: np.ndarray) -> np.ndarray:
+    """The following point of each point of a closed contour."""
+    out = np.empty_like(x)
+    out[:-1] = x[1:]
+    out[-1] = x[0]
+    return out
+
+
+def _insert_after(idx: np.ndarray, *pairs: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray]:
+    """np.insert(x, idx + 1, new) for each (x, new) of pairs, with idx sorted
+    and unique: new[k] lands right after x[idx[k]] (at the end for the last
+    index).  All arrays take their slots from one position vector."""
+    n = pairs[0][0].size
+    new_pos = idx + np.arange(1, idx.size + 1)
+    old = np.ones(n + idx.size, dtype=bool)
+    old[new_pos] = False
+    out = []
+    for x, new in pairs:
+        grown = np.empty(n + idx.size, dtype=x.dtype)
+        grown[old] = x
+        grown[new_pos] = new
+        out.append(grown)
+    return out
 
 
 def count_zeros(

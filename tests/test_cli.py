@@ -374,6 +374,22 @@ def test_limits_non_finite_phase_usage_error(d, capsys):
     assert captured.out == ""
 
 
+def test_limits_phase_on_other_regime_usage_error(capsys):
+    # theta = 0.5 on dirac0 is LAMN, which has no phase to set
+    code = main(["limits", "--theta", "0.5", "--measure", "dirac0.json", "--d", "1e300", "--n", "3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: a phase d applies to a PLAMN regime only, got LAMN\n"
+    assert captured.out == ""
+
+
+def test_limits_plamn_without_phase_draws_phase_zero(tmp_path):
+    argv = ["limits", "--theta", "-2.0", "--measure", "dirac_delay.json", "--n", "20", "--seed", "5", "--out"]
+    assert main(argv + [str(tmp_path / "default.csv")]) == 0
+    assert main(argv + [str(tmp_path / "zero.csv"), "--d", "0"]) == 0
+    assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "zero.csv").read_bytes()
+
+
 def test_limits_non_finite_initial_path_usage_error(capsys):
     code = main(["limits", "--theta", "0.5", "--measure", "dirac0.json", "--x0", "constant:nan", "--n", "3"])
     assert code == 2
@@ -424,6 +440,26 @@ def test_experiment_hint_without_roots_usage_error(tmp_path, capsys):
     cfg_path.write_text(json.dumps(cfg))
     assert main(["experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "error: regime LAMN has no contributing roots\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_experiment_phase_on_other_regime_usage_error(tmp_path, capsys):
+    # theta = 0.5 on a unit mass at 0 is LAMN; its plamn_d is refused, not
+    # ignored, before anything runs or is written
+    cfg = {
+        "measure": {"r": 1.0, "atoms": [{"u": 0.0, "w": 1.0}]},
+        "theta": 0.5,
+        "T": 5.0,
+        "dt": 0.1,
+        "n_replicates": 10,
+        "n_limit_draws": 10,
+        "tests": [],
+        "plamn_d": 0.3,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: plamn_d applies to a PLAMN regime only, got LAMN\n"
     assert not (tmp_path / "o").exists()
 
 

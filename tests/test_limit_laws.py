@@ -171,9 +171,15 @@ def quadrature_forms(m, K):
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_bridge_forms_match_quadrature(m, K):
     G_ref, N_ref = quadrature_forms(m, K)
-    NG = _bridge_forms(m, K)
-    np.testing.assert_allclose(NG[:, K + 1 :], G_ref, rtol=0.0, atol=1e-14)
-    np.testing.assert_allclose(NG[:, : K + 1], N_ref, rtol=0.0, atol=1e-14)
+    G, N_sym, N_anti = _bridge_forms(m, K)
+
+    def dense(form):
+        d, UV = form
+        U, V = np.vsplit(UV, 2)
+        return np.diag(d) + U.T @ V + V.T @ U
+
+    np.testing.assert_allclose(dense(G), G_ref, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(dense(N_sym) + N_anti, N_ref, rtol=0.0, atol=1e-14)
 
 
 def test_laq_ito_formula_at_m_zero():
@@ -221,8 +227,10 @@ def test_laq_matches_complex_quadrature_route(name, theta):
 
 
 def test_laq_memory_of_a_call():
-    # no forms are kept between calls, so every call builds [N | G] (1 MB);
-    # with one block of normals and its product that stays under 8 MB
+    # no forms are kept between calls, so every call builds them: two
+    # diagonal-plus-low-rank forms and the dense antisymmetric part of N
+    # (0.5 MB); with one block of normals and its product that stays under
+    # 8 MB
     a = packaged("hayes_boundary")
     rep = classify(-np.pi / 2, a)
     tracemalloc.start()
@@ -232,6 +240,17 @@ def test_laq_memory_of_a_call():
     finally:
         tracemalloc.stop()
     assert peak < 8e6, peak
+
+
+def test_laq_calls_keep_no_module_state():
+    # a module-level array would pin the allocator's heap between calls
+    limit_laws = importlib.import_module("sddelab.limit_laws")
+    before = set(vars(limit_laws))
+    for name, theta in (("hayes_boundary", -np.pi / 2), ("dirac0", 0.0)):
+        a = packaged(name)
+        sample_laq_many(theta, a, classify(theta, a), 300, rng_(34))
+    assert set(vars(limit_laws)) == before
+    assert not any(isinstance(v, np.ndarray) for v in vars(limit_laws).values())
 
 
 def test_laq_draws_do_not_depend_on_blas_threads():

@@ -10,12 +10,14 @@ from sddelab.measures import (
     SignedMeasure,
     _exp_kernel_moments,
     _ik_gauss,
+    _leggauss_cached,
     _ik_series,
     _ik_upward,
     exp_moment,
     tail_mass,
     total_variation,
 )
+from sddelab.spectrum import classify
 
 D0 = SignedMeasure.point_masses(1.0, (0.0, 1.0))
 DM1 = SignedMeasure.point_masses(1.0, (-1.0, 1.0))
@@ -195,6 +197,32 @@ def test_branch_selection_is_continuous():
     vals = np.array(vals)
     diffs = np.abs(np.diff(vals)) / np.maximum(np.abs(vals[1:]), 1e-30)
     assert np.all(diffs < 0.5)
+
+
+def test_gauss_rules_built_by_a_density_classify():
+    # one Gauss-Legendre order per moment call, rounded up to a multiple of
+    # 16, so a cold classify of the packaged density builds a few rules (a
+    # rule per distinct per-lambda order built 35)
+    doc = importlib.resources.files("sddelab").joinpath("configs", "sin_density.json").read_text()
+    a = SignedMeasure.from_dict(json.loads(doc))
+    cache = _leggauss_cached.__defaults__[0]
+    cache.clear()
+    classify(1.0, a)
+    assert 1 <= len(cache) <= 4, sorted(cache)
+    assert all(n % 16 == 0 for n in cache), sorted(cache)
+
+
+def test_gauss_one_rule_per_call_matches_per_lambda_calls():
+    # lambda spread over the whole Gauss band of [-1, 0] at kmax = 10,
+    # |lambda| max|u| from SERIES_SWITCH to 2 (kmax + 1), in every direction:
+    # the call's one rule (for its largest |lambda|) agrees with each
+    # lambda's own
+    kmax, lo, hi = 10, -1.0, 0.0
+    radii = np.geomspace(1e-4, 21.9, 40)
+    lams = radii * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, radii.size, endpoint=False))
+    together = _ik_gauss(lams, kmax, lo, hi)
+    apart = np.column_stack([_ik_gauss(lam, kmax, lo, hi)[:, 0] for lam in lams])
+    np.testing.assert_allclose(together, apart, rtol=1e-13, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

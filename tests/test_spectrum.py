@@ -17,6 +17,8 @@ from sddelab.spectrum import (
     NEG_INF,
     CharRoot,
     SpectrumError,
+    _insert_after,
+    _next,
     build_root_data,
     char_derivative,
     char_value,
@@ -722,3 +724,24 @@ def test_initial_contour_above_cap_refused_before_sampling(monkeypatch):
         with pytest.raises(Evaluated) as hit:
             count_zeros(-0.5, a, -1.0, 0.0, 1.0 - h_over, h_over - 1.0)
         assert hit.value.args == (points - 8,)
+
+
+def test_contour_insertion_matches_np_insert():
+    # the refinement grows z, h and dist from one position vector; each must
+    # equal np.insert after the bad segments, the last one (which closes the
+    # contour) included
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 8, 97):
+        for _ in range(20):
+            bad = rng.random(n) < rng.random()
+            bad[-1] = rng.random() < 0.5 or not bad.any()
+            idx = np.nonzero(bad)[0]
+            z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            dist = rng.random(n)
+            zm = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
+            dm = rng.random(idx.size)
+            got_z, got_d = _insert_after(idx, (z, zm), (dist, dm))
+            np.testing.assert_array_equal(got_z, np.insert(z, idx + 1, zm))
+            np.testing.assert_array_equal(got_d, np.insert(dist, idx + 1, dm))
+            assert got_z.dtype == z.dtype and got_d.dtype == dist.dtype
+            np.testing.assert_array_equal(_next(z), np.roll(z, -1))
