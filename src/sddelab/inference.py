@@ -19,6 +19,9 @@ import numpy as np
 from .simulate import SamplePath, path_sums
 
 
+MIN_INFO = 1e-12  # int Y^2 dt at or below which a path is degenerate (no MLE)
+
+
 class InferenceError(ValueError):
     pass
 
@@ -56,7 +59,7 @@ def score_and_info(path: SamplePath, theta: float, scaling: float) -> ScorePair:
 def mle(path: SamplePath) -> float:
     """Maximizer of the quadratic log-likelihood in theta."""
     _, info, theta_hat = _statistics(path, 0.0, 1.0)
-    if info <= 1e-12:
+    if info <= MIN_INFO:
         raise InferenceError("degenerate path: int Y^2 dt vanishes")
     return theta_hat
 
@@ -70,7 +73,7 @@ def statistics_from_sums(
     delta = scaling * dW_dot
     info = scaling**2 * s2
     with np.errstate(divide="ignore", invalid="ignore"):
-        theta_hat = np.where(s2 > 1e-12, s_ydx / s2, np.nan)
+        theta_hat = np.where(s2 > MIN_INFO, s_ydx / s2, np.nan)
     return delta, info, theta_hat
 
 

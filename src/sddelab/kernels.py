@@ -11,15 +11,10 @@ snapped to grid nodes when within 1e-12 (linear interpolation otherwise),
 and the window truncated at the unit jump of the fundamental solution at
 time 0, with left limits where an atom lands on it (order 2 there).
 
-An atom-only measure has two faster routes through the same Heun steps,
-neither of which changes a bit.  When every atom lies at least
-`CHUNK_FLOOR` nodes behind the node a step writes, the method of steps
-proper: `DelayStencil.lag` steps read only nodes that are already known,
-so their stencil sums are gathered as arrays and the nodes follow from one
-cumulative sum, whose additions are the sequential ones.  Otherwise each
-step runs on Python floats read through a `memoryview` of the same arrays
-(no copy), which skips boxing numpy scalars.  A stencil with a density
-keeps the step-by-step loop over numpy arrays.
+`solve_fundamental` takes one of two routes through the same Heun steps,
+with the same bits: whole chunks of the method of steps for an atom-only
+stencil whose reads lie at least `CHUNK_FLOOR` nodes back, and otherwise,
+densities included, one node at a time on Python floats.
 """
 
 from __future__ import annotations
@@ -30,12 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import SignedMeasure, _poly_defint, has_zero_mass, tail_mass
-from .spectrum import NEG_INF, RegimeReport, ZERO_TOL, classify
+from .spectrum import NEG_INF, RegimeReport, classify, in_lan_band
 
 ATOM_SNAP = 1e-12
 # shortest stencil lag that `solve_fundamental` advances as whole chunks
 # rather than step by step (chunks of 16 already beat stepping)
 CHUNK_FLOOR = 16
+FISHER_TAIL_TOL = 1e-10  # bound on the analytic tail of the Fisher integral
 
 
 class KernelError(ValueError):
@@ -89,11 +85,13 @@ class Grid:
         return Grid(r=r, n_delay=n_delay, n_steps=n_steps)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Kernel:
+    """`solve_fundamental`'s record: x0 on [-r, T] and the kernel y on [0, T]."""
+
     grid: Grid
-    x0_values: np.ndarray  # fundamental solution on [-r, T]
-    y_values: np.ndarray | None = None  # kernel y on [0, T], as solve_fundamental records it
+    x0_values: np.ndarray
+    y_values: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +110,7 @@ class DelayStencil:
 
     def __init__(self, a: SignedMeasure, grid: Grid):
         self.grid = grid
-        dt = grid.dt
-        nd = grid.n_delay
+        dt, nd = grid.dt, grid.n_delay
         self.atoms: list[tuple[int, float, float]] = []
         for u, w in a.atoms:
             s = u / dt
@@ -157,12 +154,13 @@ class DelayStencil:
         `start`: 0 for a simulated path (continuous initial segment),
         n_delay for the fundamental solution (jump at time 0).  `left` takes
         the left limit at `start`: an atom landing on it sees zero.  X may
-        be a memoryview of a path, whose reads are Python floats.  With
+        be a memoryview of a path, whose reads are Python floats (the
+        density's window sum reads it through `np.asarray`, a view).  With
         `out`, a row of replicates, the terms are added to it in place and
         it is returned: from a row of +0.0 that is the bits of the sum
         without `out`, which starts from 0.0 and adds the atoms in order.
-        `density=False` leaves out the density's window sum, for a caller
-        that forms it itself."""
+        `density=False` leaves out the window sum, for a caller that forms
+        it itself."""
         nd = self.grid.n_delay
         acc = 0.0 if out is None else out
         for s, frac, w in self.atoms:
@@ -177,13 +175,14 @@ class DelayStencil:
                 lo_val = X[idx] if idx >= start else 0.0
                 acc += w * ((1.0 - frac) * lo_val + frac * X[idx + 1])
         if self.has_density and density:
+            X = np.asarray(X)  # .dot below: the bits of @ at less cost per call
             lo = start + nd - j  # first panel whose nodes are at/after start
             if lo <= 0:
-                acc += X[j - nd : j + 1].T @ self.q
+                acc += X[j - nd : j + 1].T.dot(self.q)
             else:
                 seg = X[start : j + 1]
-                acc += seg[1:].T @ self.panel_right[lo:]
-                acc += seg[:-1].T @ self.panel_left[lo:]
+                acc += seg[1:].T.dot(self.panel_right[lo:])
+                acc += seg[:-1].T.dot(self.panel_left[lo:])
         return acc
 
     def apply_span(self, X: np.ndarray, j: int, m: int, start: int, left: bool = False) -> np.ndarray:
@@ -221,24 +220,23 @@ class DelayStencil:
 
 def solve_fundamental(theta: float, a: SignedMeasure, grid: Grid, prefix: Kernel | None = None) -> Kernel:
     """Fundamental solution on [-r, T]: zero before 0, one at 0, then the
-    delay ODE integrated by trapezoidal (Heun) steps.  Each step's predictor
-    evaluates the kernel y at its left node, so y on [0, T] is recorded too
-    (apply at node j reads only nodes <= j: the bits of `y_kernel`).
-    `prefix`, a solution of the same problem on a grid with the same r and
-    n_delay and no more steps, is continued from its last node rather than
-    solved again: every node is the bits of a fresh solve.
+    delay ODE integrated by trapezoidal (Heun) steps, whose predictors
+    record the kernel y on [0, T] with the bits of `DelayStencil.path` over
+    the solution (apply at node j reads only nodes <= j).  `prefix`, a
+    solution of the same problem on a grid with the same r and n_delay and
+    no more steps, is continued from its last node rather than solved
+    again: every node is the bits of a fresh solve.
 
     An atom-only stencil whose lag L is at least `CHUNK_FLOOR` advances L
     steps at a time: the predictor is never read, the stencil sums of the
     chunk come from `DelayStencil.apply_span`, and the nodes are
     x[j] + ((0.5*dt)*theta)*(f_right + f_left) accumulated by `np.cumsum`,
-    the sequential additions of the step loop.  Any other atom-only stencil
-    steps on Python floats through memoryviews of x and y.  Both give the
-    bits of the step loop over numpy arrays, which a density keeps."""
+    the sequential additions of the step loop.  Every other stencil steps
+    on Python floats read through memoryviews of x and y (no copy), which
+    skips boxing numpy scalars and keeps the bits of a loop over arrays."""
     if not math.isfinite(theta):
         raise KernelError(f"theta must be finite, got {theta}")
-    nd, ns = grid.n_delay, grid.n_steps
-    dt = grid.dt
+    nd, ns, dt = grid.n_delay, grid.n_steps, grid.dt
     x = np.zeros(nd + ns + 1)
     y = np.empty(ns + 1)
     x[nd] = 1.0
@@ -248,7 +246,7 @@ def solve_fundamental(theta: float, a: SignedMeasure, grid: Grid, prefix: Kernel
         if (prefix.grid.r, prefix.grid.n_delay) != (grid.r, nd) or k0 > ns:
             raise KernelError("prefix must be a shorter solve on the same delay grid")
         x[: nd + k0 + 1] = prefix.x0_values
-        y[:k0] = y_kernel(theta, a, prefix)[:k0]
+        y[:k0] = prefix.y_values[:k0]
     st = DelayStencil(a, grid)
     # the products each step evaluates first, in theta's precision, then
     # widened as a step widens them against its float64 stencil sums
@@ -261,7 +259,7 @@ def solve_fundamental(theta: float, a: SignedMeasure, grid: Grid, prefix: Kernel
             inc[0] += x[j]
             np.cumsum(inc, out=x[j + 1 : j + 1 + m])
     else:
-        X, Y = (x, y) if st.has_density else (memoryview(x), memoryview(y))
+        X, Y = memoryview(x), memoryview(y)
         for k in range(k0, ns):
             j = nd + k
             Y[k] = f_right = st.apply(X, j, start=nd)
@@ -274,12 +272,7 @@ def solve_fundamental(theta: float, a: SignedMeasure, grid: Grid, prefix: Kernel
 
 def y_kernel(theta: float, a: SignedMeasure, kernel: Kernel) -> np.ndarray:
     """y(t) = integral x(t+u) a(du) on [0, T] (atom hits at the jump use the
-    actual value x(0) = 1); recorded by `solve_fundamental`, recomputed for
-    a kernel built without it."""
-    if kernel.y_values is not None:
-        return kernel.y_values
-    st = DelayStencil(a, kernel.grid)
-    kernel.y_values = st.path(kernel.x0_values, start=kernel.grid.n_delay)
+    actual value x(0) = 1), as `solve_fundamental(theta, a, grid)` records it."""
     return kernel.y_values
 
 
@@ -313,14 +306,13 @@ def fisher_limit(
     a: SignedMeasure,
     report: RegimeReport | None = None,
     n_delay: int | None = None,
-    tail_tol: float = 1e-10,
 ) -> float:
-    """J = integral over [0, inf) of y(t)^2 dt, for subcritical (v* < 0)
-    parameters: trapezoid on [0, T_cut] plus the analytic exponential tail
-    bound chosen below tail_tol."""
+    """J = integral over [0, inf) of y(t)^2 dt, for parameters in the LAN
+    band of v*: trapezoid on [0, T_cut] plus the analytic exponential tail
+    bound chosen below FISHER_TAIL_TOL."""
     if report is None:
         report = classify(theta, a)
-    if not report.v_star * a.r < -ZERO_TOL:  # the LAN band of classify
+    if not in_lan_band(report.v_star, a.r):
         raise KernelError("information diverges: v* >= 0")
     c = report.v_star / 2.0 if report.v_star != NEG_INF else -5.0 / a.r
     if n_delay is None:
@@ -334,7 +326,7 @@ def fisher_limit(
     window = ts >= 0.5 * grid.T
     C = float(np.max(np.abs(y[window]) * np.exp(-c * ts[window])))
     if C > 0.0:
-        t_cut = math.log(tail_tol * 2.0 * abs(c) / C**2) / (2.0 * c)
+        t_cut = math.log(FISHER_TAIL_TOL * 2.0 * abs(c) / C**2) / (2.0 * c)
         if t_cut > grid.T:  # carry the same solve on to t_cut
             grid = Grid(r=a.r, n_delay=n_delay, n_steps=int(math.ceil(t_cut / (a.r / n_delay))))
             kern = solve_fundamental(theta, a, grid, prefix=kern)
@@ -342,8 +334,7 @@ def fisher_limit(
         tail = C**2 * math.exp(2.0 * c * grid.T) / (2.0 * abs(c))
     else:
         tail = 0.0
-    J = float(np.trapezoid(y * y, dx=grid.dt)) + tail
-    return J
+    return float(np.trapezoid(y * y, dx=grid.dt)) + tail
 
 
 def fisher_theta0(a: SignedMeasure) -> float:
@@ -353,10 +344,8 @@ def fisher_theta0(a: SignedMeasure) -> float:
         raise KernelError("fisher_theta0 requires a([-r,0]) = 0 (otherwise theta=0 is LAQ)")
     # piecewise-polynomial tail mass: integrate its square exactly between
     # breakpoints with Gauss-Legendre of sufficient order
-    brk = {0.0, a.r}
+    brk = {0.0, a.r, *(-u for u, _ in a.atoms)}
     max_deg = 0
-    for u, _ in a.atoms:
-        brk.add(-u)
     for p in a.density_pieces:
         brk.update((-p.lo, -p.hi))
         max_deg = max(max_deg, len(p.coeffs))

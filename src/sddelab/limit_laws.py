@@ -38,12 +38,8 @@ class LimitLawError(RuntimeError):
 def _contributing(report: RegimeReport):
     if not report.contributing_roots:
         raise LimitLawError(f"regime {report.regime} has no contributing roots")
-    out = []
     m_star = int(report.m_star)
-    for rt in report.contributing_roots:
-        c = rt.P_poly[m_star]
-        out.append((complex(rt.lam), c))
-    return m_star, out
+    return m_star, [(complex(rt.lam), rt.P_poly[m_star]) for rt in report.contributing_roots]
 
 
 # ---------------------------------------------------------------------------
@@ -70,33 +66,12 @@ LAQ_ROWS = 256
 _MINUS_I_POW = (1.0, -1j, -1.0, 1j)
 
 
-def _bridge_forms(m: int, K: int):
-    """(G, N_sym, N_anti) for the K-term bridge expansion, where
-    G = int_0^1 psi psi^T and N = int_0^1 psi e'^T, psi_k(s) =
-    int_0^s (s-u)^m e_k'(u) du, e_0(s) = s and e_k(s) = sqrt(2) sin(k pi s)/(k pi).
-    G and the symmetric part N_sym of N come as diagonal plus low rank,
-    (d, [U; V]) for diag(d) + U^T V + V^T U with U and V of shape (r, K+1),
-    r <= 2m + 3; the antisymmetric part N_anti = (N - N^T)/2 comes dense.
-
-    In closed form: psi_0 = s^(m+1)/(m+1) and, with nu = k pi and
-    alpha_k = m!/(i nu)^(m+1), psi_k = T_k - poly_k with
-    T_k = sqrt(2) Re(alpha_k e^(i nu s)) and poly_k its Taylor part of degree
-    <= m.  Writing psi = T - P (1, s, .., s^(m+1)), every entry is a sum of
-    mu_p(n pi) = int_0^1 s^p e^(i n pi s) ds, with
-    mu_p = (e^(i nu) - p mu_(p-1))/(i nu) and mu_0(n pi) = 1 at n = 0, 0 at
-    even n and 2i/(n pi) at odd n.  So G = XX + Q P^T + P Q^T with
-    Q = P H/2 - C, and N = XY - P D^T, where C = int T s^p, D = int e' s^p,
-    H is the Hilbert matrix, XX = int T T^T = diag(|alpha_k|^2) (alpha_k is
-    real for every k or imaginary for every k, and the trigonometric cross
-    terms fall on odd n) and XY = int T e'^T.  XY is diag(Re alpha_k), its
-    column 0 C[:, 0] and, where j + k is odd, f_j/(j^2 - k^2) with
-    f_k = (4/pi) Re(i alpha_k) k: f = 0 for odd m and f_k = f_1 k^(-m) for
-    even m, so the symmetric part (f_j - f_k)/(2(j^2 - k^2)) is 0 for m = 0
-    and has rank m for even m >= 2."""
+def _bridge_parts(m: int, K: int):
+    """k = 1, .., K, alpha_k, f_k and the coefficient matrices P, C, D of
+    the closed forms of `_bridge_forms` and `_bridge_anti`."""
     k = np.arange(1, K + 1, dtype=float)
     nu = np.pi * k
-    amp = math.factorial(m) / nu ** (m + 1)
-    alpha = amp * _MINUS_I_POW[(m + 1) % 4]
+    alpha = math.factorial(m) / nu ** (m + 1) * _MINUS_I_POW[(m + 1) % 4]
     sign = np.where(k % 2, -1.0, 1.0)  # e^(i nu)
     mu = np.empty((K, m + 2), dtype=complex)
     mu[:, 0] = (sign - 1.0) / (1j * nu)
@@ -114,17 +89,43 @@ def _bridge_forms(m: int, K: int):
     D = np.empty((K + 1, m + 2))
     D[0] = 1.0 / np.arange(1, m + 3)
     D[1:] = r2 * mu.real
+    f = (4.0 / np.pi) * (1j * alpha).real * k
+    return k, alpha, f, P, C, D
+
+
+def _bridge_forms(m: int, K: int):
+    """(G, N_sym) for the K-term bridge expansion, where
+    G = int_0^1 psi psi^T and N = int_0^1 psi e'^T, psi_k(s) =
+    int_0^s (s-u)^m e_k'(u) du, e_0(s) = s and e_k(s) = sqrt(2) sin(k pi s)/(k pi).
+    G and the symmetric part N_sym of N come as diagonal plus low rank,
+    (d, [U; V]) for diag(d) + U^T V + V^T U with U and V of shape (r, K+1),
+    r <= 2m + 3; `_bridge_anti` gives the antisymmetric part.
+
+    In closed form: psi_0 = s^(m+1)/(m+1) and, with nu = k pi and
+    alpha_k = m!/(i nu)^(m+1), psi_k = T_k - poly_k with
+    T_k = sqrt(2) Re(alpha_k e^(i nu s)) and poly_k its Taylor part of degree
+    <= m.  Writing psi = T - P (1, s, .., s^(m+1)), every entry is a sum of
+    mu_p(n pi) = int_0^1 s^p e^(i n pi s) ds, with
+    mu_p = (e^(i nu) - p mu_(p-1))/(i nu) and mu_0(n pi) = 1 at n = 0, 0 at
+    even n and 2i/(n pi) at odd n.  So G = XX + Q P^T + P Q^T with
+    Q = P H/2 - C, and N = XY - P D^T, where C = int T s^p, D = int e' s^p,
+    H is the Hilbert matrix, XX = int T T^T = diag(|alpha_k|^2) (alpha_k is
+    real for every k or imaginary for every k, and the trigonometric cross
+    terms fall on odd n) and XY = int T e'^T.  XY is diag(Re alpha_k), its
+    column 0 C[:, 0] and, where j + k is odd, f_j/(j^2 - k^2) with
+    f_k = (4/pi) Re(i alpha_k) k: f = 0 for odd m and f_k = f_1 k^(-m) for
+    even m, so the symmetric part (f_j - f_k)/(2(j^2 - k^2)) is 0 for m = 0
+    and has rank m for even m >= 2."""
+    k, alpha, f, P, C, D = _bridge_parts(m, K)
     H = 1.0 / (np.arange(m + 2)[:, None] + np.arange(m + 2) + 1.0)
 
     # low-rank factors as C-order rows [U; V] of shape (2r, K+1)
-    G = (np.concatenate(([0.0], amp**2)), np.ascontiguousarray(np.hstack((P @ H / 2.0 - C, P)).T))
+    G = (np.concatenate(([0.0], np.abs(alpha) ** 2)), np.ascontiguousarray(np.hstack((P @ H / 2.0 - C, P)).T))
 
     # N_sym - diag(Re alpha): the column-0 term, -P D^T and, for even m,
     # (f_j - f_k)/(2(x_j - x_k)) = -(f_1/2) sum_{i<m/2} x_j^(i-m/2) x_k^(-1-i)
     # on the odd j + k, x = k^2, split as (even j, odd k) + (odd j, even k)
-    f = (4.0 / np.pi) * (1j * alpha).real * k
-    e0 = np.zeros((1, K + 1))
-    e0[0, 0] = 1.0
+    e0 = np.eye(1, K + 1)
     us, vs = [C[:, :1].T / 2.0, -P.T / 2.0], [e0, D.T]
     if m % 2 == 0:
         x = k * k
@@ -135,21 +136,24 @@ def _bridge_forms(m: int, K: int):
             xv = np.concatenate(([0.0], x ** (-1.0 - i)))
             us.append(np.vstack((xu * even, xu * odd)))
             vs.append(np.vstack((xv * odd, xv * even)))
-    N_sym = (np.concatenate(([0.0], alpha.real)), np.ascontiguousarray(np.vstack(us + vs)))
+    return G, (np.concatenate(([0.0], alpha.real)), np.ascontiguousarray(np.vstack(us + vs)))
 
-    # N_anti: the antisymmetric part of the column-0 term and of -P D^T as
-    # one product of rank 2m + 6, plus (f_j + f_k)/(2(x_j - x_k)) on the odd
-    # j + k, which is w - w^T for w_jk = f_j/(2(x_j - x_k)) (0 for odd m)
-    L = np.hstack((C[:, :1], e0.T, P, D)) / 2.0
-    R = np.hstack((e0.T, -C[:, :1], -D, P))
-    N_anti = L @ R.T
+
+def _bridge_anti(m: int, K: int) -> np.ndarray:
+    """N_anti = (N - N^T)/2 of `_bridge_forms`, dense: the antisymmetric
+    part of the column-0 term and of -P D^T as one product of rank 2m + 6,
+    plus (f_j + f_k)/(2(x_j - x_k)) on the odd j + k, which is w - w^T for
+    w_jk = f_j/(2(x_j - x_k)) (0 for odd m).  Only a complex Z reads it."""
+    k, _, f, P, C, D = _bridge_parts(m, K)
+    e0 = np.eye(K + 1, 1)
+    N_anti = np.hstack((C[:, :1], e0, P, D)) / 2.0 @ np.hstack((e0, -C[:, :1], -D, P)).T
     if m % 2 == 0:
         w = (k * k)[:, None] - k * k
         w[::2, ::2] = w[1::2, 1::2] = np.inf  # same parity
         np.divide(f[:, None] / 2.0, w, out=w)
         N_anti[1:, 1:] += w
         N_anti[1:, 1:] -= w.T
-    return G, N_sym, N_anti
+    return N_anti
 
 
 def _quadratic(g: np.ndarray, gg: np.ndarray, form) -> np.ndarray:
@@ -169,23 +173,23 @@ def _trace(form) -> float:
     return float(np.sum(d) + 2.0 * np.einsum("rj,rj->", UV[:r], UV[r:]))
 
 
-def _bridge_pair(g: np.ndarray, m: int, forms) -> tuple[np.ndarray, np.ndarray]:
+def _bridge_pair(g: np.ndarray, m: int, forms, anti=None) -> tuple[np.ndarray, np.ndarray]:
     """(int_0^1 Z_m dconj(Z) as an Ito integral, int_0^1 |Z_m|^2 ds) for rows
     of bridge coefficients xi, from their real normals: g of shape (n, K+1)
     is xi of a real Z, and g = (g0, g1) of shape (2, n, K+1) gives
     xi = (g0 + i g1)/sqrt(2) of a complex Z.  forms = _bridge_forms(m, K).
     A real g sees only G and N_sym, so it needs no product of size K+1;
     xi N conj(xi) = (g0 N_sym g0 + g1 N_sym g1)/2 + i g1 N_anti g0 adds one
-    real product g1 @ N_anti for a complex Z.  Subtracting tr N centres the
-    delta (the expansion's own integral is Stratonovich), and
-    1/((2m+1)(2m+2)) - tr G is the mean of the information's truncated
-    tail."""
-    G, N_sym, N_anti = forms
+    real product g1 @ N_anti for a complex Z, with anti = _bridge_anti(m, K).
+    Subtracting tr N centres the delta (the expansion's own integral is
+    Stratonovich), and 1/((2m+1)(2m+2)) - tr G is the mean of the
+    information's truncated tail."""
+    G, N_sym = forms
     gg = g * g
     quad = _quadratic(g, gg, N_sym)
     energy = _quadratic(g, gg, G)
     if g.ndim == 3:
-        cross = np.einsum("ij,ij->i", g[1] @ N_anti, g[0])
+        cross = np.einsum("ij,ij->i", g[1] @ anti, g[0])
         quad = (quad[0] + quad[1]) / 2.0 + 1j * cross
         energy = (energy[0] + energy[1]) / 2.0
     return quad - _trace(N_sym), energy + 1.0 / ((2 * m + 1) * (2 * m + 2)) - _trace(G)
@@ -214,15 +218,17 @@ def sample_laq_many(
     if report.regime != "LAQ":
         raise LimitLawError(f"sample_laq_many needs an LAQ report, got {report.regime}")
     m_star, roots = _contributing(report)
+    phis = sorted({round(abs(lam.imag), 12) for lam, _ in roots})
     forms = _bridge_forms(m_star, LAQ_TERMS)
+    anti = _bridge_anti(m_star, LAQ_TERMS) if phis[-1] > ZERO_TOL else None
     delta = np.zeros(n, dtype=complex)
     info = np.zeros(n)
-    for phi in sorted({round(abs(lam.imag), 12) for lam, _ in roots}):
+    for phi in phis:
         ito = np.empty(n, dtype=complex if phi > ZERO_TOL else float)
         energy = np.empty(n)
         for lo, hi in _row_blocks(n):
             shape = (hi - lo, LAQ_TERMS + 1) if phi <= ZERO_TOL else (2, hi - lo, LAQ_TERMS + 1)
-            ito[lo:hi], energy[lo:hi] = _bridge_pair(rng.standard_normal(shape), m_star, forms)
+            ito[lo:hi], energy[lo:hi] = _bridge_pair(rng.standard_normal(shape), m_star, forms, anti)
         for lam, c in roots:
             if round(abs(lam.imag), 12) != phi:
                 continue
@@ -245,8 +251,7 @@ def _initial_mix(theta: float, a: SignedMeasure, x0: InitialPath, lam: complex) 
     """theta * integral over a(du) of integral_u^0 e^(-lam (s-u)) X0(s) ds."""
     if theta == 0.0 or x0.kind == "zero":
         return 0.0 + 0.0j
-    m = 4097
-    s = np.linspace(-a.r, 0.0, m)
+    s = np.linspace(-a.r, 0.0, 4097)
     x0v = x0.eval(s, a.r)
     integrand = np.exp(-lam * s) * x0v
     G = np.concatenate([[0.0 + 0.0j], np.cumsum(np.diff(s) * (integrand[1:] + integrand[:-1]) / 2.0)])

@@ -7,29 +7,27 @@ Brownian increments come from a counter-based generator (Philox) keyed by a
 hash so replicates are reproducible and order-independent.
 
 One time-major stepper advances a batch of paths together: node i of the
-state is the row X[i] of replicates, and the delay functional is the one
-`kernels.DelayStencil`, applied at a node of that buffer (a simulated path
-begins at node 0, since its initial segment is continuous).  Row j + 1
+state is the row X[i] of replicates, read by the one `kernels.DelayStencil`
+(a path begins at node 0, its initial segment being continuous).  Row j + 1
 holds the increment dW before step j adds X(t_j) + theta dt Y(t_j) to it.
-`_tile` advances TILE steps at a time, and both simulators call it: its
-step loop keeps only the Euler recurrence, with the atoms added straight
-into the row of Y, and a density's window sum over the nodes known at the
-tile's start is one matrix product per tile (the method of steps), so with
-a density the numbers also depend, to rounding, on the tile split.
-`simulate_batch` steps a buffer covering [-r, T] and returns row-major
-(W, X, Y).  `simulate_sums` keeps only a window of n_delay + 1 + BLOCK nodes
-whose last n_delay + 1 rows slide to the front after each block, and a tile
-scratch of (TILE + 1) * 3 * n floats for n replicates (plus TILE *
+Both simulators advance TILE steps at a time by `_tile`, whose loop keeps
+only the Euler recurrence with the atoms added straight into the row of Y;
+a density's window sum over the nodes known at the tile's start is one
+matrix product per tile (the method of steps), so with a density the
+numbers also depend, to rounding, on the tile split.  `simulate_batch`
+steps a buffer covering [-r, T] and returns row-major (W, X, Y), W being
+the cumulative sum of the increments.  `simulate_sums` keeps a window of
+n_delay + 1 + BLOCK nodes whose last n_delay + 1 slide to the front after
+each block, plus (TILE + 1) * 3 * n floats of tile scratch (and TILE *
 (n_delay + 1) tile weights with a density), and returns running sums of
-Y dX, Y^2 and Y, so its memory grows with n_delay and not with the number
-of steps.  `increment_blocks` draws each block's increments (the same
-numbers as `brownian_increments`) straight into the window rows they will
-update, on every core: each replicate owns its Philox stream, so the split
-of the replicates across threads changes no number.  Every sum is
-accumulated element by element in step order by one tile reduction,
-`_add_tile`, which `path_sums` also feeds with the rows of finished paths,
-so for atom-only measures a replicate's numbers do not depend on the batch
-it is simulated in nor on the route to its statistics.
+Y dX, Y^2 and Y: its memory grows with n_delay and not with n_steps.  Both
+draw through `increment_blocks`, straight into the buffer rows the
+increments will update, on every core; each replicate owns its Philox
+stream, so the split of the replicates across threads changes no number.
+One tile reduction, `_add_tile`, accumulates every sum element by element
+in step order, and `path_sums` feeds it the rows of finished paths, so for
+atom-only measures a replicate's numbers depend neither on its batch nor
+on the route to its statistics.
 """
 
 from __future__ import annotations
@@ -234,56 +232,56 @@ def simulate_batch(
     seeds = list(seeds)
     n = len(seeds)
     nd, ns, dt = grid.n_delay, grid.n_steps, grid.dt
+    X = np.empty((nd + ns + 1, n))
+    X[: nd + 1] = x0.values_on(grid)[:, None]
     if dW is None:
-        dW = np.empty((ns, n))
-        for i, seed in enumerate(seeds):
-            dW[:, i] = brownian_increments(seed, ns, dt)
+        for _ in increment_blocks(seeds, ns, dt, X[nd + 1 :]):
+            pass
     else:
         dW = np.asarray(dW, dtype=float)
         if dW.shape != (n, ns):
             raise SimulationError(f"dW must have shape {(n, ns)}, got {dW.shape}")
-        dW = dW.T
-    X = np.empty((nd + ns + 1, n))
-    X[: nd + 1] = x0.values_on(grid)[:, None]
-    X[nd + 1 :] = dW
+        X[nd + 1 :] = dW.T
+    W = np.zeros((n, ns + 1))
+    W[:, 1:] = np.cumsum(X[nd + 1 :], axis=0).T
     Y = np.empty((ns + 1, n))
     st = DelayStencil(a, grid)
     qt, tmp = _tile_weights(st), np.empty(n)
     for k0 in range(0, ns, TILE):
         _tile(st, qt, X, nd + k0, min(TILE, ns - k0), theta * dt, Y[k0:], tmp)
     Y[ns] = st.apply(X, nd + ns)
-    W = np.zeros((n, ns + 1))
-    W[:, 1:] = np.cumsum(dW, axis=0).T
     return W, np.ascontiguousarray(X.T), np.ascontiguousarray(Y.T)
 
 
 def increment_blocks(seeds, n_steps: int, dt: float, out: np.ndarray):
     """Draw the increments brownian_increments(seed, n_steps, dt) of every
-    seed into the time-major rows of `out` (a column per seed, and at least
-    min(BLOCK, n_steps) rows), BLOCK steps at a time: yields b once out[:b]
-    holds the next b steps.  Each seed's Philox stream carries on across
-    blocks.  The seeds
-    are split into one contiguous group per draw worker; a worker draws
-    DRAW_TILE streams at a time into its own tile, one standard_normal call
-    per stream (numpy fills it without the GIL), and copies the tile into
-    its columns of `out`.  The pool lives as long as the generator."""
+    seed into the time-major rows of `out`, a column per seed, BLOCK steps
+    at a time: yields b once the b rows from row k0 % len(out) hold steps
+    k0, ..., k0 + b - 1, so `out` is a window of min(BLOCK, n_steps) rows
+    or a whole path of n_steps rows.  Each seed's Philox stream carries on
+    across blocks.  Every draw worker takes a contiguous group of seeds and
+    draws DRAW_TILE streams at a time into its own tile, one standard_normal
+    call per stream (numpy fills it without the GIL), then copies the tile
+    into its columns of `out`.  The pool lives as long as the generator."""
     gens = [np.random.Generator(np.random.Philox(key=seed)) for seed in seeds]
     sqrt_dt = math.sqrt(dt)
     n_workers = max(1, min(_draw_workers(), len(gens)))
     bounds = [len(gens) * i // n_workers for i in range(n_workers + 1)]
-    tiles = [np.empty((DRAW_TILE, min(BLOCK, n_steps))) for _ in range(n_workers)]
+    tiles = [np.empty((min(DRAW_TILE, hi - lo), min(BLOCK, n_steps))) for lo, hi in zip(bounds, bounds[1:])]
 
-    def draw(lo, hi, tile, b):
+    def draw(lo, hi, tile, rows):
+        b = len(rows)
         for t0 in range(lo, hi, DRAW_TILE):
             t1 = min(t0 + DRAW_TILE, hi)
             for gen, row in zip(gens[t0:t1], tile):
                 gen.standard_normal(out=row[:b])
-            np.multiply(tile[: t1 - t0, :b].T, sqrt_dt, out=out[:b, t0:t1])
+            np.multiply(tile[: t1 - t0, :b].T, sqrt_dt, out=rows[:, t0:t1])
 
     with ThreadPoolExecutor(n_workers) as pool:
         for k0 in range(0, n_steps, BLOCK):
             b = min(BLOCK, n_steps - k0)
-            tasks = [pool.submit(draw, lo, hi, tile, b) for lo, hi, tile in zip(bounds, bounds[1:], tiles)]
+            rows = out[k0 % len(out) :][:b]
+            tasks = [pool.submit(draw, lo, hi, tile, rows) for lo, hi, tile in zip(bounds, bounds[1:], tiles)]
             for task in tasks:
                 task.result()
             yield b
@@ -309,8 +307,7 @@ def simulate_sums(theta: float, a: SignedMeasure, x0: InitialPath, grid: Grid, s
             _tile(st, qt, buf, j0, m, theta_dt, terms[1 : m + 1, 2], tmp)
             _add_tile(terms, sums, buf[j0 : j0 + m + 1])
         buf[: nd + 1] = buf[b : b + nd + 1]
-    y_end = np.empty(n)
-    y_end[:] = st.apply(buf, nd)
+    y_end = st.apply(buf, nd, out=np.zeros(n))
     return RunningSums(y_dx=sums[0], y_y=sums[1], y=sums[2], y_end=y_end)
 
 

@@ -537,6 +537,11 @@ def real_gcd(H, tol: float = 1e-8) -> float | None:
 # regime classification
 
 
+def in_lan_band(v_star: float, r: float) -> bool:
+    """The LAN band of `classify`: v* r < -ZERO_TOL, v* = -inf included."""
+    return v_star == NEG_INF or v_star * r < -ZERO_TOL
+
+
 def classify(
     theta: float,
     a: SignedMeasure,
@@ -584,7 +589,7 @@ def classify(
 
     H = sorted(rt.lam.imag for rt in contributing if rt.lam.imag > ZERO_TOL)
     D = None
-    if v_star == NEG_INF or v_star * a.r < -ZERO_TOL:
+    if in_lan_band(v_star, a.r):
         regime = "LAN"
     elif abs(v_star) * a.r <= ZERO_TOL:
         regime = "LAQ"

@@ -8,7 +8,6 @@ import pytest
 from sddelab.kernels import (
     DelayStencil,
     Grid,
-    Kernel,
     KernelError,
     fisher_limit,
     fisher_theta0,
@@ -25,6 +24,10 @@ DM1 = SignedMeasure.point_masses(1.0, (-1.0, 1.0))
 BAL = SignedMeasure.point_masses(1.0, (0.0, 1.0), (-1.0, -1.0))
 OFF_GRID_DELAY = SignedMeasure.point_masses(1.0, (-0.3737, 1.0))
 TWO_DELAYS = SignedMeasure.point_masses(2.0, (-2.0, 1.0), (-0.7531, -0.5))
+MC_DENSITY = SignedMeasure.from_dict(
+    {"r": 1.0, "atoms": [{"u": 0.0, "w": 1.0}], "density": [{"lo": -1.0, "hi": 0.0, "coeffs": [1.0, 1.0]}]}
+)
+INTERIOR_DENSITY = SignedMeasure.from_dict({"r": 1.0, "density": [{"lo": -0.7, "hi": -0.2, "coeffs": [0.5, -1.25]}]})
 
 
 def sin_measure(n=4097):
@@ -358,10 +361,10 @@ def test_kernel_polynomial_expansion_matches_solver(theta, a):
 
 
 def test_recorded_kernel_y_matches_y_kernel():
-    # solve_fundamental records y from its predictor's stencil sums; y_kernel
-    # recomputes it over the finished path: the same bits (apply at node j
-    # reads only nodes <= j), for atoms on and off the grid, at the jump, and
-    # a density
+    # solve_fundamental records y from its predictor's stencil sums, which
+    # y_kernel returns; the stencil over the finished path gives the same
+    # bits (apply at node j reads only nodes <= j), for atoms on and off the
+    # grid, at the jump, and a density
     off_grid = SignedMeasure.point_masses(1.0, (-0.3737, 0.8), (0.0, -0.3))
     dens = SignedMeasure.from_dict(
         {"r": 1.0, "atoms": [{"u": -1.0, "w": 0.5}], "density": [{"lo": -0.7, "hi": -0.2, "coeffs": [0.5, -1.25]}]}
@@ -376,8 +379,8 @@ def test_recorded_kernel_y_matches_y_kernel():
     ]
     for theta, a, g in cases:
         kern = solve_fundamental(theta, a, g)
-        fresh = Kernel(grid=g, x0_values=kern.x0_values)
-        np.testing.assert_array_equal(kern.y_values, y_kernel(theta, a, fresh))
+        want = DelayStencil(a, g).path(kern.x0_values, start=g.n_delay)
+        np.testing.assert_array_equal(y_kernel(theta, a, kern), want)
 
 
 def test_continued_fundamental_matches_fresh_solve():
@@ -426,6 +429,9 @@ def _heun_reference(theta, a, grid):
         (-0.6, TWO_DELAYS, 50, 1500),
         (np.float32(-0.7), BAL, 50, 500),  # theta's own precision in dt*theta
         (np.float32(-0.7), DM1, 50, 500),
+        (-0.5, MC_DENSITY, 100, 2000),  # a lag-0 atom and a density over the whole window
+        (-0.8, INTERIOR_DENSITY, 40, 1200),  # a density alone, on panels inside the window
+        (1.1, INTERIOR_DENSITY, 40, 300),
     ],
 )
 def test_fundamental_matches_reference_heun_loop(theta, a, n_delay, n_steps):

@@ -16,6 +16,7 @@ from sddelab.limit_laws import (
     LAQ_ROWS,
     LAQ_TERMS,
     LimitLawError,
+    _bridge_anti,
     _bridge_forms,
     _bridge_pair,
     _initial_mix,
@@ -144,8 +145,8 @@ def test_laq_truncation_refinement_coupled():
             g = rng_(6).standard_normal((2, 2000, 257))
             g = g if complex_z else g[0]  # (g0, g1): xi = (g0 + i g1)/sqrt(2)
             for K in (32, 64, 128):
-                d_k, i_k = _bridge_pair(g[..., : K + 1], m, _bridge_forms(m, K))
-                d_2k, i_2k = _bridge_pair(g[..., : 2 * K + 1], m, _bridge_forms(m, 2 * K))
+                d_k, i_k = _bridge_pair(g[..., : K + 1], m, _bridge_forms(m, K), _bridge_anti(m, K))
+                d_2k, i_2k = _bridge_pair(g[..., : 2 * K + 1], m, _bridge_forms(m, 2 * K), _bridge_anti(m, 2 * K))
                 assert float(np.mean(np.abs(d_k - d_2k) ** 2)) <= 0.1 / K, (m, complex_z, K)
                 assert float(np.mean((i_k - i_2k) ** 2)) <= 0.1 / K, (m, complex_z, K)
 
@@ -171,7 +172,8 @@ def quadrature_forms(m, K):
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_bridge_forms_match_quadrature(m, K):
     G_ref, N_ref = quadrature_forms(m, K)
-    G, N_sym, N_anti = _bridge_forms(m, K)
+    G, N_sym = _bridge_forms(m, K)
+    N_anti = _bridge_anti(m, K)
 
     def dense(form):
         d, UV = form
@@ -189,7 +191,7 @@ def test_laq_ito_formula_at_m_zero():
     g = rng_(31).standard_normal((2, 500, LAQ_TERMS + 1))
     ito, _ = _bridge_pair(g[0], 0, NG)
     np.testing.assert_allclose(ito, (g[0, :, 0] ** 2 - 1.0) / 2.0, rtol=0.0, atol=1e-13)
-    ito, _ = _bridge_pair(g, 0, NG)
+    ito, _ = _bridge_pair(g, 0, NG, _bridge_anti(0, LAQ_TERMS))
     np.testing.assert_allclose(ito.real, ((g[0, :, 0] ** 2 + g[1, :, 0] ** 2) / 2.0 - 1.0) / 2.0, rtol=0.0, atol=1e-13)
 
 

@@ -129,6 +129,11 @@ def test_increment_blocks_match_brownian_increments(monkeypatch):
             assert [len(b) for b in blocks[:-1]] == [BLOCK] * (len(blocks) - 1)
             want = np.stack([brownian_increments(s, n_steps, 0.01) for s in seeds], axis=1)
             np.testing.assert_array_equal(np.concatenate(blocks), want)
+            # n_steps rows: each block lands at its own rows, the whole path
+            path = np.full((n_steps, len(seeds)), np.nan)
+            for _ in increment_blocks(seeds, n_steps, 0.01, path):
+                pass
+            np.testing.assert_array_equal(path, want)
 
 
 def _step_order_sums(X, Y, n_delay):
