@@ -91,6 +91,9 @@ class ExperimentConfig:
         distributional = {"ks_delta", "ks_info", "normal_delta"} & set(self.tests)
         if distributional and self.n_replicates < 100:
             raise HarnessError("distributional tests need n_replicates >= 100")
+        two_sample = sorted({"ks_delta", "ks_info"} & set(self.tests))
+        if two_sample and self.n_limit_draws < 1:
+            raise HarnessError(f"two-sample tests {', '.join(two_sample)} need n_limit_draws >= 1")
 
     @staticmethod
     def from_dict(d: dict, base_dir: str | None = None) -> "ExperimentConfig":

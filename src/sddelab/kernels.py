@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import SignedMeasure, _poly_defint, has_zero_mass, tail_mass
+from .measures import SignedMeasure, _leggauss_cached, _poly_defint, has_zero_mass, tail_mass
 from .spectrum import NEG_INF, RegimeReport, classify, in_lan_band
 
 ATOM_SNAP = 1e-12
@@ -350,7 +350,7 @@ def fisher_theta0(a: SignedMeasure) -> float:
         brk.update((-p.lo, -p.hi))
         max_deg = max(max_deg, len(p.coeffs))
     pts = sorted(b for b in brk if -1e-12 <= b <= a.r + 1e-12)
-    nodes, weights = np.polynomial.legendre.leggauss(max_deg + 2)
+    nodes, weights = _leggauss_cached(max_deg + 2)
     total = 0.0
     for lo, hi in zip(pts, pts[1:]):
         if hi - lo < 1e-15:

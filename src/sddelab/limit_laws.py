@@ -249,7 +249,7 @@ def sample_laq_many(
 
 def _initial_mix(theta: float, a: SignedMeasure, x0: InitialPath, lam: complex) -> complex:
     """theta * integral over a(du) of integral_u^0 e^(-lam (s-u)) X0(s) ds."""
-    if theta == 0.0 or x0.kind == "zero":
+    if theta == 0.0 or not any(x0.values):
         return 0.0 + 0.0j
     s = np.linspace(-a.r, 0.0, 4097)
     x0v = x0.eval(s, a.r)

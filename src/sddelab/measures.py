@@ -27,6 +27,9 @@ MIN_SAMPLED_GRID = 33
 FIT_DEGREE = 20
 FIT_RTOL = 1e-12
 
+# Highest moment order M_j (and so derivative order of h) that is supported.
+MAX_MOMENT_ORDER = 24
+
 
 class MeasureError(ValueError):
     """Invalid measure descriptor or out-of-domain argument."""
@@ -60,12 +63,16 @@ class SignedMeasure:
                 raise MeasureError(f"atom location {u} outside [-r, 0]")
             if w == 0.0:
                 raise MeasureError("atom weights must be nonzero")
+            if not math.isfinite(w):
+                raise MeasureError(f"atom at u = {u} has a non-finite weight {w}")
         pieces = sorted(self.density_pieces, key=lambda p: p.lo)
         for p in pieces:
             if not (p.lo < p.hi):
                 raise MeasureError(f"degenerate density piece [{p.lo}, {p.hi}]")
             if not (-self.r - 1e-12 <= p.lo and p.hi <= 1e-12):
                 raise MeasureError(f"density piece [{p.lo}, {p.hi}] outside [-r, 0]")
+            if not (p.coeffs and all(math.isfinite(c) for c in p.coeffs)):
+                raise MeasureError(f"density piece [{p.lo}, {p.hi}] needs finite coefficients, got {list(p.coeffs)}")
         for left, right in zip(pieces, pieces[1:]):
             if right.lo < left.hi - 1e-12:
                 raise MeasureError("density pieces must have disjoint interiors")
@@ -204,7 +211,9 @@ def _fit_samples(r: float, values) -> tuple[DensityPiece, ...]:
 # factor k / (|lam| max|u|) stays <= 1/2.  Small |lam| uses the Taylor series
 # in lam (no 1/lam anywhere); the middle band uses Gauss-Legendre quadrature
 # of one order per call, the one its largest |lam| needs, rounded up to a
-# multiple of 16 (at most 400 nodes).
+# multiple of 16 (at most 400 nodes), from `_leggauss_cached`, the package's
+# one source of Gauss-Legendre rules.  `exp_moments` is their one consumer:
+# a piece with coefficients c gives M_j as c . (I_j, ..., I_{j+deg}).
 
 
 def _ik_series(lam, kmax: int, lo: float, hi: float) -> np.ndarray:
@@ -273,18 +282,6 @@ def _exp_kernel_moments(lam, kmax: int, lo: float, hi: float) -> np.ndarray:
     return out.reshape((kmax + 1,) + lam.shape)
 
 
-def _density_moments(a: SignedMeasure, lams: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
-    """Density part of M_j at every lambda for each j in orders, stacked
-    along a leading axis (one kernel evaluation per piece serves all j)."""
-    out = np.zeros((len(orders),) + lams.shape, dtype=complex)
-    for p in a.density_pieces:
-        c = np.asarray(p.coeffs)
-        iks = _exp_kernel_moments(lams, max(orders) + c.size - 1, p.lo, p.hi)
-        for row, j in enumerate(orders):
-            out[row] += np.tensordot(c, iks[j : j + c.size], axes=1)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -316,34 +313,38 @@ def has_zero_mass(a: SignedMeasure) -> bool:
     return abs(tail_mass(a, a.r)) <= 1e-12 * total_variation(a)
 
 
-def exp_moment(a: SignedMeasure, lam: complex, j: int = 0) -> complex:
-    """M_j(lambda) = integral of u^j e^(lambda u) a(du)."""
-    if j < 0 or j > 16 + 8:
-        raise MeasureError(f"moment order {j} out of supported range")
-    lam = complex(lam)
-    total = 0.0 + 0.0j
+def exp_moments(a: SignedMeasure, lams, orders: tuple[int, ...]) -> list:
+    """M_j(lambda) = integral of u^j e^(lambda u) a(du) for each j in orders,
+    at a number (scalar arithmetic) or at every element of an array.  The
+    atoms share one exponential per atom, the density pieces one kernel
+    evaluation per piece, and the density sum is added to the atom sum last."""
+    if not 0 <= min(orders) <= max(orders) <= MAX_MOMENT_ORDER:
+        raise MeasureError(f"moment orders {orders} out of supported range")
+    out = [0j] * len(orders)
     for u, w in a.atoms:
-        total += w * (u**j if j else 1.0) * np.exp(lam * u)
+        e = np.exp(lams * u)
+        for row, j in enumerate(orders):
+            out[row] += w * u**j * e
     if a.density_pieces:
-        total += _density_moments(a, np.asarray(lam), (j,))[0]
-    return complex(total)
+        dens = np.zeros((len(orders),) + np.shape(lams), dtype=complex)
+        for p in a.density_pieces:
+            c = np.asarray(p.coeffs)
+            iks = _exp_kernel_moments(lams, max(orders) + c.size - 1, p.lo, p.hi)
+            for row, j in enumerate(orders):
+                dens[row] += np.tensordot(c, iks[j : j + c.size], axes=1)
+        out = [m + d for m, d in zip(out, dens)]
+    return out
+
+
+def exp_moment(a: SignedMeasure, lam: complex, j: int = 0) -> complex:
+    """M_j(lambda) at one lambda."""
+    return complex(exp_moments(a, complex(lam), (j,))[0])
 
 
 def exp_moments_01_many(a: SignedMeasure, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(M_0, M_1) over an array of lambda values, sharing the exponential
-    evaluations (hot path of the contour winding counts)."""
-    lams = np.asarray(lams, dtype=complex)
-    m0 = np.zeros(lams.shape, dtype=complex)
-    m1 = np.zeros(lams.shape, dtype=complex)
-    for u, w in a.atoms:
-        e = w * np.exp(lams * u)
-        m0 += e
-        m1 += u * e
-    if a.density_pieces:
-        d0, d1 = _density_moments(a, lams, (0, 1))
-        m0 += d0
-        m1 += d1
-    return m0, m1
+    """(M_0, M_1) over an array of lambda values (hot path of the contour
+    winding counts)."""
+    return tuple(exp_moments(a, np.asarray(lams, dtype=complex), (0, 1)))
 
 
 def density_on_grid(a: SignedMeasure, grid: np.ndarray) -> np.ndarray:

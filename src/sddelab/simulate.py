@@ -49,46 +49,39 @@ class SimulationError(ValueError):
 
 @dataclass(frozen=True)
 class InitialPath:
-    """Deterministic continuous initial segment on [-r, 0]."""
+    """Deterministic continuous initial segment on [-r, 0], linear between
+    `values` at equally spaced times from -r to 0: one value is a constant
+    path (JSON kind constant), (0.0,) the zero path (kind zero)."""
 
-    kind: str  # "zero" | "constant" | "sampled"
-    value: float = 0.0
-    values: tuple[float, ...] = ()
+    values: tuple[float, ...] = (0.0,)
 
     def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise SimulationError(f"initial path value must be finite, got {self.value}")
         bad = [i for i, v in enumerate(self.values) if not math.isfinite(v)]
+        if bad and len(self.values) == 1:
+            raise SimulationError(f"initial path value must be finite, got {self.values[0]}")
         if bad:
             raise SimulationError(f"initial path values must be finite, got values[{bad[0]}] = {self.values[bad[0]]}")
 
     @staticmethod
     def zero() -> "InitialPath":
-        return InitialPath(kind="zero")
+        return InitialPath()
 
     @staticmethod
     def constant(c: float) -> "InitialPath":
-        return InitialPath(kind="constant", value=float(c))
+        return InitialPath((float(c),))
 
     @staticmethod
     def sampled(values) -> "InitialPath":
         vals = tuple(float(v) for v in values)
         if len(vals) < 2:
             raise SimulationError("sampled initial path needs >= 2 values")
-        return InitialPath(kind="sampled", values=vals)
+        return InitialPath(vals)
 
     def eval(self, s: np.ndarray, r: float) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        if self.kind == "zero":
-            return np.zeros(s.shape)
-        if self.kind == "constant":
-            return np.full(s.shape, self.value)
-        own = np.linspace(-r, 0.0, len(self.values))
-        return np.interp(s, own, np.asarray(self.values))
+        return np.interp(s, np.linspace(-r, 0.0, len(self.values)), self.values)
 
     def values_on(self, grid: Grid) -> np.ndarray:
-        s = -grid.r + grid.dt * np.arange(grid.n_delay + 1)
-        return self.eval(s, grid.r)
+        return self.eval(-grid.r + grid.dt * np.arange(grid.n_delay + 1), grid.r)
 
     @staticmethod
     def from_dict(d) -> "InitialPath":
@@ -106,10 +99,10 @@ class InitialPath:
         raise SimulationError(f"unknown initial path kind {kind!r}")
 
     def to_dict(self) -> dict:
-        if self.kind == "sampled":
+        if len(self.values) > 1:
             return {"kind": "sampled", "values": list(self.values)}
-        if self.kind == "constant":
-            return {"kind": "constant", "value": self.value}
+        if any(self.values):
+            return {"kind": "constant", "value": self.values[0]}
         return {"kind": "zero"}
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .measures import (
+    MAX_MOMENT_ORDER,
     SignedMeasure,
     exp_moment,
     exp_moments_01_many,
@@ -139,18 +140,17 @@ class RegimeReport:
 
 def char_value(theta: float, a: SignedMeasure, lam: complex) -> complex:
     """h(lambda) = lambda - theta * integral e^(lambda u) a(du)."""
-    if theta == 0.0:
-        return complex(lam)
-    return complex(lam) - theta * exp_moment(a, lam, 0)
+    return char_derivative(theta, a, lam, 0)
 
 
 def char_derivative(theta: float, a: SignedMeasure, lam: complex, k: int) -> complex:
-    """k-th derivative of h at lambda (k >= 1)."""
-    if not 1 <= k <= 24:
+    """k-th derivative of h at lambda, h itself for k = 0."""
+    if not 0 <= k <= MAX_MOMENT_ORDER:
         raise SpectrumError(f"derivative order {k} unsupported")
-    if k == 1:
-        return 1.0 - theta * exp_moment(a, lam, 1) if theta else 1.0 + 0.0j
-    return -theta * exp_moment(a, lam, k) if theta else 0.0 + 0.0j
+    if k >= 2:
+        return -theta * exp_moment(a, lam, k) if theta else 0.0 + 0.0j
+    lead = complex(lam) if k == 0 else 1.0 + 0.0j
+    return lead - theta * exp_moment(a, lam, k) if theta else lead
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +164,7 @@ class _DegenerateContour(Exception):
 _MAX_CONTOUR_POINTS = 200_000
 # the most moment values one evaluation of the initial contour may hold: a
 # point costs one for the atoms and degree + 2 kernel moments per density
-# piece (measures._density_moments)
+# piece (measures.exp_moments)
 _MAX_CONTOUR_VALUES = 10 * _MAX_CONTOUR_POINTS
 
 
@@ -196,10 +196,12 @@ def _winding_count(theta: float, a: SignedMeasure, rect: tuple[float, float, flo
 
     spacing = min(0.5, 1.0 / (1.0 + a.r))
     sides = list(zip(corners, corners[1:] + corners[:1]))
-    if not all(math.isfinite(abs(z1 - z0) / spacing) for z0, z1 in sides):
+    lengths = [abs(z1 - z0) / spacing for z0, z1 in sides]
+    width = 1 + sum(len(p.coeffs) + 1 for p in a.density_pieces)
+    if not math.isfinite(sum(lengths) * width):  # the budget formats it as a float
         raise SpectrumError(f"root search contour {rect} for theta={theta} is too long to sample")
-    counts = [max(8, int(math.ceil(abs(z1 - z0) / spacing))) for z0, z1 in sides]
-    values = sum(counts) * (1 + sum(len(p.coeffs) + 1 for p in a.density_pieces))
+    counts = [max(8, math.ceil(x)) for x in lengths]
+    values = sum(counts) * width
     if values > _MAX_CONTOUR_VALUES:
         raise SpectrumError(
             f"initial contour of {sum(counts):.3g} points needs {values:.3g} moment values, "
@@ -314,16 +316,13 @@ def count_zeros(
 def _newton_polish(
     theta: float, a: SignedMeasure, z0: complex, m: int, diag: float
 ) -> complex | None:
-    """Newton on h (m = 1) or on h^(m-1) (m > 1), started at the centre z0 of
-    a box with diagonal diag; None if not converged or as soon as an iterate
+    """Newton on h^(m-1) (h itself for m = 1), started at the centre z0 of a
+    box with diagonal diag; None if not converged or as soon as an iterate
     lies farther than diag from z0 (h is never evaluated out there, where
     the exponential moments can overflow)."""
     z = complex(z0)
     for _ in range(80):
-        if m == 1:
-            g = char_value(theta, a, z)
-        else:
-            g = char_derivative(theta, a, z, m - 1)
+        g = char_derivative(theta, a, z, m - 1)
         gp = char_derivative(theta, a, z, m)
         if gp == 0:
             return None
@@ -489,10 +488,12 @@ def _kernel_degree(theta: float, a: SignedMeasure, root: CharRoot) -> float:
 
 
 def build_root_data(theta: float, a: SignedMeasure, root: CharRoot) -> CharRoot:
-    """Fill Laurent coefficients, the residue polynomial, the kernel
-    polynomial and its degree for a located root: P_l = (lam A_{-1-l} +
-    A_{-2-l}) / (theta l!) with A_k = 0 below k = -m and lam exactly 0 at the
-    zero root (see CharRoot); P = (a([-r, 0]),) for theta = 0."""
+    """Fill Laurent coefficients, the residue polynomial and the kernel
+    polynomial for a located root: P_l = (lam A_{-1-l} + A_{-2-l}) /
+    (theta l!) with A_k = 0 below k = -m and lam exactly 0 at the zero root
+    (see CharRoot); P = (a([-r, 0]),) for theta = 0.  Its degree m_tilde is
+    the multiplicity rule `_kernel_degree`, the index of P's last nonzero
+    coefficient."""
     lam, m = complex(root.lam), root.multiplicity
     A = laurent_coeffs(theta, a, lam, m)  # A_{-m} .. A_0
     p_poly = tuple(A[m - 1 - ell] / math.factorial(ell) for ell in range(m))
@@ -502,8 +503,7 @@ def build_root_data(theta: float, a: SignedMeasure, root: CharRoot) -> CharRoot:
         z = 0.0 if _at_zero(a, lam) else lam
         B = [0j, *A]  # A_{-m-1} .. A_0
         P = tuple((z * B[m - ell] + B[m - 1 - ell]) / (theta * math.factorial(ell)) for ell in range(m))
-    degree = max((float(ell) for ell, c in enumerate(P) if c != 0.0), default=NEG_INF)
-    return CharRoot(lam=lam, multiplicity=m, laurent=tuple(A), p_poly=p_poly, P_poly=P, m_tilde=degree)
+    return CharRoot(lam, m, tuple(A), p_poly, P, _kernel_degree(theta, a, root))
 
 
 # ---------------------------------------------------------------------------

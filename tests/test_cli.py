@@ -95,6 +95,42 @@ def test_limits_root_search_budget_error_is_readable(capsys):
     assert "moment values" in err and len(err) < 200
 
 
+def test_analyze_contour_beyond_float_range_usage_error(tmp_path, capsys):
+    # a density of 1e308 (1 + u) puts the root bound near 2.5e307: the
+    # contour's sample count lies above the float range, which is refused
+    # by the root search instead of overflowing while formatting its budget
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps({"r": 1.0, "density": [{"lo": -1.0, "hi": 0.0, "coeffs": [1e308, 1e308]}]}))
+    assert main(["analyze", "--theta", "-0.5", "--measure", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: root search contour (") and err.endswith("is too long to sample\n")
+
+
+@pytest.mark.parametrize(
+    "measure, message",
+    [
+        ({"r": 1, "atoms": [{"u": 0, "w": float("nan")}]}, "atom at u = 0.0 has a non-finite weight nan"),
+        ({"r": 1, "density": [{"lo": -1, "hi": 0, "coeffs": [1, float("inf")]}]}, "density piece [-1.0, 0.0] needs finite coefficients, got [1.0, inf]"),
+    ],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--theta", "-0.5"],
+        ["kernel", "--theta", "-0.5", "--T", "1", "--dt", "0.1"],
+        ["simulate", "--theta", "-0.5", "--T", "1", "--dt", "0.1"],
+        ["limits", "--theta", "-0.5", "--n", "3"],
+    ],
+)
+def test_non_finite_measure_usage_error(argv, measure, message, tmp_path, capsys):
+    # every subcommand refuses the measure by name (exit 2) and writes no rows
+    spec = tmp_path / "m.json"
+    spec.write_text(json.dumps(measure))
+    assert main([*argv, "--measure", str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_simulate_byte_determinism(tmp_path):
     outs = []
     for name in ("a.csv", "b.csv"):
@@ -211,6 +247,19 @@ def test_experiment_overflow_is_usage_error(tmp_path, capsys):
     assert not (out_dir / "result.json").exists()
 
 
+@pytest.mark.parametrize("test", ["ks_delta", "ks_info"])
+def test_experiment_two_sample_test_without_limit_draws_usage_error(test, tmp_path, capsys):
+    # a two-sample KS test with no limit draws is refused by the config,
+    # before any replicate is simulated or any file written
+    cfg = {"measure": DIRAC0, "theta": -0.5, "T": 5.0, "dt": 0.1, "n_replicates": 100, "n_limit_draws": 0, "tests": [test]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "out"
+    assert main(["experiment", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: two-sample tests {test} need n_limit_draws >= 1\n"
+    assert not out_dir.exists()
+
+
 def test_experiment_missing_config_key(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"measure": DIRAC0, "theta": -0.5, "dt": 0.02}))
@@ -305,11 +354,11 @@ def test_simulate_estimate_reproduces_experiment_rows(tmp_path):
 def test_x0_spec_parsing(tmp_path):
     from sddelab.cli import CliError, _parse_x0
 
-    assert _parse_x0("zero").kind == "zero"
-    assert _parse_x0("constant:2.5").value == 2.5
+    assert _parse_x0("zero").values == (0.0,)
+    assert _parse_x0("constant:2.5").values == (2.5,)
     spec = tmp_path / "x0.json"
     spec.write_text(json.dumps({"kind": "sampled", "values": [0.0, 1.0, 0.5]}))
-    assert _parse_x0(f"file:{spec}").kind == "sampled"
+    assert _parse_x0(f"file:{spec}").values == (0.0, 1.0, 0.5)
     with pytest.raises(CliError):
         _parse_x0("nonsense")
 

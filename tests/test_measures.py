@@ -1,10 +1,12 @@
 import importlib.resources
 import json
+import re
 
 import numpy as np
 import pytest
 
 from sddelab.measures import (
+    MAX_MOMENT_ORDER,
     MIN_SAMPLED_GRID,
     MeasureError,
     SignedMeasure,
@@ -14,6 +16,8 @@ from sddelab.measures import (
     _ik_series,
     _ik_upward,
     exp_moment,
+    exp_moments,
+    exp_moments_01_many,
     tail_mass,
     total_variation,
 )
@@ -172,6 +176,28 @@ def test_exp_moment_conjugate_symmetry():
             assert b_ == pytest.approx(np.conj(a_), rel=1e-12, abs=1e-14)
 
 
+def test_exp_moments_one_body_at_numbers_and_arrays():
+    # one sum serves a number (scalar arithmetic, as exp_moment uses it) and
+    # an array (as exp_moments_01_many uses it); the two routes agree to
+    # rounding, atoms and density pieces alike
+    pieces = SignedMeasure.polynomial_density(1.0, [(-1.0, -0.5, (0.3, 2.0)), (-0.5, 0.0, (1.0, -1.0, 0.5))])
+    m = SignedMeasure(1.0, ((0.0, 0.7), (-0.4, -1.3)), pieces.density_pieces)
+    lams = np.array([0.0, 1e-6j, 0.8 - 2.5j, -3.0 + 12.0j, 40.0j])
+    orders = (0, 1, 3)
+    rows = exp_moments(m, lams, orders)
+    assert [row.shape for row in rows] == [lams.shape] * 3
+    for k, lam in enumerate(lams):
+        at = exp_moments(m, complex(lam), orders)
+        assert [type(x) for x in at] == [np.complex128] * 3
+        for j, x, row in zip(orders, at, rows):
+            assert row[k] == pytest.approx(x, rel=1e-12, abs=1e-14)
+            assert exp_moment(m, lam, j) == pytest.approx(x, rel=1e-12, abs=1e-14)
+    np.testing.assert_array_equal(exp_moments_01_many(m, lams), exp_moments(m, lams, (0, 1)))
+    for bad in ((-1,), (0, MAX_MOMENT_ORDER + 1)):
+        with pytest.raises(MeasureError):
+            exp_moments(m, 0.5, bad)
+
+
 def test_series_and_quadrature_branches_agree_at_switch():
     # branch boundary consistency at |lambda| = 2e-4
     for ang in (0.0, 1.1, 2.3):
@@ -250,6 +276,26 @@ def test_atom_outside_support_rejected():
 def test_zero_weight_atom_rejected():
     with pytest.raises(MeasureError):
         SignedMeasure.point_masses(1.0, (0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "d, message",
+    [
+        ({"r": 1.0, "atoms": [{"u": 0.0, "w": float("nan")}]}, "atom at u = 0.0 has a non-finite weight nan"),
+        ({"r": 1.0, "atoms": [{"u": 0.0, "w": 1.0}, {"u": -0.5, "w": float("-inf")}]}, "atom at u = -0.5 has a non-finite weight -inf"),
+        (
+            {"r": 1.0, "density": [{"lo": -1.0, "hi": -0.5, "coeffs": [1.0]}, {"lo": -0.5, "hi": 0.0, "coeffs": [1.0, float("inf")]}]},
+            "density piece [-0.5, 0.0] needs finite coefficients, got [1.0, inf]",
+        ),
+        ({"r": 1.0, "density": [{"lo": -1.0, "hi": 0.0, "coeffs": [float("nan")]}]}, "density piece [-1.0, 0.0] needs finite coefficients, got [nan]"),
+        ({"r": 1.0, "atoms": [{"u": 0.0, "w": 1.0}], "density": [{"lo": -1.0, "hi": 0.0, "coeffs": []}]}, "density piece [-1.0, 0.0] needs finite coefficients, got []"),
+    ],
+)
+def test_non_finite_measure_values_rejected(d, message):
+    # refused where the measure is built, naming the atom or the piece, not
+    # later as a root search or a path that is not finite
+    with pytest.raises(MeasureError, match=re.escape(message)):
+        SignedMeasure.from_dict(d)
 
 
 def test_overlapping_density_pieces_rejected():

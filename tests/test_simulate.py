@@ -1,5 +1,6 @@
 import importlib
 import io
+import math
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ S = importlib.import_module("sddelab.simulate")
     "make, message",
     [
         (lambda: InitialPath.constant(float("nan")), r"initial path value must be finite, got nan"),
-        (lambda: InitialPath(kind="constant", value=float("-inf")), r"initial path value must be finite, got -inf"),
+        (lambda: InitialPath((float("-inf"),)), r"initial path value must be finite, got -inf"),
         (lambda: InitialPath.sampled([0.0, 1.0, float("inf")]), r"initial path values must be finite, got values\[2\] = inf"),
         (lambda: InitialPath.from_dict({"kind": "sampled", "values": [float("nan"), 0.0]}), r"values\[0\] = nan"),
     ],
@@ -364,6 +365,20 @@ def test_initial_path_kinds():
     vals = ip.values_on(g)
     np.testing.assert_allclose(vals, [0.0, 0.5, 1.0, 0.5, 0.0])
     assert InitialPath.from_dict(ip.to_dict()) == ip
+    for path, kind in ((InitialPath.zero(), "zero"), (InitialPath.constant(2.5), "constant"), (ip, "sampled")):
+        assert path.to_dict()["kind"] == kind and InitialPath.from_dict(path.to_dict()) == path
+
+
+def test_constant_initial_path_is_bitwise_full():
+    # one value is a constant path: interpolating it returns the value's bits
+    # at every node, and the zero path is +0.0, never -0.0
+    for g in (Grid.build(1.0, 1.0, 0.25), Grid.build(0.37, 1.0, 0.01), Grid(r=2.0, n_delay=7, n_steps=3)):
+        for c in (2.5, -1.0 / 3.0, 5e-324, -0.0, 1e300, math.pi):
+            got = InitialPath.constant(c).values_on(g)
+            want = np.full(g.n_delay + 1, c)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        zero = InitialPath.zero().values_on(g)
+        assert zero.tobytes() == np.zeros(g.n_delay + 1).tobytes() and not np.signbit(zero).any()
 
 
 def test_simulate_with_sampled_density_measure():
@@ -401,8 +416,8 @@ def test_delay_functional_against_direct_quadrature():
 
 def test_initial_path_numeric_shorthand():
     ip = InitialPath.from_dict(2.0)
-    assert ip.kind == "constant" and ip.value == 2.0
-    assert InitialPath.from_dict(None).kind == "zero"
+    assert ip.values == (2.0,) and ip.to_dict() == {"kind": "constant", "value": 2.0}
+    assert InitialPath.from_dict(None).values == (0.0,)
 
 
 def test_path_csv_rejects_bad_header():

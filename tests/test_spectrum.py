@@ -75,6 +75,14 @@ def test_char_derivative_theta_zero():
     assert char_derivative(0.0, D0, 1.7 - 0.3j, 1) == 1.0
 
 
+def test_char_derivative_order_zero_is_h():
+    for theta, a, lam in ((0.0, D0, 1.7 - 0.3j), (1.0, DM1, OMEGA), (-np.pi / 2, BAL, 0.2 + 3.0j)):
+        assert char_derivative(theta, a, lam, 0) == char_value(theta, a, lam) == lam - theta * exp_moment(a, lam, 0)
+    for k in (-1, 25):
+        with pytest.raises(SpectrumError):
+            char_derivative(1.0, D0, 0.5, k)
+
+
 def test_char_derivative_hayes():
     got = char_derivative(-np.pi / 2, DM1, 1j * np.pi / 2, 1)
     assert got == pytest.approx(1 + 1j * np.pi / 2, abs=1e-13)
@@ -258,6 +266,11 @@ def test_hayes_contributing_coefficient():
     assert data.P_poly[0] == pytest.approx(-1j / (1 + 1j * np.pi / 2), abs=1e-12)
 
 
+def _last_nonzero(P) -> float:
+    """The index of P's last nonzero coefficient, -inf for the zero polynomial."""
+    return max((float(ell) for ell, c in enumerate(P) if c != 0.0), default=NEG_INF)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     r=st.sampled_from([0.5, 1.0, 2.0]),
@@ -286,7 +299,7 @@ def test_kernel_polynomial_from_multiplicity(r, atoms, balance, theta):
         m = rt.multiplicity
         at_zero = balance and abs(rt.lam) <= 1e-8
         want = m - 2 if at_zero else m - 1
-        assert data.m_tilde == (want if want >= 0 else NEG_INF)
+        assert data.m_tilde == (want if want >= 0 else NEG_INF) == _last_nonzero(data.P_poly)
         lam = 0.0 if at_zero else rt.lam
         M = [0.0 if j == 0 and at_zero else exp_moment(a, lam, j) for j in range(m)]
         A = data.laurent  # A_{-m} .. A_0
@@ -333,6 +346,26 @@ CATALOG = [
     ("balanced_atoms.json", 1.0),
     ("sin_density.json", 1.0),
 ]
+
+
+# the generated LAN measure of the benchmark's mc_density workload
+DENSITY_MEASURE = {"r": 1.0, "atoms": [{"u": 0.0, "w": 1.0}], "density": [{"lo": -1.0, "hi": 0.0, "coeffs": [1.0, 1.0]}]}
+
+
+@pytest.mark.parametrize(
+    "a, theta",
+    [(packaged_measure(name), theta) for name, theta in CATALOG]
+    + [(packaged_measure(name), 0.0) for name in ("dirac0.json", "balanced_atoms.json", "sin_density.json")]
+    + [(SignedMeasure.from_dict(DENSITY_MEASURE), theta) for theta in (-0.5, 0.0, 0.5, 2.0)],
+)
+def test_kernel_degree_is_last_nonzero_coefficient(a, theta):
+    # m_tilde comes from the multiplicity rule; it must be the degree of
+    # the kernel polynomial that build_root_data fills in
+    roots = roots_in_strip(theta, a, -2.0 / a.r)
+    assert roots
+    for rt in roots:
+        data = build_root_data(theta, a, rt)
+        assert data.m_tilde == _last_nonzero(data.P_poly)
 
 
 def test_classify_builds_root_data_only_for_contributing_roots(monkeypatch):
