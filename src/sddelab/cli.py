@@ -7,8 +7,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import importlib.resources
-import json
 import logging
 import os
 import sys
@@ -19,6 +17,7 @@ from .harness import (
     ExperimentConfig,
     HarnessError,
     dump_json,
+    load_json,
     run_experiment,
     sample_limit,
     write_result_json,
@@ -38,20 +37,8 @@ class CliError(Exception):
     """Usage/config error (exit code 2)."""
 
 
-def _load_json(spec: str, what: str) -> tuple[dict, str | None]:
-    """The JSON document in the file `spec`, else in the packaged config of
-    that name, and the directory that relative paths in it refer to."""
-    if os.path.exists(spec):
-        with open(spec) as fh:
-            return json.load(fh), os.path.dirname(spec)
-    packaged = importlib.resources.files("sddelab").joinpath("configs", spec)
-    if packaged.is_file():
-        return json.loads(packaged.read_text()), None
-    raise CliError(f"{what} {spec!r} not found (no such file or packaged config)")
-
-
 def _resolve_measure(spec: str) -> SignedMeasure:
-    return SignedMeasure.from_dict(_load_json(spec, "measure descriptor")[0])
+    return SignedMeasure.from_dict(load_json(spec, "measure descriptor")[0])
 
 
 def _parse_x0(spec: str) -> InitialPath:
@@ -60,8 +47,7 @@ def _parse_x0(spec: str) -> InitialPath:
     if spec.startswith("constant:"):
         return InitialPath.constant(float(spec.split(":", 1)[1]))
     if spec.startswith("file:"):
-        with open(spec.split(":", 1)[1]) as fh:
-            return InitialPath.from_dict(json.load(fh))
+        return InitialPath.from_dict(load_json(spec.split(":", 1)[1], "initial path")[0])
     raise CliError(f"bad --x0 spec {spec!r}; use zero, constant:VALUE, or file:PATH")
 
 
@@ -141,7 +127,7 @@ def cmd_limits(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    cfg = ExperimentConfig.from_dict(*_load_json(args.config, "experiment config"))
+    cfg = ExperimentConfig.from_dict(*load_json(args.config, "experiment config"))
     overrides = {"seed": args.seed, "n_replicates": args.n_replicates}
     cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     result = run_experiment(cfg)

@@ -17,6 +17,7 @@ they agree across chunk sizes to rounding only.
 from __future__ import annotations
 
 import functools
+import importlib.resources
 import json
 import math
 import os
@@ -44,6 +45,21 @@ REPLICATE_CHUNK = 1024
 
 class HarnessError(RuntimeError):
     pass
+
+
+def load_json(spec: str, what: str, base_dir: str | None = None) -> tuple[dict, str | None]:
+    """The JSON document in the file `spec` (relative to `base_dir`, if
+    given), else in the packaged config of that name, and the directory that
+    relative paths in it refer to."""
+    path = os.path.join(base_dir or "", spec)
+    if os.path.exists(path):
+        with open(path) as fh:
+            return json.load(fh), os.path.dirname(path)
+    packaged = importlib.resources.files("sddelab").joinpath("configs", spec)
+    if packaged.is_file():
+        with packaged.open() as fh:
+            return json.load(fh), None
+    raise HarnessError(f"{what} {spec!r} not found (no such file or packaged config)")
 
 
 @dataclass
@@ -106,9 +122,7 @@ class ExperimentConfig:
                 raise HarnessError(f"missing config key {f.name!r}")
         measure = d["measure"]
         if isinstance(measure, str):
-            path = measure if os.path.isabs(measure) or base_dir is None else os.path.join(base_dir, measure)
-            with open(path) as fh:
-                measure = json.load(fh)
+            measure = load_json(measure, "measure descriptor", base_dir)[0]
         return ExperimentConfig(**{**d, "measure": measure})
 
     def to_dict(self) -> dict:

@@ -289,10 +289,7 @@ def residue_expansion_eval(theta: float, a: SignedMeasure, roots, t):
     for root in roots:
         if not root.p_poly:
             raise KernelError("root data missing p_poly; run build_root_data first")
-        pv = np.zeros(t_arr.shape, dtype=complex)
-        for c in reversed(root.p_poly):
-            pv = pv * t_arr + c
-        acc += pv * np.exp(root.lam * t_arr)
+        acc += np.polynomial.polynomial.polyval(t_arr, root.p_poly) * np.exp(root.lam * t_arr)
     out = acc.real
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 # |lambda|*r below this uses the Taylor-series branch of the polynomial
 # moments (the 1/lambda recursions are singular at 0).
@@ -134,20 +135,11 @@ class SignedMeasure:
 # polynomial helpers (coefficients are ascending powers of u)
 
 
-def _poly_eval(coeffs, u):
-    out = np.zeros_like(np.asarray(u, dtype=float))
-    for c in reversed(coeffs):
-        out = out * u + c
-    return out
-
-
-def _poly_antideriv(coeffs):
-    return [0.0] + [c / (k + 1) for k, c in enumerate(coeffs)]
-
-
 def _poly_defint(coeffs, lo, hi):
-    anti = _poly_antideriv(coeffs)
-    return _poly_eval(anti, hi) - _poly_eval(anti, lo)
+    """Integral of p over [lo, hi]; coefficient rows of shape (deg + 1, n)
+    integrate elementwise against lo and hi of shape (n,)."""
+    anti = P.polyint(coeffs)
+    return P.polyval(hi, anti, tensor=False) - P.polyval(lo, anti, tensor=False)
 
 
 def _poly_abs_defint(coeffs, lo, hi):
@@ -194,7 +186,7 @@ def _fit_samples(r: float, values) -> tuple[DensityPiece, ...]:
         u, v = grid[i : k + 1], vals[i : k + 1]
         cheb = np.polynomial.Chebyshev.fit(u, v, min(FIT_DEGREE, k - i)).trim(0.01 * tol)
         coeffs = cheb.convert(kind=np.polynomial.Polynomial).coef
-        if k - i <= 2 or np.max(np.abs(_poly_eval(coeffs, u) - v)) <= tol:
+        if k - i <= 2 or np.max(np.abs(P.polyval(u, coeffs) - v)) <= tol:
             pieces.append(DensityPiece(float(u[0]), float(u[-1]), tuple(coeffs.tolist())))
         else:
             mid = (i + k) // 2
@@ -353,5 +345,5 @@ def density_on_grid(a: SignedMeasure, grid: np.ndarray) -> np.ndarray:
     out = np.zeros(grid.size)
     for p in a.density_pieces:
         mask = (grid >= p.lo - 1e-12) & (grid <= p.hi + 1e-12)
-        out[mask] = _poly_eval(p.coeffs, grid[mask])
+        out[mask] = P.polyval(grid[mask], p.coeffs)
     return out

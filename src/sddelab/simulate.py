@@ -56,6 +56,8 @@ class InitialPath:
     values: tuple[float, ...] = (0.0,)
 
     def __post_init__(self):
+        if not self.values:
+            raise SimulationError("initial path needs at least one value")
         bad = [i for i, v in enumerate(self.values) if not math.isfinite(v)]
         if bad and len(self.values) == 1:
             raise SimulationError(f"initial path value must be finite, got {self.values[0]}")
@@ -89,6 +91,9 @@ class InitialPath:
             return InitialPath.zero()
         if isinstance(d, (int, float)):
             return InitialPath.constant(float(d))
+        unknown = sorted(set(d) - {"kind", "value", "values"})
+        if unknown:
+            raise SimulationError(f"unknown initial path keys: {', '.join(unknown)}")
         kind = d.get("kind", "zero")
         if kind == "zero":
             return InitialPath.zero()
@@ -362,33 +367,21 @@ def path_to_csv(path: SamplePath, fh) -> None:
 
 
 def path_from_csv(fh, theta_true: float = float("nan"), seed: int = 0) -> SamplePath:
+    """(t, X) from every non-blank row, n_delay from the rows with t < 0 and
+    (W, Y) from the rows after them."""
     header = fh.readline().strip().split(",")
     if header[:4] != ["t", "W", "X", "Y"]:
         raise SimulationError("path CSV must have columns t,W,X,Y")
-    ts, Ws, Xs, Ys = [], [], [], []
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        t_s, w_s, x_s, y_s = line.split(",")
-        ts.append(float(t_s))
-        Xs.append(float(x_s))
-        if w_s:
-            Ws.append(float(w_s))
-            Ys.append(float(y_s))
-    ts = np.asarray(ts)
+    rows = [line for line in fh if line.strip()]
+    ts, X = np.loadtxt(rows, delimiter=",", usecols=(0, 2), unpack=True, ndmin=2) if rows else np.empty((2, 0))
     nd = int(np.sum(ts < -1e-15))
-    ns = len(Ws) - 1
-    if ns < 1 or nd < 1:
+    if nd < 1 or len(rows) - nd < 2:
         raise SimulationError("path CSV too short")
+    try:
+        W, Y = np.loadtxt(rows[nd:], delimiter=",", usecols=(1, 3), unpack=True, ndmin=2)
+    except ValueError as exc:
+        raise SimulationError(f"path CSV needs numbers W and Y at t >= 0 (row 0 is t = 0): {exc}") from exc
     # t_0 = -n_delay * (r / n_delay) gives back the simulating grid's dt,
     # where the difference of two rounded times would not
-    grid = Grid(r=float(-ts[0]), n_delay=nd, n_steps=ns)
-    return SamplePath(
-        grid=grid,
-        W=np.asarray(Ws),
-        X=np.asarray(Xs),
-        Y=np.asarray(Ys),
-        theta_true=theta_true,
-        seed=seed,
-    )
+    grid = Grid(r=float(-ts[0]), n_delay=nd, n_steps=len(rows) - nd - 1)
+    return SamplePath(grid=grid, W=W, X=X, Y=Y, theta_true=theta_true, seed=seed)

@@ -479,10 +479,8 @@ def _at_zero(a: SignedMeasure, lam: complex) -> bool:
     return abs(lam) <= MERGE_TOL and has_zero_mass(a)
 
 
-def _kernel_degree(theta: float, a: SignedMeasure, root: CharRoot) -> float:
-    """m_tilde from the multiplicity (see CharRoot)."""
-    if theta == 0.0:
-        return NEG_INF if has_zero_mass(a) else 0.0
+def _kernel_degree(a: SignedMeasure, root: CharRoot) -> float:
+    """m_tilde from the multiplicity (see CharRoot), at theta = 0 too."""
     deg = root.multiplicity - (2 if _at_zero(a, root.lam) else 1)
     return float(deg) if deg >= 0 else NEG_INF
 
@@ -503,7 +501,7 @@ def build_root_data(theta: float, a: SignedMeasure, root: CharRoot) -> CharRoot:
         z = 0.0 if _at_zero(a, lam) else lam
         B = [0j, *A]  # A_{-m-1} .. A_0
         P = tuple((z * B[m - ell] + B[m - 1 - ell]) / (theta * math.factorial(ell)) for ell in range(m))
-    return CharRoot(lam, m, tuple(A), p_poly, P, _kernel_degree(theta, a, root))
+    return CharRoot(lam, m, tuple(A), p_poly, P, _kernel_degree(a, root))
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +561,7 @@ def classify(
     notes: list[str] = []
     c_floor = -10.0 / a.r
     for k in range(11):
-        roots = [replace(rt, m_tilde=_kernel_degree(theta, a, rt)) for rt in roots_in_strip(theta, a, -k / a.r)]
+        roots = [replace(rt, m_tilde=_kernel_degree(a, rt)) for rt in roots_in_strip(theta, a, -k / a.r)]
         if theta == 0.0 or any(rt.m_tilde >= 0 for rt in roots):
             break
     v0 = max((rt.lam.real for rt in roots), default=NEG_INF)

@@ -363,6 +363,56 @@ def test_x0_spec_parsing(tmp_path):
         _parse_x0("nonsense")
 
 
+@pytest.mark.parametrize("beside", [True, False])
+def test_experiment_config_names_measure_file(beside, tmp_path, monkeypatch):
+    # a config's string measure is a file relative to the config, else the
+    # packaged measure of that name; a file beside the config comes first
+    own = {"r": 1.0, "atoms": [{"u": 0.0, "w": -1.0}]}
+    cfg_dir = tmp_path / "cfgs"
+    cfg_dir.mkdir()
+    if beside:
+        (cfg_dir / "dirac0.json").write_text(json.dumps(own))
+    cfg = {"measure": "dirac0.json", "theta": 0.5 if beside else -0.5, "T": 5, "dt": 0.1,
+           "n_replicates": 20, "n_limit_draws": 10}
+    (cfg_dir / "cfg.json").write_text(json.dumps(cfg))
+    monkeypatch.chdir(tmp_path)
+    assert main(["experiment", "--config", str(cfg_dir / "cfg.json"), "--out-dir", "out"]) == 0
+    doc = json.loads((tmp_path / "out" / "result.json").read_text())
+    assert doc["config"]["measure"] == (own if beside else DIRAC0)
+    assert doc["regime_report"]["regime"] == "LAN"
+
+
+def test_experiment_config_missing_measure_named(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"measure": "nope.json", "theta": -0.5, "T": 5, "dt": 0.1}))
+    assert main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "measure descriptor 'nope.json' not found" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_x0_file_goes_through_the_loader(capsys):
+    # a missing file is named like a missing measure; a packaged measure is
+    # no initial path, and its keys are refused
+    argv = ["limits", "--theta", "0.5", "--measure", "dirac0.json", "--n", "5", "--x0"]
+    assert main(argv + ["file:nope.json"]) == 2
+    assert "initial path 'nope.json' not found" in capsys.readouterr().err
+    assert main(argv + ["file:dirac0.json"]) == 2
+    assert "unknown initial path keys: atoms, r" in capsys.readouterr().err
+
+
+def test_estimate_empty_cell_at_nonnegative_time_usage_error(tmp_path, capsys):
+    path_csv = tmp_path / "p.csv"
+    argv = ["simulate", "--theta", "-0.5", "--measure", "dirac0.json", "--T", "1", "--dt", "0.25"]
+    assert main(argv + ["--out", str(path_csv)]) == 0
+    lines = path_csv.read_text().splitlines(keepends=True)
+    t, _, x, y = lines[7].split(",")  # t = 0.5, two rows after t = 0
+    lines[7] = f"{t},,{x},{y}"
+    path_csv.write_text("".join(lines))
+    assert main(["estimate", "--path", str(path_csv)]) == 2
+    err = capsys.readouterr().err
+    assert "W and Y at t >= 0" in err and "string '' to float64 at row 2, column 2" in err
+
+
 def test_simulate_bad_x0_exit_code(capsys):
     code = main(
         ["simulate", "--theta", "0.0", "--measure", "dirac0.json",

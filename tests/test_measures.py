@@ -13,11 +13,13 @@ from sddelab.measures import (
     _exp_kernel_moments,
     _ik_gauss,
     _leggauss_cached,
+    _poly_defint,
     _ik_series,
     _ik_upward,
     exp_moment,
     exp_moments,
     exp_moments_01_many,
+    density_on_grid,
     tail_mass,
     total_variation,
 )
@@ -145,6 +147,35 @@ def test_exp_moment_polynomial_against_mpmath():
 
 # ---------------------------------------------------------------------------
 # invariants
+
+
+def _horner(coeffs, u):
+    # the hand-written loop the polynomial toolkit replaced, as the reference
+    out = np.zeros_like(np.asarray(u, dtype=complex if np.iscomplexobj(coeffs) else float))
+    for c in reversed(coeffs):
+        out = out * u + c
+    return out
+
+
+def test_polynomial_toolkit_matches_horner_bitwise():
+    # polyint/polyval keep the bits of the loops they replaced: 1-D
+    # integrals, the (degree, panels) rows of DelayStencil, real evaluation
+    # and the complex residue polynomials of kernels.residue_expansion_eval
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        c = rng.standard_normal(rng.integers(1, 8)) * 10.0 ** rng.integers(-3, 4)
+        lo, hi = np.sort(rng.uniform(-3.0, 0.0, 2))
+        anti = [0.0] + [ck / (k + 1) for k, ck in enumerate(c)]
+        assert _poly_defint(tuple(c), lo, hi) == _horner(anti, hi) - _horner(anti, lo)
+        rows = rng.standard_normal((c.size, 5))
+        los, his = rng.uniform(-3.0, -1.5, 5), rng.uniform(-1.5, 0.0, 5)
+        anti2 = [np.zeros(5)] + [row / (k + 1) for k, row in enumerate(rows)]
+        assert _poly_defint(rows, los, his).tobytes() == (_horner(anti2, his) - _horner(anti2, los)).tobytes()
+        u = rng.uniform(-3.0, 0.0, 9)
+        a = SignedMeasure.polynomial_density(3.0, [(-3.0, 0.0, tuple(c))])
+        assert density_on_grid(a, u).tobytes() == _horner(c, u).tobytes()
+        z = c + 1j * rng.standard_normal(c.size)
+        assert np.polynomial.polynomial.polyval(u, z).tobytes() == _horner(z, u).tobytes()
 
 
 def test_tail_mass_matches_zero_moment():

@@ -1,6 +1,7 @@
 import importlib
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,13 @@ S = importlib.import_module("sddelab.simulate")
 def test_initial_path_refuses_non_finite_values(make, message):
     with pytest.raises(S.SimulationError, match=message):
         make()
+
+
+def test_initial_path_refuses_empty_values_and_unknown_keys():
+    with pytest.raises(S.SimulationError, match="initial path needs at least one value"):
+        InitialPath(())
+    with pytest.raises(S.SimulationError, match="unknown initial path keys: r, value_"):
+        InitialPath.from_dict({"kind": "constant", "value_": 1.0, "r": 1.0})
 
 
 def test_theta_zero_path_is_shifted_wiener():
@@ -355,6 +363,29 @@ def test_csv_roundtrip_keeps_grid_and_statistics(dt):
     assert (q.grid.dt, q.grid.T) == (g.dt, g.T)
     assert score_and_info(q, -0.5, 0.7) == score_and_info(p, -0.5, 0.7)
     assert mle(q) == mle(p)
+
+
+def test_path_csv_skips_blank_lines():
+    g = Grid.build(1.0, 1.0, 0.1)
+    p = simulate(-0.5, D0, InitialPath.constant(1.0), g, seed=3)
+    buf = io.StringIO()
+    path_to_csv(p, buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    q = path_from_csv(io.StringIO("".join(lines[:3] + ["\n", "  \n"] + lines[3:13] + ["\n"] + lines[13:] + ["\n"])))
+    assert (q.grid.n_delay, q.grid.n_steps, q.grid.dt) == (g.n_delay, g.n_steps, g.dt)
+    for got, want in ((q.W, p.W), (q.X, p.X), (q.Y, p.Y)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["t,W,X,Y\n", "t,W,X,Y\n\n \n", "t,W,X,Y\n-1,,0,\n-0.5,,0,\n", "t,W,X,Y\n-1,,0,\n0,0,0,0\n", "t,W,X,Y\n0,0,0,0\n1,1,1,1\n"],
+)
+def test_path_csv_too_short_without_numpy_warning(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(S.SimulationError, match="path CSV too short"):
+            path_from_csv(io.StringIO(text))
 
 
 def test_initial_path_kinds():
