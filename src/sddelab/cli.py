@@ -16,18 +16,18 @@ import numpy as np
 from .harness import (
     ExperimentConfig,
     HarnessError,
-    dump_json,
     load_json,
     run_experiment,
     sample_limit,
+    write_json,
     write_result_json,
     write_samples_csv,
 )
 from .inference import mle, score_and_info
-from .kernels import Grid, KernelError, solve_fundamental, y_kernel
+from .kernels import Grid, solve_fundamental, y_kernel
 from .limit_laws import LimitLawError
-from .measures import MeasureError, SignedMeasure
-from .simulate import InitialPath, path_from_csv, path_to_csv, simulate
+from .measures import SignedMeasure
+from .simulate import InitialPath, path_from_csv, path_to_csv, simulate, write_csv
 from .spectrum import SpectrumError, classify
 
 log = logging.getLogger("sddelab")
@@ -63,8 +63,7 @@ def cmd_analyze(args) -> int:
     a = _resolve_measure(args.measure)
     report = classify(args.theta, a, regime_hint=args.regime_hint)
     with _out_fh(args.out) as fh:
-        dump_json(report.to_dict(), fh)
-        fh.write("\n")
+        write_json(report.to_dict(), fh)
     return 0
 
 
@@ -73,14 +72,8 @@ def cmd_kernel(args) -> int:
     grid = Grid.build(a.r, args.T, args.dt)
     kern = solve_fundamental(args.theta, a, grid)
     y = y_kernel(args.theta, a, kern)
-    nd = grid.n_delay
     with _out_fh(args.out) as fh:
-        fh.write("t,x0,y\n")
-        for i, t in enumerate(grid.times()):
-            if i < nd:
-                fh.write(f"{t:.17g},{kern.x0_values[i]:.17g},\n")
-            else:
-                fh.write(f"{t:.17g},{kern.x0_values[i]:.17g},{y[i - nd]:.17g}\n")
+        write_csv(fh, "t,x0,y", grid.times(), kern.x0_values, y)
     return 0
 
 
@@ -99,18 +92,9 @@ def cmd_estimate(args) -> int:
     theta_hat = mle(path)
     scaling = args.scaling if args.scaling is not None else path.grid.T**-0.5
     pair = score_and_info(path, args.theta, scaling)
+    doc = {"theta_hat": theta_hat, "delta": pair.delta, "info": pair.info, "T": pair.T, "scaling": pair.scaling}
     with _out_fh(args.out) as fh:
-        dump_json(
-            {
-                "theta_hat": theta_hat,
-                "delta": pair.delta,
-                "info": pair.info,
-                "T": pair.T,
-                "scaling": pair.scaling,
-            },
-            fh,
-        )
-        fh.write("\n")
+        write_json(doc, fh)
     return 0
 
 
@@ -120,9 +104,7 @@ def cmd_limits(args) -> int:
     rng = np.random.Generator(np.random.Philox(key=args.seed))
     delta, info, _ = sample_limit(args.theta, a, report, _parse_x0(args.x0), args.n, rng, d=args.d)
     with _out_fh(args.out) as fh:
-        fh.write("delta,info\n")
-        for dv, iv in zip(delta, info):
-            fh.write(f"{dv:.17g},{iv:.17g}\n")
+        write_csv(fh, "delta,info", delta, info)
     return 0
 
 
@@ -150,55 +132,48 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-v", "--verbose", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
 
-    pa = sub.add_parser("analyze", help="classify the asymptotic regime")
-    pa.add_argument("--theta", type=float, required=True)
-    pa.add_argument("--measure", required=True)
-    pa.add_argument("--regime-hint", default=None)
-    pa.add_argument("--out", default=None)
-    pa.set_defaults(func=cmd_analyze)
+    # options shared by subcommands, stated once
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--theta", type=float, required=True)
+    model.add_argument("--measure", required=True)
 
-    pk = sub.add_parser("kernel", help="dump fundamental solution and kernel as CSV")
-    pk.add_argument("--theta", type=float, required=True)
-    pk.add_argument("--measure", required=True)
+    def command(name, func, summary, parents=(model, out)):
+        sp = sub.add_parser(name, help=summary, parents=parents)
+        sp.set_defaults(func=func)
+        return sp
+
+    pa = command("analyze", cmd_analyze, "classify the asymptotic regime")
+    pa.add_argument("--regime-hint", default=None)
+
+    pk = command("kernel", cmd_kernel, "dump fundamental solution and kernel as CSV")
     pk.add_argument("--T", type=float, required=True)
     pk.add_argument("--dt", type=float, default=1e-3)
-    pk.add_argument("--out", default=None)
-    pk.set_defaults(func=cmd_kernel)
 
-    ps = sub.add_parser("simulate", help="simulate one sample path to CSV")
-    ps.add_argument("--theta", type=float, required=True)
-    ps.add_argument("--measure", required=True)
+    ps = command("simulate", cmd_simulate, "simulate one sample path to CSV")
     ps.add_argument("--T", type=float, required=True)
     ps.add_argument("--dt", type=float, required=True)
     ps.add_argument("--x0", default="zero")
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--out", default=None)
-    ps.set_defaults(func=cmd_simulate)
 
-    pe = sub.add_parser("estimate", help="MLE and score statistics from a path CSV")
+    pe = command("estimate", cmd_estimate, "MLE and score statistics from a path CSV", parents=(out,))
     pe.add_argument("--path", required=True)
     pe.add_argument("--theta", type=float, default=0.0, help="hypothesized drift for the score")
     pe.add_argument("--scaling", type=float, default=None)
-    pe.add_argument("--out", default=None)
-    pe.set_defaults(func=cmd_estimate)
 
-    pl = sub.add_parser("limits", help="draw limit-law (delta, info) samples to CSV")
-    pl.add_argument("--theta", type=float, required=True)
-    pl.add_argument("--measure", required=True)
+    pl = command("limits", cmd_limits, "draw limit-law (delta, info) samples to CSV")
     pl.add_argument("--n", type=int, default=1000)
     pl.add_argument("--seed", type=int, default=0)
     pl.add_argument("--d", type=float, default=None, help="PLAMN phase offset (default 0; PLAMN only)")
     pl.add_argument("--x0", default="zero")
     pl.add_argument("--regime-hint", default=None)
-    pl.add_argument("--out", default=None)
-    pl.set_defaults(func=cmd_limits)
 
-    px = sub.add_parser("experiment", help="run a Monte Carlo experiment config")
+    px = command("experiment", cmd_experiment, "run a Monte Carlo experiment config", parents=())
     px.add_argument("--config", required=True)
     px.add_argument("--out-dir", default="experiment_out")
     px.add_argument("--seed", type=int, default=None)
     px.add_argument("--n-replicates", type=int, default=None)
-    px.set_defaults(func=cmd_experiment)
     return p
 
 
@@ -208,9 +183,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
     try:
         return args.func(args)
-    except (
-        CliError, MeasureError, KernelError, HarnessError, SpectrumError, LimitLawError, OSError, KeyError, ValueError,
-    ) as exc:
+    except (CliError, HarnessError, SpectrumError, LimitLawError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,10 +30,10 @@ from . import __version__
 # simulate_batch and batch_statistics are not called here, but stay importable
 # from this module: perfbench/spans.py wraps them under the harness's names
 from .inference import batch_statistics, statistics_from_sums  # noqa: F401
-from .kernels import Grid, fisher_limit, fisher_theta0
+from .kernels import Grid, fisher_limit
 from .limit_laws import LimitLawError, sample_lamn_many, sample_lan_many, sample_laq_many, sample_plamn_many
-from .measures import SignedMeasure, has_zero_mass
-from .simulate import InitialPath, derive_seed, simulate_batch, simulate_sums  # noqa: F401
+from .measures import SignedMeasure, json_document
+from .simulate import InitialPath, derive_seed, simulate_batch, simulate_sums, write_csv  # noqa: F401
 from .spectrum import RegimeReport, classify
 
 # replicates streamed together, the one memory bound: a chunk holds about
@@ -113,17 +113,18 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict, base_dir: str | None = None) -> "ExperimentConfig":
-        known = fields(ExperimentConfig)
-        unknown = sorted(set(d) - {f.name for f in known})
-        if unknown:
-            raise HarnessError(f"unknown config keys: {', '.join(unknown)}")
-        for f in known:
-            if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
-                raise HarnessError(f"missing config key {f.name!r}")
-        measure = d["measure"]
-        if isinstance(measure, str):
-            measure = load_json(measure, "measure descriptor", base_dir)[0]
-        return ExperimentConfig(**{**d, "measure": measure})
+        with json_document(d, "experiment config", HarnessError):
+            known = fields(ExperimentConfig)
+            unknown = sorted(set(d) - {f.name for f in known})
+            if unknown:
+                raise HarnessError(f"unknown config keys: {', '.join(unknown)}")
+            for f in known:
+                if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
+                    raise HarnessError(f"missing config key {f.name!r}")
+            measure = d["measure"]
+            if isinstance(measure, str):
+                measure = load_json(measure, "measure descriptor", base_dir)[0]
+            return ExperimentConfig(**{**d, "measure": measure})
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -183,8 +184,6 @@ def ks_vs_standard_normal(x) -> tuple[float, float]:
 
 def limit_information(theta: float, a: SignedMeasure, report: RegimeReport) -> float:
     """Deterministic LAN information constant."""
-    if theta == 0.0 and has_zero_mass(a):
-        return fisher_theta0(a)
     return fisher_limit(theta, a, report)
 
 
@@ -396,13 +395,15 @@ def dump_json(obj, fh, indent=0) -> None:
         fh.write(_fmt(obj))
 
 
+def write_json(obj, fh) -> None:
+    """One JSON document by `dump_json`, ended by a newline."""
+    dump_json(obj, fh)
+    fh.write("\n")
+
+
 def write_samples_csv(result: ExperimentResult, fh) -> None:
-    fh.write("replicate,seed,delta,info,theta_hat\n")
-    for i in range(result.delta.size):
-        fh.write(
-            f"{i},{int(result.seeds[i])},{result.delta[i]:.17g},"
-            f"{result.info[i]:.17g},{result.theta_hat[i]:.17g}\n"
-        )
+    columns = (range(result.delta.size), result.seeds, result.delta, result.info, result.theta_hat)
+    write_csv(fh, "replicate,seed,delta,info,theta_hat", *columns)
 
 
 def result_to_dict(result: ExperimentResult) -> dict:
@@ -427,5 +428,4 @@ def result_to_dict(result: ExperimentResult) -> dict:
 
 
 def write_result_json(result: ExperimentResult, fh) -> None:
-    dump_json(result_to_dict(result), fh)
-    fh.write("\n")
+    write_json(result_to_dict(result), fh)

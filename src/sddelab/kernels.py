@@ -306,7 +306,10 @@ def fisher_limit(
 ) -> float:
     """J = integral over [0, inf) of y(t)^2 dt, for parameters in the LAN
     band of v*: trapezoid on [0, T_cut] plus the analytic exponential tail
-    bound chosen below FISHER_TAIL_TOL."""
+    bound chosen below FISHER_TAIL_TOL.  At theta = 0 with a([-r, 0]) = 0 it
+    is the closed form `fisher_theta0`."""
+    if theta == 0.0 and has_zero_mass(a):
+        return fisher_theta0(a)
     if report is None:
         report = classify(theta, a)
     if not in_lan_band(report.v_star, a.r):

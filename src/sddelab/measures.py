@@ -9,6 +9,7 @@ M_j(lambda) = integral of u^j e^(lambda u) a(du).
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -34,6 +35,20 @@ MAX_MOMENT_ORDER = 24
 
 class MeasureError(ValueError):
     """Invalid measure descriptor or out-of-domain argument."""
+
+
+@contextlib.contextmanager
+def json_document(d, what: str, error: type[Exception]):
+    """Reads the JSON document `what` in the with block: a document that is no
+    object, a missing field or a value of the wrong type is `error`."""
+    if not isinstance(d, dict):
+        raise error(f"{what} must be a JSON object, got {type(d).__name__}")
+    try:
+        yield
+    except KeyError as exc:
+        raise error(f"{what} needs field {exc}") from exc
+    except TypeError as exc:
+        raise error(f"{what} has a value of the wrong type: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -101,24 +116,22 @@ class SignedMeasure:
 
     @staticmethod
     def from_dict(d: dict) -> "SignedMeasure":
-        try:
+        with json_document(d, "measure descriptor", MeasureError):
             r = float(d["r"])
-        except KeyError as exc:
-            raise MeasureError("measure descriptor needs field 'r'") from exc
-        atoms = tuple((float(a["u"]), float(a["w"])) for a in d.get("atoms", []))
-        pieces = tuple(
-            DensityPiece(float(p["lo"]), float(p["hi"]), tuple(float(c) for c in p["coeffs"]))
-            for p in d.get("density", [])
-        )
-        sampled = d.get("sampled")
-        if sampled:
-            if pieces:
-                raise MeasureError("at most one of 'density' / 'sampled'")
-            vals = sampled["expr_values"]
-            if "n" in sampled and int(sampled["n"]) != len(vals):
-                raise MeasureError("sampled.n disagrees with len(expr_values)")
-            pieces = _fit_samples(r, vals)
-        return SignedMeasure(r, atoms, pieces)
+            atoms = tuple((float(a["u"]), float(a["w"])) for a in d.get("atoms", []))
+            pieces = tuple(
+                DensityPiece(float(p["lo"]), float(p["hi"]), tuple(float(c) for c in p["coeffs"]))
+                for p in d.get("density", [])
+            )
+            sampled = d.get("sampled")
+            if sampled:
+                if pieces:
+                    raise MeasureError("at most one of 'density' / 'sampled'")
+                vals = sampled["expr_values"]
+                if "n" in sampled and int(sampled["n"]) != len(vals):
+                    raise MeasureError("sampled.n disagrees with len(expr_values)")
+                pieces = _fit_samples(r, vals)
+            return SignedMeasure(r, atoms, pieces)
 
     def to_dict(self) -> dict:
         d: dict = {"r": self.r}

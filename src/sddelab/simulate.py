@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import DelayStencil, Grid
-from .measures import SignedMeasure
+from .measures import SignedMeasure, json_document
 
 
 class SimulationError(ValueError):
@@ -91,17 +91,18 @@ class InitialPath:
             return InitialPath.zero()
         if isinstance(d, (int, float)):
             return InitialPath.constant(float(d))
-        unknown = sorted(set(d) - {"kind", "value", "values"})
-        if unknown:
-            raise SimulationError(f"unknown initial path keys: {', '.join(unknown)}")
-        kind = d.get("kind", "zero")
-        if kind == "zero":
-            return InitialPath.zero()
-        if kind == "constant":
-            return InitialPath.constant(d["value"])
-        if kind == "sampled":
-            return InitialPath.sampled(d["values"])
-        raise SimulationError(f"unknown initial path kind {kind!r}")
+        with json_document(d, "initial path", SimulationError):
+            unknown = sorted(set(d) - {"kind", "value", "values"})
+            if unknown:
+                raise SimulationError(f"unknown initial path keys: {', '.join(unknown)}")
+            kind = d.get("kind", "zero")
+            if kind == "zero":
+                return InitialPath.zero()
+            if kind == "constant":
+                return InitialPath.constant(d["value"])
+            if kind == "sampled":
+                return InitialPath.sampled(d["values"])
+            raise SimulationError(f"unknown initial path kind {kind!r}")
 
     def to_dict(self) -> dict:
         if len(self.values) > 1:
@@ -350,20 +351,24 @@ def y_process(X: np.ndarray, a: SignedMeasure, grid: Grid) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# CSV persistence (t, W, X, Y); W and Y are empty for t < 0
+# CSV persistence: every CSV's writer, and the path (t, W, X, Y), W and Y empty for t < 0
+
+
+def write_csv(fh, header: str, *columns) -> None:
+    """One row per element of the longest column, floats at 17 significant
+    digits and ints as they are; a shorter column starts that many rows late,
+    its first cells empty."""
+    cells = []
+    for col in map(np.asarray, columns):
+        fmt = "{:.17g}".format if col.dtype.kind == "f" else str
+        cells.append(list(map(fmt, col.tolist())))
+    n = max(map(len, cells))
+    fh.write(header + "\n")
+    fh.writelines(",".join(row) + "\n" for row in zip(*([""] * (n - len(c)) + c for c in cells)))
 
 
 def path_to_csv(path: SamplePath, fh) -> None:
-    grid = path.grid
-    nd = grid.n_delay
-    fh.write("t,W,X,Y\n")
-    times = grid.times()
-    for i, t in enumerate(times):
-        if i < nd:
-            fh.write(f"{t:.17g},,{path.X[i]:.17g},\n")
-        else:
-            k = i - nd
-            fh.write(f"{t:.17g},{path.W[k]:.17g},{path.X[i]:.17g},{path.Y[k]:.17g}\n")
+    write_csv(fh, "t,W,X,Y", path.grid.times(), path.W, path.X, path.Y)
 
 
 def path_from_csv(fh, theta_true: float = float("nan"), seed: int = 0) -> SamplePath:

@@ -583,3 +583,106 @@ def test_cli_import_loads_no_scipy_integrate():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+# every subcommand's options: flag -> (dest, type, default, required)
+OPTIONS = {
+    "analyze": {
+        "--theta": ("theta", float, None, True),
+        "--measure": ("measure", None, None, True),
+        "--out": ("out", None, None, False),
+        "--regime-hint": ("regime_hint", None, None, False),
+    },
+    "kernel": {
+        "--theta": ("theta", float, None, True),
+        "--measure": ("measure", None, None, True),
+        "--out": ("out", None, None, False),
+        "--T": ("T", float, None, True),
+        "--dt": ("dt", float, 1e-3, False),
+    },
+    "simulate": {
+        "--theta": ("theta", float, None, True),
+        "--measure": ("measure", None, None, True),
+        "--out": ("out", None, None, False),
+        "--T": ("T", float, None, True),
+        "--dt": ("dt", float, None, True),
+        "--x0": ("x0", None, "zero", False),
+        "--seed": ("seed", int, 0, False),
+    },
+    "estimate": {
+        "--out": ("out", None, None, False),
+        "--path": ("path", None, None, True),
+        "--theta": ("theta", float, 0.0, False),
+        "--scaling": ("scaling", float, None, False),
+    },
+    "limits": {
+        "--theta": ("theta", float, None, True),
+        "--measure": ("measure", None, None, True),
+        "--out": ("out", None, None, False),
+        "--n": ("n", int, 1000, False),
+        "--seed": ("seed", int, 0, False),
+        "--d": ("d", float, None, False),
+        "--x0": ("x0", None, "zero", False),
+        "--regime-hint": ("regime_hint", None, None, False),
+    },
+    "experiment": {
+        "--config": ("config", None, None, True),
+        "--out-dir": ("out_dir", None, "experiment_out", False),
+        "--seed": ("seed", int, None, False),
+        "--n-replicates": ("n_replicates", int, None, False),
+    },
+}
+
+
+def test_subcommand_options_table():
+    import argparse
+
+    from sddelab.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(OPTIONS)
+    for name, parser in sub.choices.items():
+        got = {
+            a.option_strings[-1]: (a.dest, a.type, a.default, a.required)
+            for a in parser._actions
+            if a.dest != "help"
+        }
+        assert got == OPTIONS[name], name
+
+
+CONFIG = {"measure": "dirac0.json", "theta": -0.5, "T": 5, "dt": 0.1, "n_replicates": 20, "n_limit_draws": 10}
+
+
+@pytest.mark.parametrize(
+    "option, doc, name",
+    [
+        ("--measure", [1, 2], "measure descriptor"),
+        ("--config", [1, 2], "experiment config"),
+        ("--x0", [1, 2], "initial path"),
+        ("--config", {**CONFIG, "measure": [1, 2]}, "measure descriptor"),
+        ("--config", {**CONFIG, "x0": [1, 2]}, "initial path"),
+        ("--config", 3, "experiment config"),
+        ("--measure", {"r": 1, "atoms": [1]}, "measure descriptor"),
+        ("--measure", {"r": 1, "atoms": 5}, "measure descriptor"),
+        ("--measure", {"r": 1, "density": [2]}, "measure descriptor"),
+        ("--measure", {"r": 1, "density": [{"lo": -1, "hi": 0, "coeffs": 3}]}, "measure descriptor"),
+        ("--measure", {"r": 1, "sampled": [1, 2]}, "measure descriptor"),
+        ("--config", {**CONFIG, "mean_info_band": 5}, "experiment config"),
+        ("--config", {**CONFIG, "tests": 3}, "experiment config"),
+        ("--config", {**CONFIG, "theta": None}, "experiment config"),
+    ],
+)
+def test_wrong_typed_json_usage_error(option, doc, name, tmp_path, capsys):
+    # a JSON document of the wrong shape is refused by the parser that reads
+    # it, naming the document, and no output is written
+    spec = tmp_path / "doc.json"
+    spec.write_text(json.dumps(doc))
+    argv = {
+        "--measure": ["analyze", "--theta", "1", "--measure", str(spec)],
+        "--config": ["experiment", "--config", str(spec), "--out-dir", str(tmp_path / "out")],
+        "--x0": ["limits", "--theta", "0.5", "--measure", "dirac0.json", "--n", "5", "--x0", f"file:{spec}"],
+    }[option]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {name} ")
+    assert not (tmp_path / "out").exists()

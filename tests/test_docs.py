@@ -14,4 +14,5 @@ def test_readme_python_api_sketch_runs():
     assert ns["report"].regime == "LAN"
     assert ns["report"].scaling.describe() == "T^-1/2"
     assert ns["J"] == pytest.approx(1.0, abs=1e-4)
+    assert ns["J0"] == 1.0
     assert ns["delta"].shape == ns["info"].shape == (1000,)

@@ -457,6 +457,9 @@ def test_result_files_roundtrip():
     lines = buf2.getvalue().strip().splitlines()
     assert lines[0] == "replicate,seed,delta,info,theta_hat"
     assert len(lines) == 121
+    # the rows as a per-replicate format writes them, seeds as exact ints
+    want = [f"{i},{int(res.seeds[i])},{res.delta[i]:.17g},{res.info[i]:.17g},{res.theta_hat[i]:.17g}" for i in range(120)]
+    assert lines[1:] == want
 
 
 def test_lamn_with_initial_path_matches_limit():

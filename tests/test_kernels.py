@@ -249,11 +249,10 @@ def test_fisher_theta0_rejects_unbalanced():
 
 
 def test_fisher_limit_agrees_with_theta0_route():
-    # theta = 0 with a balanced measure: the generic quadrature route should
-    # approach the exact tail-mass integral
-    rep = classify(0.0, BAL)
-    J = fisher_limit(0.0, BAL, report=rep)
-    assert J == pytest.approx(fisher_theta0(BAL), abs=2e-3)
+    # theta = 0 with a([-r, 0]) = 0: fisher_limit is the exact tail-mass integral
+    assert fisher_limit(0.0, BAL, report=classify(0.0, BAL)) == fisher_theta0(BAL) == 1.0
+    sin = sin_measure()
+    assert fisher_limit(0.0, sin) == fisher_theta0(sin)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from sddelab.simulate import (
     simulate,
     simulate_batch,
     simulate_sums,
+    write_csv,
     y_process,
 )
 
@@ -363,6 +364,24 @@ def test_csv_roundtrip_keeps_grid_and_statistics(dt):
     assert (q.grid.dt, q.grid.T) == (g.dt, g.T)
     assert score_and_info(q, -0.5, 0.7) == score_and_info(p, -0.5, 0.7)
     assert mle(q) == mle(p)
+
+
+def test_write_csv_columns():
+    # a shorter column starts late with empty cells; ints (a seed above 2^53)
+    # are written exactly, floats at 17 digits, NaN as nan
+    buf = io.StringIO()
+    seed = 2**63 + 1
+    write_csv(buf, "i,seed,x", range(3), np.array([seed], dtype=np.uint64), np.array([0.1, float("nan")]))
+    assert buf.getvalue() == f"i,seed,x\n0,,\n1,,0.10000000000000001\n2,{seed},nan\n"
+    # a path as a per-node format writes it: W and Y empty before t = 0
+    g = Grid.build(1.0, 1.0, 0.1)
+    p = simulate(-0.5, D0, InitialPath.constant(1.0), g, seed=3)
+    buf = io.StringIO()
+    path_to_csv(p, buf)
+    nd, X = g.n_delay, p.X
+    rows = [f"{t:.17g},,{X[i]:.17g}," if i < nd else f"{t:.17g},{p.W[i - nd]:.17g},{X[i]:.17g},{p.Y[i - nd]:.17g}"
+            for i, t in enumerate(g.times())]
+    assert buf.getvalue().splitlines() == ["t,W,X,Y", *rows]
 
 
 def test_path_csv_skips_blank_lines():
