@@ -34,7 +34,7 @@ from .kernels import Grid, fisher_limit
 from .limit_laws import LimitLawError, sample_lamn_many, sample_lan_many, sample_laq_many, sample_plamn_many
 from .measures import SignedMeasure, json_document
 from .simulate import InitialPath, derive_seed, simulate_batch, simulate_sums, write_csv  # noqa: F401
-from .spectrum import RegimeReport, classify
+from .spectrum import REGIME_HINTS, RegimeReport, classify
 
 # replicates streamed together, the one memory bound: a chunk holds about
 # n_delay + 1 + simulate.BLOCK floats per replicate, and a tile scratch of
@@ -80,11 +80,22 @@ class ExperimentConfig:
     ergodic_rel: float = 0.05
 
     def __post_init__(self):
-        for name in ("theta", "T", "dt", "p_threshold", "ergodic_rel"):
-            setattr(self, name, float(getattr(self, name)))
-        for name in ("n_replicates", "seed", "n_limit_draws"):
-            setattr(self, name, int(getattr(self, name)))
+        numbers = {"float": (float, "a number"), "int": (int, "an integer")}
+        for f in fields(self):
+            if f.type in numbers:
+                (kind, what), value = numbers[f.type], getattr(self, f.name)
+                try:
+                    setattr(self, f.name, kind(value))
+                except (TypeError, ValueError):
+                    raise HarnessError(f"experiment config field {f.name!r} must be {what}, got {value!r}") from None
+        if not isinstance(self.tests, (list, tuple)):
+            raise HarnessError(f"experiment config field 'tests' must be a list of test names, got {self.tests!r}")
         self.tests = tuple(self.tests)
+        hint = self.regime_hint
+        if not (hint is None or isinstance(hint, str) and hint.upper() in REGIME_HINTS):
+            raise HarnessError(
+                f"experiment config field 'regime_hint' must be null or one of {REGIME_HINTS}, got {hint!r}"
+            )
         self.mean_info_band = band = tuple(self.mean_info_band)
         if self.n_replicates < 1:
             raise HarnessError(f"n_replicates must be >= 1, got {self.n_replicates}")

@@ -17,7 +17,8 @@ U_j = X0(0) + theta * (initial-path mixing integral) + G_j, where the
 G_j = int_0^inf e^(-lam_j s) dW are jointly Gaussian with
 E[G_j G_k] = 1/(lam_j + lam_k) and E[G_j conj(G_k)] = 1/(lam_j + conj(lam_k)).
 LAMN is its case of one real contributing root, with no frequency and no
-phase.
+phase.  `spectrum.roots_in_strip` returns real roots with Im exactly 0 and
+pairs as exact conjugates, so the samplers compare Im exactly.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .measures import SignedMeasure, density_on_grid
 from .simulate import InitialPath
-from .spectrum import RegimeReport, ZERO_TOL
+from .spectrum import RegimeReport
 
 
 class LimitLawError(RuntimeError):
@@ -218,22 +219,22 @@ def sample_laq_many(
     if report.regime != "LAQ":
         raise LimitLawError(f"sample_laq_many needs an LAQ report, got {report.regime}")
     m_star, roots = _contributing(report)
-    phis = sorted({round(abs(lam.imag), 12) for lam, _ in roots})
+    phis = sorted({abs(lam.imag) for lam, _ in roots})
     forms = _bridge_forms(m_star, LAQ_TERMS)
-    anti = _bridge_anti(m_star, LAQ_TERMS) if phis[-1] > ZERO_TOL else None
+    anti = _bridge_anti(m_star, LAQ_TERMS) if phis[-1] > 0.0 else None
     delta = np.zeros(n, dtype=complex)
     info = np.zeros(n)
     for phi in phis:
-        ito = np.empty(n, dtype=complex if phi > ZERO_TOL else float)
+        ito = np.empty(n, dtype=complex if phi else float)
         energy = np.empty(n)
         for lo, hi in _row_blocks(n):
-            shape = (hi - lo, LAQ_TERMS + 1) if phi <= ZERO_TOL else (2, hi - lo, LAQ_TERMS + 1)
+            shape = (2, hi - lo, LAQ_TERMS + 1) if phi else (hi - lo, LAQ_TERMS + 1)
             ito[lo:hi], energy[lo:hi] = _bridge_pair(rng.standard_normal(shape), m_star, forms, anti)
         for lam, c in roots:
-            if round(abs(lam.imag), 12) != phi:
+            if abs(lam.imag) != phi:
                 continue
             # a lower conjugate root sees the conjugate process
-            delta += c * (np.conj(ito) if phi > ZERO_TOL and lam.imag < 0 else ito)
+            delta += c * (np.conj(ito) if lam.imag < 0.0 else ito)
             info += abs(c) ** 2 * energy
     resid = float(np.max(np.abs(delta.imag), initial=0.0))
     if resid > 1e-8 * (1.0 + float(np.max(np.abs(delta.real), initial=0.0))):
@@ -282,7 +283,7 @@ def sample_lamn_many(
     if report.regime != "LAMN":
         raise LimitLawError(f"sample_lamn_many needs an LAMN report, got {report.regime}")
     lam, c = _contributing(report)[1][0]
-    if abs(lam.imag) > ZERO_TOL or abs(c.imag) > 1e-8 * (1.0 + abs(c)):
+    if lam.imag != 0.0 or abs(c.imag) > 1e-8 * (1.0 + abs(c)):
         raise LimitLawError("LAMN requires a single real contributing root")
     return _mixed_normal(theta, a, report, x0, 0.0, n, rng)
 
@@ -310,8 +311,8 @@ def _mixed_normal(
     v = report.v_star
     if not v > 0.0:
         raise LimitLawError(f"{report.regime} needs v* > 0, got v* = {v:.17g}")
-    kept = [(complex(lam.real, 0.0), c, 1.0) for lam, c in roots if abs(lam.imag) <= ZERO_TOL]
-    kept += [(lam, c, 2.0) for lam, c in roots if lam.imag > ZERO_TOL]
+    kept = [(lam, c, 1.0) for lam, c in roots if lam.imag == 0.0]
+    kept += [(lam, c, 2.0) for lam, c in roots if lam.imag > 0.0]
     lam = np.array([k[0] for k in kept])
     phi = lam.imag
     p = lam.size

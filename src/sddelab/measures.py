@@ -16,10 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-# |lambda|*r below this uses the Taylor-series branch of the polynomial
-# moments (the 1/lambda recursions are singular at 0).
-SERIES_SWITCH = 1e-4
-
 # Minimum grid size accepted for sampled densities.
 MIN_SAMPLED_GRID = 33
 
@@ -213,31 +209,12 @@ def _fit_samples(r: float, values) -> tuple[DensityPiece, ...]:
 # Each takes an array of lambda values and returns I_0..I_kmax as rows.  The
 # parts recursion B_k = k I_{k-1} + lam I_k (B_k the boundary term) is only
 # used upward where it is relative-error stable, i.e. when the per-step
-# factor k / (|lam| max|u|) stays <= 1/2.  Small |lam| uses the Taylor series
-# in lam (no 1/lam anywhere); the middle band uses Gauss-Legendre quadrature
-# of one order per call, the one its largest |lam| needs, rounded up to a
-# multiple of 16 (at most 400 nodes), from `_leggauss_cached`, the package's
-# one source of Gauss-Legendre rules.  `exp_moments` is their one consumer:
-# a piece with coefficients c gives M_j as c . (I_j, ..., I_{j+deg}).
-
-
-def _ik_series(lam, kmax: int, lo: float, hi: float) -> np.ndarray:
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    ks = np.arange(kmax + 1)
-    out = np.zeros((kmax + 1, lam.size), dtype=complex)
-    lam_pow = np.ones(lam.size, dtype=complex)
-    fact = 1.0
-    mx = np.zeros(out.shape)
-    for s in range(120):
-        powers = ks + s + 1
-        term = np.multiply.outer((hi**powers - lo**powers) / powers, lam_pow / fact)
-        out += term
-        mx = np.maximum(mx, np.abs(out))
-        if s >= 2 and np.all(np.abs(term) <= 1e-16 * mx + 1e-300):
-            break
-        lam_pow = lam_pow * lam
-        fact *= s + 1
-    return out
+# factor k / (|lam| max|u|) stays <= 1/2.  Every smaller |lam|, lam = 0
+# included, uses Gauss-Legendre quadrature (no 1/lam anywhere) of one order
+# per call, the one its largest |lam| needs, rounded up to a multiple of 16
+# (at most 400 nodes), from `_leggauss_cached`, the package's one source of
+# Gauss-Legendre rules.  `exp_moments` is their one consumer: a piece with
+# coefficients c gives M_j as c . (I_j, ..., I_{j+deg}).
 
 
 def _ik_upward(lam, kmax: int, lo: float, hi: float) -> np.ndarray:
@@ -276,12 +253,9 @@ def _exp_kernel_moments(lam, kmax: int, lo: float, hi: float) -> np.ndarray:
     each element goes through its numerically safe branch."""
     lam = np.asarray(lam, dtype=complex)
     flat = lam.ravel()
-    z = np.abs(flat) * max(abs(lo), abs(hi))
-    series = z < SERIES_SWITCH
-    upward = z >= 2.0 * (kmax + 1)
-    gauss = ~(series | upward)
+    upward = np.abs(flat) * max(abs(lo), abs(hi)) >= 2.0 * (kmax + 1)
     out = np.empty((kmax + 1, flat.size), dtype=complex)
-    for mask, branch in ((series, _ik_series), (upward, _ik_upward), (gauss, _ik_gauss)):
+    for mask, branch in ((upward, _ik_upward), (~upward, _ik_gauss)):
         if mask.any():
             out[:, mask] = branch(flat[mask], kmax, lo, hi)
     return out.reshape((kmax + 1,) + lam.shape)

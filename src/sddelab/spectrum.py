@@ -3,8 +3,9 @@ set in a half-plane strip, Laurent data of 1/h at each root, and the regime
 classification (LAN / LAQ / LAMN / PLAMN) with the matching scaling law.
 
 Roots are located by the argument principle on subdivided rectangles and
-polished by Newton iteration; the search exploits conjugate symmetry by
-scanning only the upper half strip and mirroring.
+polished by Newton iteration.  The search scans only the upper half strip
+and mirrors it: a real root has imaginary part exactly 0 and a pair is an
+exact conjugate mirror, so whether a root is real is decided here alone.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ MERGE_TOL = 1e-8
 # |v*| r below this counts as the critical (LAQ) boundary: a band in units
 # of 1/r, so the regime does not change under the time rescaling t -> t/r.
 ZERO_TOL = 1e-8
+
+REGIME_HINTS = ("LAN", "LAQ", "LAMN", "PLAMN")  # what a hint may force, in any case
 
 
 class SpectrumError(RuntimeError):
@@ -346,8 +349,9 @@ def roots_in_strip(theta: float, a: SignedMeasure, c: float) -> list[CharRoot]:
     confined to |lambda| <= |theta| ||a|| e^(|c| r) and are found by
     subdividing rectangles on argument-principle counts, Newton polish,
     merging of sub-1e-8 clusters, and conjugate mirroring of the upper
-    half-strip scan.  A non-finite theta or c is refused, and so is a bound
-    too large to sample (`_winding_count`).
+    half-strip scan: real roots are exactly real and pairs exact mirrors,
+    which `classify` and the limit-law samplers rely on.  A non-finite theta
+    or c is refused, and so is a bound too large to sample (`_winding_count`).
     """
     if not (math.isfinite(theta) and math.isfinite(c)):
         raise SpectrumError(f"root search needs a finite theta and strip, got theta={theta}, c={c}")
@@ -360,8 +364,7 @@ def roots_in_strip(theta: float, a: SignedMeasure, c: float) -> list[CharRoot]:
         return []
     rng = np.random.default_rng(12345)
     margin = 3e-4 * (1.0 + abs(c))
-    axis_pad = 0.0171
-    rect0 = (c - margin, v_max + 0.0133, -axis_pad, bound + 0.0119)
+    rect0 = (c - margin, v_max + 0.0133, -0.0171, bound + 0.0119)
 
     found: list[tuple[complex, int]] = []
     budget = [0]
@@ -436,10 +439,8 @@ def roots_in_strip(theta: float, a: SignedMeasure, c: float) -> list[CharRoot]:
                 break
         else:
             merged.append((z, m))
-    mirrored = list(merged)
-    for z, m in merged:
-        if z.imag > axis_pad and all(abs(z.conjugate() - zi) > 1e-7 for zi, _ in mirrored):
-            mirrored.append((z.conjugate(), m))
+    upper = [(z, m) for z, m in merged if z.imag >= 0.0]
+    mirrored = upper + [(z.conjugate(), m) for z, m in upper if z.imag > 0.0]
     cutoff = c - 1e-9 * (1.0 + abs(c))
     result = [CharRoot(z, m) for z, m in mirrored if z.real >= cutoff]
     result.sort(key=lambda rt: (-rt.lam.real, abs(rt.lam.imag), -rt.lam.imag))
@@ -585,7 +586,7 @@ def classify(
                 "v* reported as -inf"
             )
 
-    H = sorted(rt.lam.imag for rt in contributing if rt.lam.imag > ZERO_TOL)
+    H = sorted(rt.lam.imag for rt in contributing if rt.lam.imag > 0.0)
     D = None
     if in_lan_band(v_star, a.r):
         regime = "LAN"
@@ -622,7 +623,7 @@ def _apply_hint(report: RegimeReport, hint: str | None, notes: list[str]) -> Reg
     if hint is None:
         return report
     hint = hint.upper()
-    if hint not in ("LAN", "LAQ", "LAMN", "PLAMN"):
+    if hint not in REGIME_HINTS:
         raise ValueError(f"unknown regime hint {hint!r}")
     if hint != report.regime:
         notes.append(f"regime {report.regime} overridden to {hint} by hint")

@@ -670,6 +670,8 @@ CONFIG = {"measure": "dirac0.json", "theta": -0.5, "T": 5, "dt": 0.1, "n_replica
         ("--config", {**CONFIG, "mean_info_band": 5}, "experiment config"),
         ("--config", {**CONFIG, "tests": 3}, "experiment config"),
         ("--config", {**CONFIG, "theta": None}, "experiment config"),
+        ("--config", {**CONFIG, "tests": "ks_delta"}, "experiment config"),
+        ("--config", {**CONFIG, "seed": "abc"}, "experiment config"),
     ],
 )
 def test_wrong_typed_json_usage_error(option, doc, name, tmp_path, capsys):
@@ -686,3 +688,16 @@ def test_wrong_typed_json_usage_error(option, doc, name, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"error: {name} ")
     assert not (tmp_path / "out").exists()
+
+
+def test_experiment_regime_hint_refused_with_the_config(tmp_path, capsys, monkeypatch):
+    # a hint that is no regime name is refused by its field when the config
+    # is read, before the root search
+    monkeypatch.setattr(sddelab.harness, "classify", lambda *args, **kw: pytest.fail("classified"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**CONFIG, "regime_hint": 5}))
+    assert main(["experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "error: experiment config field 'regime_hint' must be null or one of ('LAN', 'LAQ', 'LAMN', 'PLAMN'), got 5\n"
+    )
+    assert not (tmp_path / "o").exists()

@@ -315,6 +315,10 @@ def test_normal_delta_counts_dropped_replicates():
     assert res.diagnostics["nan_theta_hat"] == 100
 
 
+def test_config_regime_hint_any_case():
+    assert config(regime_hint="plamn").regime_hint == "plamn"
+
+
 def test_distributional_tests_need_replicates():
     with pytest.raises(HarnessError):
         config(tests=["ks_delta"], n_replicates=50)
@@ -338,6 +342,12 @@ def test_distributional_tests_need_replicates():
         ("mean_info_band", ["a", "b"]),
         ("ergodic_rel", 0.0),
         ("ergodic_rel", -0.05),
+        ("seed", "abc"),
+        ("T", "5s"),
+        ("theta", None),
+        ("tests", "ks_delta"),
+        ("regime_hint", 5),
+        ("regime_hint", "LANN"),
     ],
 )
 def test_config_values_refused_by_name(key, value):

@@ -14,7 +14,6 @@ from sddelab.measures import (
     _ik_gauss,
     _leggauss_cached,
     _poly_defint,
-    _ik_series,
     _ik_upward,
     exp_moment,
     exp_moments,
@@ -229,13 +228,28 @@ def test_exp_moments_one_body_at_numbers_and_arrays():
             exp_moments(m, 0.5, bad)
 
 
-def test_series_and_quadrature_branches_agree_at_switch():
-    # branch boundary consistency at |lambda| = 2e-4
-    for ang in (0.0, 1.1, 2.3):
-        lam = 2e-4 * np.exp(1j * ang)
-        a_ = _ik_series(lam, 5, -1.0, 0.0)
-        b_ = _ik_gauss(lam, 5, -1.0, 0.0)
-        np.testing.assert_allclose(a_, b_, rtol=1e-10, atol=1e-16)
+@pytest.mark.parametrize("kmax", [5, 24, 44])
+@pytest.mark.parametrize("lo, hi", [(-1.0, 0.0), (-1.0, -0.5), (-2.0 * np.pi, 0.0)])
+def test_kernel_moments_at_zero_exact(kmax, lo, hi):
+    # I_k(0) = (hi^(k+1) - lo^(k+1))/(k+1), up to the highest order a density
+    # piece asks for (MAX_MOMENT_ORDER plus a fit of degree 20)
+    k = np.arange(kmax + 1)
+    want = (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+    np.testing.assert_allclose(_exp_kernel_moments(0.0, kmax, lo, hi), want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.0, 0.0), (-1.5, -0.3)])
+def test_kernel_moments_near_zero_against_mpmath(lo, hi):
+    # |lambda| max|u| < 1e-4, down to 1e-300, in four directions: an
+    # independent high-precision quadrature oracle for the band near 0
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    kmax = 6
+    for radius in (1e-300, 1e-12, 1e-6, 9e-5):
+        for lam in radius * np.array([1.0, 1j, -1.0, np.exp(2.3j)]):
+            z = mp.mpc(lam.real, lam.imag)
+            want = [complex(mp.quad(lambda u: u**k * mp.e ** (z * u), [lo, hi])) for k in range(kmax + 1)]
+            np.testing.assert_allclose(_exp_kernel_moments(lam, kmax, lo, hi), want, rtol=1e-12, atol=0.0)
 
 
 def test_upward_and_quadrature_branches_agree_at_switch():
@@ -271,7 +285,7 @@ def test_gauss_rules_built_by_a_density_classify():
 
 def test_gauss_one_rule_per_call_matches_per_lambda_calls():
     # lambda spread over the whole Gauss band of [-1, 0] at kmax = 10,
-    # |lambda| max|u| from SERIES_SWITCH to 2 (kmax + 1), in every direction:
+    # |lambda| max|u| from 1e-4 to 2 (kmax + 1), in every direction:
     # the call's one rule (for its largest |lambda|) agrees with each
     # lambda's own
     kmax, lo, hi = 10, -1.0, 0.0

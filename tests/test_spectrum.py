@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from sddelab.kernels import KernelError, fisher_limit
 from sddelab.measures import SignedMeasure, exp_moment
 from sddelab.spectrum import (
+    MERGE_TOL,
     NEG_INF,
     CharRoot,
     SpectrumError,
@@ -163,11 +164,29 @@ def test_zero_count_matches_returned_multiplicities():
     assert n == sum(z.multiplicity for z in inside)
 
 
-def test_conjugate_pairing_of_roots():
-    roots = roots_in_strip(-2.0, DM1, -2.0)
-    lams = {complex(round(z.lam.real, 9), round(z.lam.imag, 9)) for z in roots}
-    for z in lams:
-        assert z.conjugate() in lams
+PACKAGED = ("balanced_atoms.json", "dirac0.json", "dirac_delay.json", "hayes_boundary.json", "sin_density.json")
+
+
+@pytest.mark.parametrize(
+    "a, theta, c",
+    [
+        (packaged_measure(name), theta, -2.0 / packaged_measure(name).r)
+        for name in PACKAGED
+        for theta in (-2.0, -np.pi / 2, -1.0, -0.5, 0.15, 0.5, 1.0)
+    ]
+    # just past the double root -1 of theta = -1/e: a pair at Im +-0.014
+    # (eps = 1e-4) and +-0.0045 (1e-5), close enough to the axis for the
+    # upper half scan to find both roots
+    + [(SignedMeasure.point_masses(1.0, (-1.0, -math.exp(-1.0) * (1.0 + eps))), 1.0, -1.5) for eps in (1e-4, 1e-5)],
+)
+def test_roots_real_or_exact_conjugate_pairs(a, theta, c):
+    # a real root is exactly real, and every other root is listed with the
+    # exact conjugate of it and the same multiplicity
+    roots = {(rt.lam, rt.multiplicity) for rt in roots_in_strip(theta, a, c)}
+    assert roots
+    for lam, m in roots:
+        assert lam.imag == 0.0 or abs(lam.imag) > MERGE_TOL
+        assert (lam.conjugate(), m) in roots
 
 
 def test_double_root_multiplicity():
