@@ -80,14 +80,21 @@ class ExperimentConfig:
     ergodic_rel: float = 0.05
 
     def __post_init__(self):
-        numbers = {"float": (float, "a number"), "int": (int, "an integer")}
+        # a field whose default is None may be None; a boolean is no number,
+        # and an integer field takes only integral values
+        numbers = {"float": (float, "a number"), "float | None": (float, "a number"), "int": (int, "an integer")}
         for f in fields(self):
-            if f.type in numbers:
-                (kind, what), value = numbers[f.type], getattr(self, f.name)
+            value = getattr(self, f.name)
+            if f.type in numbers and not (value is None and f.default is None):
+                kind, what = numbers[f.type]
                 try:
-                    setattr(self, f.name, kind(value))
-                except (TypeError, ValueError):
-                    raise HarnessError(f"experiment config field {f.name!r} must be {what}, got {value!r}") from None
+                    number = kind(value)
+                    ok = not isinstance(value, bool) and (kind is float or number == float(value))
+                except (TypeError, ValueError, OverflowError):
+                    ok = False
+                if not ok:
+                    raise HarnessError(f"experiment config field {f.name!r} must be {what}, got {value!r}")
+                setattr(self, f.name, number)
         if not isinstance(self.tests, (list, tuple)):
             raise HarnessError(f"experiment config field 'tests' must be a list of test names, got {self.tests!r}")
         self.tests = tuple(self.tests)
@@ -105,10 +112,10 @@ class ExperimentConfig:
             raise HarnessError(f"n_limit_draws must be >= 0, got {self.n_limit_draws}")
         if not 0.0 < self.p_threshold < 1.0:
             raise HarnessError(f"p_threshold must lie in (0, 1), got {self.p_threshold}")
-        finite = all(isinstance(v, (int, float)) and math.isfinite(v) for v in band)
+        finite = all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in band)
         if not (len(band) == 2 and finite and 0 < band[0] <= band[1]):
             raise HarnessError(f"mean_info_band must be two finite numbers 0 < lo <= hi, got {list(band)}")
-        if self.plamn_d is not None and not math.isfinite(float(self.plamn_d)):
+        if self.plamn_d is not None and not math.isfinite(self.plamn_d):
             raise HarnessError(f"plamn_d must be finite, got {self.plamn_d}")
         if not self.ergodic_rel > 0.0:
             raise HarnessError(f"ergodic_rel must be > 0, got {self.ergodic_rel}")

@@ -5,7 +5,8 @@ the limiting Fisher information.
 
 Discretization: uniform grid with dt = r/n_delay, method of steps with an
 order-2 Heun corrector.  One quadrature, `DelayStencil`, serves the
-fundamental solution, the kernel y and the simulated paths: exact integrals
+fundamental solution, the kernel y, the simulated paths and the initial-path
+term of the mixed-normal limit laws (`limit_laws._initial_mix`): exact integrals
 of the density against the piecewise-linear nodal basis, atom locations
 snapped to grid nodes when within 1e-12 (linear interpolation otherwise),
 and the window truncated at the unit jump of the fundamental solution at
@@ -73,8 +74,8 @@ class Grid:
     def build(r: float, T: float, dt: float) -> "Grid":
         """Grid with dt snapped to an exact divisor of r (dt := r/n_delay)
         and T snapped to the nearest grid multiple (within half a step)."""
-        if not (math.isfinite(T) and math.isfinite(dt)):
-            raise KernelError(f"grid needs a finite T and dt, got T={T}, dt={dt}")
+        if not (math.isfinite(T) and math.isfinite(dt) and dt > 0.0):
+            raise KernelError(f"grid needs a finite T and dt with dt > 0, got T={T}, dt={dt}")
         n_delay = int(round(r / dt))
         if n_delay < 1:
             raise KernelError(f"dt={dt} exceeds the delay horizon r={r}")
@@ -152,8 +153,10 @@ class DelayStencil:
     def apply(self, X: np.ndarray, j: int, start: int = 0, left: bool = False, out=None, density: bool = True):
         """Delay functional at node j >= n_delay.  X is zero before node
         `start`: 0 for a simulated path (continuous initial segment),
-        n_delay for the fundamental solution (jump at time 0).  `left` takes
-        the left limit at `start`: an atom landing on it sees zero.  X may
+        n_delay for the fundamental solution (jump at time 0).  Reads before
+        `start` add those zeros; the two reads across the jump are skipped:
+        an atom on `start` when `left` takes the left limit there, and an
+        off-grid atom straddling `start`, which sees the zero before it.  X may
         be a memoryview of a path, whose reads are Python floats (the
         density's window sum reads it through `np.asarray`, a view).  With
         `out`, a row of replicates, the terms are added to it in place and
@@ -166,14 +169,10 @@ class DelayStencil:
         for s, frac, w in self.atoms:
             idx = j + s
             if frac == 0.0:
-                if idx < start or (idx == start and left):
-                    continue
-                acc += w * X[idx]
-            else:
-                if idx + 1 <= start:
-                    continue
-                lo_val = X[idx] if idx >= start else 0.0
-                acc += w * ((1.0 - frac) * lo_val + frac * X[idx + 1])
+                if idx != start or not left:
+                    acc += w * X[idx]
+            elif idx + 1 != start:
+                acc += w * ((1.0 - frac) * X[idx] + frac * X[idx + 1])
         if self.has_density and density:
             X = np.asarray(X)  # .dot below: the bits of @ at less cost per call
             lo = start + nd - j  # first panel whose nodes are at/after start

@@ -27,7 +27,8 @@ import math
 
 import numpy as np
 
-from .measures import SignedMeasure, density_on_grid
+from .kernels import DelayStencil, Grid
+from .measures import SignedMeasure
 from .simulate import InitialPath
 from .spectrum import RegimeReport
 
@@ -249,26 +250,16 @@ def sample_laq_many(
 
 
 def _initial_mix(theta: float, a: SignedMeasure, x0: InitialPath, lam: complex) -> complex:
-    """theta * integral over a(du) of integral_u^0 e^(-lam (s-u)) X0(s) ds."""
+    """theta * integral over a(du) of integral_u^0 e^(-lam (s-u)) X0(s) ds.
+    The inner integral is e^(lam u) (G(0) - G(u)) with the cumulative
+    trapezoid G(u) = int_-r^u e^(-lam s) X0(s) ds on 4096 panels; the outer
+    one is `DelayStencil` on that grid, exact against each density piece."""
     if theta == 0.0 or not any(x0.values):
         return 0.0 + 0.0j
     s = np.linspace(-a.r, 0.0, 4097)
-    x0v = x0.eval(s, a.r)
-    integrand = np.exp(-lam * s) * x0v
+    integrand = np.exp(-lam * s) * x0.eval(s, a.r)
     G = np.concatenate([[0.0 + 0.0j], np.cumsum(np.diff(s) * (integrand[1:] + integrand[:-1]) / 2.0)])
-
-    def inner(u: float) -> complex:
-        g_u = complex(np.interp(u, s, G.real)) + 1j * complex(np.interp(u, s, G.imag))
-        return np.exp(lam * u) * (G[-1] - g_u)
-
-    total = 0.0 + 0.0j
-    for u, w in a.atoms:
-        total += w * inner(u)
-    if a.density_pieces:
-        rho = density_on_grid(a, s)
-        inner_vals = np.exp(lam * s) * (G[-1] - G)
-        total += np.trapezoid(rho * inner_vals, s)
-    return theta * total
+    return theta * DelayStencil(a, Grid(a.r, 4096, 1)).apply(np.exp(lam * s) * (G[-1] - G), 4096)
 
 
 # ---------------------------------------------------------------------------

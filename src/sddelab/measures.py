@@ -324,13 +324,3 @@ def exp_moments_01_many(a: SignedMeasure, lams: np.ndarray) -> tuple[np.ndarray,
     """(M_0, M_1) over an array of lambda values (hot path of the contour
     winding counts)."""
     return tuple(exp_moments(a, np.asarray(lams, dtype=complex), (0, 1)))
-
-
-def density_on_grid(a: SignedMeasure, grid: np.ndarray) -> np.ndarray:
-    """Density values at the given nodes (piecewise polynomial evaluated
-    exactly)."""
-    out = np.zeros(grid.size)
-    for p in a.density_pieces:
-        mask = (grid >= p.lo - 1e-12) & (grid <= p.hi + 1e-12)
-        out[mask] = P.polyval(grid[mask], p.coeffs)
-    return out

@@ -120,8 +120,6 @@ class SamplePath:
     W: np.ndarray  # cumulative Wiener values on [0, T], W[0] = 0
     X: np.ndarray  # state on [-r, T]
     Y: np.ndarray  # delay functional on [0, T]
-    theta_true: float
-    seed: int
 
     def __post_init__(self):
         nd = self.grid.n_delay  # node of t = 0 in X, of W[0] and Y[0]
@@ -336,7 +334,7 @@ def simulate(
     dW2 = None if dW is None else np.asarray(dW, dtype=float)[None, :]
     with np.errstate(over="ignore", invalid="ignore"):
         W, X, Y = simulate_batch(theta, a, x0, grid, [seed], dW=dW2)
-    return SamplePath(grid=grid, W=W[0], X=X[0], Y=Y[0], theta_true=theta, seed=int(seed))
+    return SamplePath(grid=grid, W=W[0], X=X[0], Y=Y[0])
 
 
 def y_process(X: np.ndarray, a: SignedMeasure, grid: Grid) -> np.ndarray:
@@ -371,7 +369,7 @@ def path_to_csv(path: SamplePath, fh) -> None:
     write_csv(fh, "t,W,X,Y", path.grid.times(), path.W, path.X, path.Y)
 
 
-def path_from_csv(fh, theta_true: float = float("nan"), seed: int = 0) -> SamplePath:
+def path_from_csv(fh) -> SamplePath:
     """(t, X) from every non-blank row, n_delay from the rows with t < 0 and
     (W, Y) from the rows after them."""
     header = fh.readline().strip().split(",")
@@ -389,4 +387,4 @@ def path_from_csv(fh, theta_true: float = float("nan"), seed: int = 0) -> Sample
     # t_0 = -n_delay * (r / n_delay) gives back the simulating grid's dt,
     # where the difference of two rounded times would not
     grid = Grid(r=float(-ts[0]), n_delay=nd, n_steps=len(rows) - nd - 1)
-    return SamplePath(grid=grid, W=W, X=X, Y=Y, theta_true=theta_true, seed=seed)
+    return SamplePath(grid=grid, W=W, X=X, Y=Y)

@@ -320,6 +320,24 @@ def test_non_finite_grid_usage_error(flag, value, capsys):
     assert "finite T and dt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["kernel", "simulate", "experiment"])
+@pytest.mark.parametrize("dt", [0.0, -0.1])
+def test_non_positive_dt_usage_error(command, dt, tmp_path, capsys):
+    # refused by name before r is divided by it
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"measure": DIRAC0, "theta": -0.5, "T": 1.0, "dt": dt, "tests": []}))
+    argv = {
+        "kernel": ["kernel", "--theta", "-0.5", "--measure", "dirac0.json", "--T", "1.0", "--dt", str(dt)],
+        "simulate": ["simulate", "--theta", "-0.5", "--measure", "dirac0.json", "--T", "1.0", "--dt", str(dt)],
+        "experiment": ["experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: grid needs a finite T and dt with dt > 0, got T=1.0, dt={dt}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_experiment_zero_replicates_usage_error(tmp_path, capsys):
     # without distributional tests nothing else bounds the replicate count
     cfg_path = tmp_path / "cfg.json"

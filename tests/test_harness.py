@@ -348,6 +348,16 @@ def test_distributional_tests_need_replicates():
         ("tests", "ks_delta"),
         ("regime_hint", 5),
         ("regime_hint", "LANN"),
+        ("n_replicates", 200.7),
+        ("seed", 3.9),
+        ("seed", float("inf")),
+        ("seed", True),
+        ("n_replicates", True),
+        ("theta", True),
+        ("dt", False),
+        ("plamn_d", True),
+        ("plamn_d", "abc"),
+        ("mean_info_band", [True, True]),
     ],
 )
 def test_config_values_refused_by_name(key, value):
@@ -356,6 +366,13 @@ def test_config_values_refused_by_name(key, value):
         config(**{key: value})
     with pytest.raises(HarnessError, match=key):
         dataclasses.replace(config(), **{key: value})
+
+
+def test_config_integral_floats_accepted():
+    cfg = config(n_replicates=200.0, seed=3.0, n_limit_draws=400.0, plamn_d=1)
+    assert (cfg.n_replicates, cfg.seed, cfg.n_limit_draws) == (200, 3, 400)
+    assert all(type(v) is int for v in (cfg.n_replicates, cfg.seed, cfg.n_limit_draws))
+    assert type(cfg.plamn_d) is float
 
 
 @pytest.mark.parametrize("name", ["lan_ou.json", "laq_bm.json", "lamn_ou.json"])

@@ -133,6 +133,6 @@ def test_normalized_score_is_standard_normal_in_lan():
 
 def test_inconsistent_path_arrays_rejected():
     p = make_path(T=5.0)
-    broken = type(p)(grid=p.grid, W=p.W, X=p.X[:-3], Y=p.Y, theta_true=p.theta_true, seed=p.seed)
+    broken = type(p)(grid=p.grid, W=p.W, X=p.X[:-3], Y=p.Y)
     with pytest.raises(InferenceError):
         log_likelihood_ratio(broken, 0.1, 0.0)

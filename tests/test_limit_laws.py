@@ -25,7 +25,7 @@ from sddelab.limit_laws import (
     sample_laq_many,
     sample_plamn_many,
 )
-from sddelab.measures import SignedMeasure
+from sddelab.measures import SignedMeasure, exp_moment
 from sddelab.simulate import InitialPath
 from sddelab.spectrum import ZERO_TOL, classify
 
@@ -471,6 +471,62 @@ def test_initial_mix_closed_form():
     got = _initial_mix(1.0, DM1, InitialPath.constant(1.0), lam)
     want = (1 - math.exp(-lam)) / lam
     assert complex(got) == pytest.approx(want, rel=1e-7)
+
+
+def _dens(*pieces):
+    return SignedMeasure.polynomial_density(1.0, pieces).density_pieces
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        SignedMeasure(r=1.0, density_pieces=_dens((-1.0, -0.5, (2.0,)))),
+        SignedMeasure(r=1.0, density_pieces=_dens((-1.0, -0.5, (1.0,)), (-0.5, 0.0, (-1.0,)))),
+        SignedMeasure(r=1.0, atoms=((-1.0, 0.5),), density_pieces=_dens((-0.7, -0.2, (1.5,)))),
+        SignedMeasure.point_masses(1.0, (-1.0, 0.6), (-0.3737, -1.1), (-0.25, 0.4)),
+    ],
+    ids=["density-half", "density-jump", "atom-and-density", "off-grid-atoms"],
+)
+@pytest.mark.parametrize("lam", [0.3, 1.0, 0.5 + 2j])
+def test_initial_mix_closed_form_against_measure(a, lam):
+    # x0 = 1: the inner integral is (1 - e^{lam u})/lam, so the mixing term
+    # is theta (M_0(0) - M_0(lam))/lam; the outer quadrature is exact
+    # against each density piece, jumps included
+    got = _initial_mix(1.0, a, InitialPath.constant(1.0), lam)
+    want = (exp_moment(a, 0.0) - exp_moment(a, lam)) / lam
+    assert complex(got) == pytest.approx(want, rel=1e-6)
+
+
+def _z(x):
+    # mean of the draws in units of its standard error
+    return float(np.mean(x)) / (float(np.std(x, ddof=1)) / math.sqrt(x.size))
+
+
+@pytest.mark.parametrize(
+    "name, theta",
+    [
+        ("dirac0", -0.5),
+        ("dirac0", 0.0),
+        ("dirac0", 0.5),
+        ("hayes_boundary", -math.pi / 2),
+        ("dirac_delay", -2.0),
+        ("balanced_atoms", 1.0),
+        ("sin_density", 1.0),
+    ],
+)
+@pytest.mark.parametrize("key", [1, 2])
+def test_limit_law_score_identities(name, theta, key):
+    # the score is a martingale limit: E[Delta] = 0 and E[Delta^2] = E[J]
+    # for every law; the mixed-normal laws (LAN included) are N(0, J) given
+    # J, so E[exp(h Delta - h^2 J/2)] = 1.  LAQ's weights are too
+    # heavy-tailed for that last mean to settle at 40 000 draws.
+    a = packaged(name)
+    report = classify(theta, a)
+    delta, info, _ = sample_limit(theta, a, report, InitialPath.zero(), 40_000, rng_(key))
+    assert abs(_z(delta)) < 4.0 and abs(_z(delta * delta - info)) < 4.0
+    if report.regime != "LAQ":
+        for h in (-1.0, -0.3, 0.3, 1.0):
+            assert abs(_z(np.exp(h * delta - h * h * info / 2.0) - 1.0)) < 4.0, h
 
 
 def test_all_samplers_deterministic_given_seed():

@@ -18,7 +18,6 @@ from sddelab.measures import (
     exp_moment,
     exp_moments,
     exp_moments_01_many,
-    density_on_grid,
     tail_mass,
     total_variation,
 )
@@ -171,8 +170,7 @@ def test_polynomial_toolkit_matches_horner_bitwise():
         anti2 = [np.zeros(5)] + [row / (k + 1) for k, row in enumerate(rows)]
         assert _poly_defint(rows, los, his).tobytes() == (_horner(anti2, his) - _horner(anti2, los)).tobytes()
         u = rng.uniform(-3.0, 0.0, 9)
-        a = SignedMeasure.polynomial_density(3.0, [(-3.0, 0.0, tuple(c))])
-        assert density_on_grid(a, u).tobytes() == _horner(c, u).tobytes()
+        assert np.polynomial.polynomial.polyval(u, c).tobytes() == _horner(c, u).tobytes()
         z = c + 1j * rng.standard_normal(c.size)
         assert np.polynomial.polynomial.polyval(u, z).tobytes() == _horner(z, u).tobytes()
 

@@ -152,6 +152,21 @@ def test_roots_against_lambert_branches():
         assert roots[0].lam * r == pytest.approx(-1.0, abs=1e-7)
 
 
+@pytest.mark.parametrize("w0", [0.0, 0.5, -0.3, -0.8, 0.9])
+def test_classify_on_hayes_boundary(w0):
+    # oracle: a = w0 d_0 + d_{-1} has the root pair +-i omega exactly on the
+    # boundary cos omega = -w0, theta_b = -omega/sin omega (Hayes 1950), and
+    # the pair moves into the right half-plane as theta falls through theta_b
+    a = two_atoms(1.0, w0, 1.0)
+    omega = math.acos(-w0)
+    theta_b = -omega / math.sin(omega)
+    at = classify(theta_b, a)
+    assert at.regime == "LAQ"
+    assert at.H == pytest.approx([omega], abs=1e-9)
+    assert classify(theta_b * (1.0 - 1e-6), a).regime == "LAN"
+    assert classify(theta_b * (1.0 + 1e-6), a).regime == "PLAMN"
+
+
 def test_zero_count_matches_returned_multiplicities():
     theta = -np.pi / 2
     roots = roots_in_strip(theta, DM1, -3.0)
