@@ -10,29 +10,44 @@ term of the mixed-normal limit laws (`limit_laws._initial_mix`): exact integrals
 of the density against the piecewise-linear nodal basis, atom locations
 snapped to grid nodes when within 1e-12 (linear interpolation otherwise),
 and the window truncated at the unit jump of the fundamental solution at
-time 0, with left limits where an atom lands on it (order 2 there).
+time 0, with left limits where an atom lands on it (order 2 there).  The
+Heun step across the jump that an off-grid atom reads is split there
+(`DelayStencil.jump_term`), which keeps such an atom second order too.
 
 `solve_fundamental` takes one of two routes through the same Heun steps,
 with the same bits: whole chunks of the method of steps for an atom-only
 stencil whose reads lie at least `CHUNK_FLOOR` nodes back, and otherwise,
 densities included, one node at a time on Python floats.
+
+`fisher_limit` aims at a stated relative accuracy, FISHER_REL_TOL, rather
+than a fixed resolution: trapezoids of y^2 split at the jumps of y on grids
+of n, 2n, 4n, ... delay nodes over one horizon, from the fewest n (at least
+FISHER_FIRST_NODES) on which the Heun step is stable, each pair combined by
+one Richardson step, until the error estimated from successive
+extrapolations is below it.  A cap on the doublings, FISHER_MAX_DOUBLINGS,
+that ends them first is reported by a RuntimeWarning.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import SignedMeasure, _leggauss_cached, _poly_defint, has_zero_mass, tail_mass
+from .measures import SignedMeasure, _leggauss_cached, _poly_defint, has_zero_mass, tail_mass, total_variation
 from .spectrum import NEG_INF, RegimeReport, classify, in_lan_band
 
 ATOM_SNAP = 1e-12
 # shortest stencil lag that `solve_fundamental` advances as whole chunks
 # rather than step by step (chunks of 16 already beat stepping)
 CHUNK_FLOOR = 16
+MAX_GRID_NODES = 10**8  # nodes of a grid on [-r, T]: 0.8 GB per path of floats
 FISHER_TAIL_TOL = 1e-10  # bound on the analytic tail of the Fisher integral
+FISHER_REL_TOL = 5e-9  # relative error estimate `fisher_limit` stops at
+FISHER_FIRST_NODES = 32  # fewest delay nodes of `fisher_limit`'s first solve
+FISHER_MAX_DOUBLINGS = 8  # its finest solve has 2^8 times the first one's nodes
 
 
 class KernelError(ValueError):
@@ -50,6 +65,8 @@ class Grid:
     def __post_init__(self):
         if not (math.isfinite(self.r) and self.r > 0) or self.n_delay < 1 or self.n_steps < 1:
             raise KernelError("grid needs a finite r > 0, n_delay >= 1, n_steps >= 1")
+        if self.n_total > MAX_GRID_NODES:
+            raise KernelError(f"a grid of {self.n_total} nodes exceeds the cap of {MAX_GRID_NODES}")
 
     @property
     def dt(self) -> float:
@@ -76,10 +93,14 @@ class Grid:
         and T snapped to the nearest grid multiple (within half a step)."""
         if not (math.isfinite(T) and math.isfinite(dt) and dt > 0.0):
             raise KernelError(f"grid needs a finite T and dt with dt > 0, got T={T}, dt={dt}")
+        if not math.isfinite(r / dt):
+            raise KernelError(f"r/dt = {r / dt} is not finite (r={r}, dt={dt})")
         n_delay = int(round(r / dt))
         if n_delay < 1:
             raise KernelError(f"dt={dt} exceeds the delay horizon r={r}")
         dt_eff = r / n_delay
+        if not math.isfinite(T / dt_eff):
+            raise KernelError(f"T/dt = {T / dt_eff} is not finite (T={T}, dt={dt_eff})")
         n_steps = int(round(T / dt_eff))
         if n_steps < 1:
             raise KernelError(f"horizon T={T} is below one step dt={dt_eff}")
@@ -88,11 +109,13 @@ class Grid:
 
 @dataclass(frozen=True)
 class Kernel:
-    """`solve_fundamental`'s record: x0 on [-r, T] and the kernel y on [0, T]."""
+    """`solve_fundamental`'s record: x0 on [-r, T], the kernel y on [0, T]
+    and the stencil that made them."""
 
     grid: Grid
     x0_values: np.ndarray
     y_values: np.ndarray
+    stencil: DelayStencil
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +172,12 @@ class DelayStencil:
         # node the step writes (an off-grid atom also reads the node after
         # its floor)
         self.lag = min((-s - (frac != 0.0) for s, frac, _ in self.atoms), default=nd)
+        # the step k (from node start+k to start+k+1) across which an
+        # off-grid atom's read passes the jump of a path at `start`
+        self.jumps: dict[int, list[tuple[float, float]]] = {}
+        for s, frac, w in self.atoms:
+            if frac != 0.0:
+                self.jumps.setdefault(-s - 1, []).append((frac, w))
 
     def apply(self, X: np.ndarray, j: int, start: int = 0, left: bool = False, out=None, density: bool = True):
         """Delay functional at node j >= n_delay.  X is zero before node
@@ -204,6 +233,26 @@ class DelayStencil:
             out += term
         return out
 
+    def jump_reads(self, X, k: int, start: int):
+        """(frac, w, c) for each off-grid atom (u, w) whose read passes the
+        jump of a path X at `start` during step k, from node start+k to
+        start+k+1: the read reaches the jump the fraction 1 - frac into the
+        step and is c at its right end."""
+        for frac, w in self.jumps.get(k, ()):
+            yield frac, w, w * ((1.0 - frac) * X[start] + frac * X[start + 1])
+
+    def jump_term(self, X, k: int, start: int) -> float:
+        """The term that step k of a path X with a jump at `start` adds to
+        its f_right + f_left, for each off-grid atom whose read passes the
+        jump during the step.  The step's trapezoid gives that atom
+        dt*c/2, from its read c at the right end; the atom reads 0 up to
+        the jump and w*X[start] just after it, so its trapezoid over the
+        fraction `frac` of the step after the jump is frac*dt*(w*X[start] + c)/2."""
+        term = 0.0
+        for frac, w, c in self.jump_reads(X, k, start):
+            term += frac * (w * X[start] + c) - c
+        return term
+
     def path(self, X: np.ndarray, start: int = 0) -> np.ndarray:
         """The functional at every node of [0, T], node-major like X."""
         nd, ns = self.grid.n_delay, self.grid.n_steps
@@ -250,11 +299,16 @@ def solve_fundamental(theta: float, a: SignedMeasure, grid: Grid, prefix: Kernel
     # the products each step evaluates first, in theta's precision, then
     # widened as a step widens them against its float64 stencil sums
     full, half = float(dt * theta), float(0.5 * dt * theta)
+    jumps = st.jumps
     if not st.has_density and st.lag >= CHUNK_FLOOR:
         for k in range(k0, ns, st.lag):
             j, m = nd + k, min(st.lag, ns - k)
             y[k : k + m] = f_right = st.apply_span(x, j, m, start=nd)
-            inc = half * (f_right + st.apply_span(x, j + 1, m, start=nd, left=True))
+            f_sum = f_right + st.apply_span(x, j + 1, m, start=nd, left=True)
+            inc = half * f_sum
+            for kj in jumps:  # a jump step lies at least `lag` steps in
+                if k <= kj < k + m:
+                    inc[kj - k] = half * (f_sum[kj - k] + st.jump_term(x, kj, nd))
             inc[0] += x[j]
             np.cumsum(inc, out=x[j + 1 : j + 1 + m])
     else:
@@ -264,9 +318,12 @@ def solve_fundamental(theta: float, a: SignedMeasure, grid: Grid, prefix: Kernel
             Y[k] = f_right = st.apply(X, j, start=nd)
             X[j + 1] = X[j] + full * f_right  # predictor, in place
             f_left = st.apply(X, j + 1, start=nd, left=True)
-            X[j + 1] = X[j] + half * (f_right + f_left)
+            if k in jumps:
+                X[j + 1] = X[j] + half * ((f_right + f_left) + st.jump_term(X, k, nd))
+            else:
+                X[j + 1] = X[j] + half * (f_right + f_left)
     y[ns] = st.apply(x, nd + ns, start=nd)
-    return Kernel(grid=grid, x0_values=x, y_values=y)
+    return Kernel(grid=grid, x0_values=x, y_values=y, stencil=st)
 
 
 def y_kernel(theta: float, a: SignedMeasure, kernel: Kernel) -> np.ndarray:
@@ -297,16 +354,24 @@ def residue_expansion_eval(theta: float, a: SignedMeasure, roots, t):
 # limiting Fisher information
 
 
-def fisher_limit(
-    theta: float,
-    a: SignedMeasure,
-    report: RegimeReport | None = None,
-    n_delay: int | None = None,
-) -> float:
+def fisher_limit(theta: float, a: SignedMeasure, report: RegimeReport | None = None) -> float:
     """J = integral over [0, inf) of y(t)^2 dt, for parameters in the LAN
-    band of v*: trapezoid on [0, T_cut] plus the analytic exponential tail
-    bound chosen below FISHER_TAIL_TOL.  At theta = 0 with a([-r, 0]) = 0 it
-    is the closed form `fisher_theta0`."""
+    band of v*.  Each solve gives the trapezoid I_n of y^2 on [0, T] over n
+    delay nodes, split at the jumps of y (`_y_squared_integral`).  The first
+    solve is on the fewest n = FISHER_FIRST_NODES * 2^k with
+    |theta| |a| r / n <= 1 (|a| the total variation), which keeps its Heun
+    steps stable; T and the analytic exponential tail bound, chosen below
+    FISHER_TAIL_TOL, come from it, and it is continued to T.  Solves on n
+    and 2n nodes give the Richardson value R_n = (4 I_2n - I_n)/3 + tail.
+    n doubles until the error of the latest R, estimated as its move from
+    the one before over 2^p - 1, is at most FISHER_REL_TOL relative.  The
+    order p comes from the ratio 2^p of the last two moves, at most 3 (the
+    Heun expansion's next term; an on-grid lag or a density shows it), and
+    is 2 (an off-grid lag, whose interpolation error Richardson does not
+    cancel) until there are two.  After FISHER_MAX_DOUBLINGS doublings of
+    the first solve's nodes it returns the latest R with a RuntimeWarning
+    giving the estimate.  At theta = 0 with a([-r, 0]) = 0 it is the closed
+    form `fisher_theta0`."""
     if theta == 0.0 and has_zero_mass(a):
         return fisher_theta0(a)
     if report is None:
@@ -314,26 +379,83 @@ def fisher_limit(
     if not in_lan_band(report.v_star, a.r):
         raise KernelError("information diverges: v* >= 0")
     c = report.v_star / 2.0 if report.v_star != NEG_INF else -5.0 / a.r
-    if n_delay is None:
-        n_delay = min(max(int(round(a.r / 1e-3)), 64), 8192)
+    if not math.isfinite(theta):
+        raise KernelError(f"theta must be finite, got {theta}")
+    stiffness = abs(theta) * total_variation(a) * a.r
+    n = FISHER_FIRST_NODES
+    while n < stiffness:
+        n *= 2
 
     horizon = max(2.0 * a.r, 8.0 / abs(c))
-    grid = Grid(r=a.r, n_delay=n_delay, n_steps=int(math.ceil(horizon / (a.r / n_delay))))
+    grid = Grid(r=a.r, n_delay=n, n_steps=int(math.ceil(horizon / (a.r / n))))
     kern = solve_fundamental(theta, a, grid)
     y = y_kernel(theta, a, kern)
     ts = grid.state_times()
     window = ts >= 0.5 * grid.T
-    C = float(np.max(np.abs(y[window]) * np.exp(-c * ts[window])))
-    if C > 0.0:
-        t_cut = math.log(FISHER_TAIL_TOL * 2.0 * abs(c) / C**2) / (2.0 * c)
+    # log C, C = max |y(t)| e^(-c t) over the second half of [0, T]
+    with np.errstate(divide="ignore"):
+        log_C = float(np.max(np.log(np.abs(y[window])) - c * ts[window]))
+    if not log_C < math.inf:
+        raise KernelError(f"the kernel on {n} delay nodes is not finite")
+    if log_C > -math.inf:
+        t_cut = (math.log(FISHER_TAIL_TOL * 2.0 * abs(c)) - 2.0 * log_C) / (2.0 * c)
         if t_cut > grid.T:  # carry the same solve on to t_cut
-            grid = Grid(r=a.r, n_delay=n_delay, n_steps=int(math.ceil(t_cut / (a.r / n_delay))))
+            grid = Grid(r=a.r, n_delay=n, n_steps=int(math.ceil(t_cut / (a.r / n))))
             kern = solve_fundamental(theta, a, grid, prefix=kern)
-            y = y_kernel(theta, a, kern)
-        tail = C**2 * math.exp(2.0 * c * grid.T) / (2.0 * abs(c))
+        tail = math.exp(2.0 * (log_C + c * grid.T)) / (2.0 * abs(c))
     else:
         tail = 0.0
-    return float(np.trapezoid(y * y, dx=grid.dt)) + tail
+    coarse = _y_squared_integral(kern)
+    extrapolated = move = None
+    while True:
+        # twice the nodes on the same [0, T]
+        grid = Grid(r=a.r, n_delay=2 * grid.n_delay, n_steps=2 * grid.n_steps)
+        fine = _y_squared_integral(solve_fundamental(theta, a, grid))
+        previous, extrapolated = extrapolated, (4.0 * fine - coarse) / 3.0 + tail
+        error = math.inf
+        if previous is not None:
+            last_move, move = move, abs(extrapolated - previous)
+            if last_move is None:
+                rate = 4.0
+            else:
+                rate = 8.0 if 8.0 * move <= last_move else last_move / move
+            error = move / (rate - 1.0) if rate > 1.0 else math.inf
+            if error <= FISHER_REL_TOL * abs(extrapolated):
+                return float(extrapolated)
+        if grid.n_delay >= n << FISHER_MAX_DOUBLINGS:
+            warnings.warn(
+                f"fisher_limit: relative error estimate {error / abs(extrapolated):.2g} is above "
+                f"{FISHER_REL_TOL:g} at the cap of {grid.n_delay} delay nodes",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            return float(extrapolated)
+        coarse = fine
+
+
+def _y_squared_integral(kern: Kernel) -> float:
+    """Trapezoid of y^2 over the kernel's grid, split at every jump of y:
+    at t = -u for an atom (u, w) y jumps by w x(0) = w.  On the grid the
+    panel ending at the jump takes y's left limit, `DelayStencil.apply` with
+    `left`; off it, the panel holding the jump is two trapezoids, with
+    y's other terms interpolated to the jump from the panel's ends."""
+    grid, st = kern.grid, kern.stencil
+    nd, ns, dt = grid.n_delay, grid.n_steps, grid.dt
+    x, y = kern.x0_values, kern.y_values
+    total = float(np.trapezoid(y * y, dx=dt))
+    for s, frac, _ in st.atoms:
+        i = -s  # an on-grid atom's jump node
+        if frac == 0.0 and 0 < i <= ns:
+            y_left = st.apply(x, nd + i, start=nd, left=True)
+            total += 0.5 * dt * (y_left**2 - y[i] ** 2)
+    for i in st.jumps:  # the panel [t_i, t_i+1] holds an off-grid atom's jump
+        if i < ns:
+            for frac, w, c in st.jump_reads(x, i, nd):
+                y_left = frac * y[i] + (1.0 - frac) * (y[i + 1] - c)
+                y_right = y_left + w * x[nd]
+                split = (1.0 - frac) * (y[i] ** 2 + y_left**2) + frac * (y_right**2 + y[i + 1] ** 2)
+                total += 0.5 * dt * (split - y[i] ** 2 - y[i + 1] ** 2)
+    return total
 
 
 def fisher_theta0(a: SignedMeasure) -> float:

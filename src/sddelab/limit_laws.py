@@ -5,11 +5,14 @@ is a finite Gaussian vector and fixed quadratic forms in it.
 LAN: (sqrt(J) Z, J) with deterministic J.  LAQ: quadratic functionals of
 independent standard (complex) Wiener processes Z on [0,1], one per distinct
 contributing frequency, each the Brownian-bridge expansion
-Z(s) = xi_0 s + sum_{k<=K} xi_k sqrt(2) sin(k pi s)/(k pi), which has
-Z(1) = xi_0 exactly.  The matrices of its quadratic forms are integrals of
-exponential polynomials on [0,1], computed in closed form on each call as a
-diagonal plus a low-rank part (and, for the imaginary part of a complex Z,
-the dense antisymmetric part of the Ito matrix).  A block of draws is
+Z(s) = xi_0 s + sum_{k<=K} xi_k sqrt(2) sin(k pi s)/(k pi), K = LAQ_TERMS,
+which has Z(1) = xi_0 exactly.  The matrices of its quadratic forms are
+integrals of exponential polynomials on [0,1], computed in closed form on
+each call as a diagonal plus a low-rank part (and, for the imaginary part of
+a complex Z, the dense antisymmetric part of the Ito matrix).  The terms
+beyond K enter in closed form: the information adds the mean of its
+truncated tail, and the imaginary part of a complex Ito form adds a normal
+of exactly the Levy-area variance the K terms omit.  A block of draws is
 reduced by row sums whose bits depend neither on the block's size nor on the
 BLAS thread count.  LAMN/PLAMN: one mixed-normal
 law, whose random information is a quadratic form in the limit variables
@@ -59,7 +62,7 @@ def sample_lan_many(J: float, n: int, rng: np.random.Generator):
 # LAQ
 
 # terms of the Brownian-bridge expansion of each LAQ Wiener process
-LAQ_TERMS = 256
+LAQ_TERMS = 64
 # draws whose bridge coefficients are held at once
 LAQ_ROWS = 256
 
@@ -182,7 +185,9 @@ def _bridge_pair(g: np.ndarray, m: int, forms, anti=None) -> tuple[np.ndarray, n
     xi = (g0 + i g1)/sqrt(2) of a complex Z.  forms = _bridge_forms(m, K).
     A real g sees only G and N_sym, so it needs no product of size K+1;
     xi N conj(xi) = (g0 N_sym g0 + g1 N_sym g1)/2 + i g1 N_anti g0 adds one
-    real product g1 @ N_anti for a complex Z, with anti = _bridge_anti(m, K).
+    real product g1 N_anti for a complex Z, with anti = _bridge_anti(m, K),
+    one vector-matrix product per row: the rounding of one matrix product
+    over all rows would depend on their number.
     Subtracting tr N centres the delta (the expansion's own integral is
     Stratonovich), and 1/((2m+1)(2m+2)) - tr G is the mean of the
     information's truncated tail."""
@@ -191,10 +196,20 @@ def _bridge_pair(g: np.ndarray, m: int, forms, anti=None) -> tuple[np.ndarray, n
     quad = _quadratic(g, gg, N_sym)
     energy = _quadratic(g, gg, G)
     if g.ndim == 3:
-        cross = np.einsum("ij,ij->i", g[1] @ anti, g[0])
+        cross = np.einsum("ij,ij->i", (g[1][:, None, :] @ anti)[:, 0], g[0])
         quad = (quad[0] + quad[1]) / 2.0 + 1j * cross
         energy = (energy[0] + energy[1]) / 2.0
     return quad - _trace(N_sym), energy + 1.0 / ((2 * m + 1) * (2 * m + 2)) - _trace(G)
+
+
+def _levy_tail_variance(m: int, anti: np.ndarray) -> float:
+    """Variance of Im int_0^1 Z_m dconj(Z) that the bridge expansion with
+    antisymmetric Ito part anti = `_bridge_anti(m, K)` leaves out.  Im of
+    the whole Ito integral is (A_2 dW_1 - A_1 dW_2)/2 with A_i = (W_i)_m,
+    of variance (1/2) int_0^1 s^(2m+1)/(2m+1) ds = 1/(2(2m+1)(2m+2)); the
+    expansion's g1 anti g0 has variance ||anti||_F^2 and is uncorrelated
+    with the terms beyond K."""
+    return 1.0 / (2 * (2 * m + 1) * (2 * m + 2)) - float(np.einsum("ij,ij->", anti, anti))
 
 
 def _row_blocks(n: int):
@@ -216,21 +231,33 @@ def sample_laq_many(
 ):
     """(delta, info) draws of the critical-regime limit law.  The bridge
     coefficients are drawn and reduced LAQ_ROWS draws at a time, so memory
-    does not grow with n."""
+    does not grow with n.  A complex Z draws each row as (g0, g1, z), one
+    C-order stream for any block size, and its Ito form adds i * sd * z:
+    the Levy-area tail that the expansion leaves out of its imaginary part,
+    a normal of the omitted variance `_levy_tail_variance` (Wiktorsson
+    2001).  A lower conjugate root conjugates the sum."""
     if report.regime != "LAQ":
         raise LimitLawError(f"sample_laq_many needs an LAQ report, got {report.regime}")
     m_star, roots = _contributing(report)
     phis = sorted({abs(lam.imag) for lam, _ in roots})
-    forms = _bridge_forms(m_star, LAQ_TERMS)
-    anti = _bridge_anti(m_star, LAQ_TERMS) if phis[-1] > 0.0 else None
+    K = LAQ_TERMS
+    forms = _bridge_forms(m_star, K)
+    anti = _bridge_anti(m_star, K) if phis[-1] > 0.0 else None
+    tail_sd = math.sqrt(_levy_tail_variance(m_star, anti)) if anti is not None else 0.0
     delta = np.zeros(n, dtype=complex)
     info = np.zeros(n)
     for phi in phis:
         ito = np.empty(n, dtype=complex if phi else float)
         energy = np.empty(n)
         for lo, hi in _row_blocks(n):
-            shape = (2, hi - lo, LAQ_TERMS + 1) if phi else (hi - lo, LAQ_TERMS + 1)
-            ito[lo:hi], energy[lo:hi] = _bridge_pair(rng.standard_normal(shape), m_star, forms, anti)
+            if phi:
+                g = rng.standard_normal((hi - lo, 2 * K + 3))
+                coeffs = g[:, :-1].reshape(hi - lo, 2, K + 1).transpose(1, 0, 2)
+                ito[lo:hi], energy[lo:hi] = _bridge_pair(coeffs, m_star, forms, anti)
+                ito[lo:hi] += 1j * (tail_sd * g[:, -1])
+            else:
+                g = rng.standard_normal((hi - lo, K + 1))
+                ito[lo:hi], energy[lo:hi] = _bridge_pair(g, m_star, forms)
         for lam, c in roots:
             if abs(lam.imag) != phi:
                 continue

@@ -97,6 +97,13 @@ def test_criterion_02_fisher_oracle():
     report(2, "fisher oracle", ok, f"J(-.5)={j_half:.6f} J(-1)={j_one:.6f} J0sin={j_sin:.8f}")
 
 
+def test_lan_ou_information_is_one():
+    # the J_limit of the shipped LAN config: the OU information 1/(2|theta|)
+    cfg = load_config("lan_ou.json")
+    a = SignedMeasure.from_dict(cfg.measure)
+    assert H.limit_information(cfg.theta, a, classify(cfg.theta, a)) == pytest.approx(1.0, rel=1e-8)
+
+
 def test_criterion_03_regime_classification():
     dirac0 = shipped_measure("dirac0.json")
     hayes = shipped_measure("hayes_boundary.json")

@@ -51,6 +51,18 @@ def test_kernel_csv(tmp_path):
     assert float(y) == pytest.approx(np.exp(-1.0), abs=1e-5)
 
 
+@pytest.mark.parametrize(
+    "T, dt, said",
+    [("1", "1e-320", "r/dt = inf"), ("1e12", "0.5", "a grid of 2000000000003 nodes exceeds the cap")],
+)
+def test_kernel_refuses_a_grid_it_cannot_hold(capsys, T, dt, said):
+    # a usage error (exit 2) naming the value, not a traceback
+    code = main(["kernel", "--theta", "-0.5", "--measure", "dirac0.json", "--T", T, "--dt", dt])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert said in err and "Traceback" not in err
+
+
 def test_simulate_then_estimate_roundtrip(tmp_path):
     path_csv = tmp_path / "path.csv"
     args = [

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 from fractions import Fraction
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from sddelab.kernels import (
+    MAX_GRID_NODES,
     DelayStencil,
     Grid,
     KernelError,
@@ -58,6 +60,20 @@ def test_grid_build_snaps_to_lattice():
         Grid.build(1.0, 1e-9, 0.01)
 
 
+def test_grid_refuses_non_finite_ratios_and_huge_grids():
+    # refused before any array exists: r/dt overflows, T/dt overflows, or
+    # the node count passes the cap
+    with pytest.raises(KernelError, match="r/dt = inf"):
+        Grid.build(1.0, 1.0, 1e-320)
+    with pytest.raises(KernelError, match="T/dt = inf"):
+        Grid.build(1.0, 1e300, 1e-10)
+    with pytest.raises(KernelError, match="2000000000003 nodes"):
+        Grid.build(1.0, 1e12, 0.5)
+    with pytest.raises(KernelError, match="exceeds the cap"):
+        Grid(r=1.0, n_delay=10, n_steps=MAX_GRID_NODES)
+    assert Grid(r=1.0, n_delay=10, n_steps=MAX_GRID_NODES - 11).n_total == MAX_GRID_NODES
+
+
 # ---------------------------------------------------------------------------
 # solve_fundamental
 
@@ -98,7 +114,9 @@ def test_fundamental_second_order_convergence():
 def test_fundamental_off_grid_delay_atom_method_of_steps(dt):
     # x' = theta x(t - tau) with x = 1 at 0: by the method of steps
     # x(t) = sum over k tau <= t of theta^k (t - k tau)^k / k!; tau falls
-    # between nodes, so the atom is interpolated (first order at the kinks)
+    # between nodes, so the atom is interpolated (first order at a kink, at
+    # one node each) and the Heun step across its jump is split there:
+    # second order
     tau, theta = 0.3737, -np.pi / 2
     a = SignedMeasure.point_masses(1.0, (-tau, 1.0))
     g = Grid.build(1.0, 2.0, dt)
@@ -108,7 +126,7 @@ def test_fundamental_off_grid_delay_atom_method_of_steps(dt):
         np.where(t >= k * tau, theta**k * np.maximum(t - k * tau, 0.0) ** k / math.factorial(k), 0.0)
         for k in range(int(g.T / tau) + 1)
     )
-    assert np.max(np.abs(kern.x0_values[g.n_delay :] - want)) <= abs(theta) * dt
+    assert np.max(np.abs(kern.x0_values[g.n_delay :] - want)) <= abs(theta) * dt**2
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +218,78 @@ def test_residue_matches_ode_solution(theta):
 
 
 def test_fisher_limit_ou_oracle():
-    assert fisher_limit(-0.5, D0) == pytest.approx(1.0, abs=1e-4)
-    assert fisher_limit(-1.0, D0) == pytest.approx(0.5, abs=1e-4)
+    # OU: J = 1/(2|theta|)
+    assert fisher_limit(-0.5, D0) == pytest.approx(1.0, rel=1e-8)
+    assert fisher_limit(-1.0, D0) == pytest.approx(0.5, rel=1e-8)
+    # at theta = -200 a Heun step on 32 delay nodes multiplies y by 14.3;
+    # the first solve starts on 256, where it is stable.  classify's
+    # contour does not reach the root -200, so the report is the OU one
+    # with v* moved there
+    report = dataclasses.replace(classify(-0.5, D0), v_star=-200.0)
+    assert fisher_limit(-200.0, D0, report) == pytest.approx(1.0 / 400.0, rel=1e-8)
+
+
+def test_fisher_limit_warns_at_the_doubling_cap(monkeypatch):
+    monkeypatch.setattr(importlib.import_module("sddelab.kernels"), "FISHER_MAX_DOUBLINGS", 2)
+    with pytest.warns(RuntimeWarning, match="above 5e-09 at the cap of 128 delay nodes"):
+        J = fisher_limit(-0.5, D0)
+    assert J == pytest.approx(1.0, rel=1e-5)
+
+
+@pytest.mark.parametrize("b", [0.5, 1.0, 1.5])
+def test_fisher_limit_unit_delay_closed_form(b):
+    # dX = -b X(t-1) dt + dW: J is the stationary variance
+    # (1 + sin b)/(2 b cos b) (Kuechler & Mensch 1992); y jumps at the
+    # on-grid lag 1, and at b = 1.5, near pi/2, the grid follows the error
+    # estimate further
+    want = (1.0 + math.sin(b)) / (2.0 * b * math.cos(b))
+    assert fisher_limit(-b, DM1) == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize("r", [2.0, 4.0])
+def test_fisher_limit_time_rescaling(r):
+    # X(rt) solves the problem with theta r and the delay 1 on a time scale
+    # r times longer: J(theta, delta_-r) = r J(theta r, delta_-1)
+    for theta in (-0.5 / r, -1.0 / r):
+        J = fisher_limit(theta, SignedMeasure.point_masses(r, (-r, 1.0)))
+        assert J == pytest.approx(r * fisher_limit(theta * r, DM1), rel=1e-8)
+
+
+def _parseval_information(theta, atoms, omega=1000.0):
+    """J = (1/pi) int_0^inf |M(i w)/h(i w)|^2 dw with M(l) = sum w_k e^(l u_k)
+    and h(l) = l - theta M(l): mpmath quadrature on [0, omega] in panels of
+    10, and beyond omega the leading term |M|^2/w^2 in closed form, whose
+    cosines integrate by Si; the rest of the tail is O(omega^-3)."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def f(w):
+        lam = 1j * w
+        M = sum(wk * mpmath.exp(lam * uk) for uk, wk in atoms)
+        return abs(M / (lam - theta * M)) ** 2
+
+    with mpmath.workdps(15):
+        head = mpmath.quad(f, mpmath.linspace(0, omega, int(omega / 10) + 1))
+        tail = 0
+        for uj, wj in atoms:
+            for uk, wk in atoms:
+                d = abs(uj - uk)
+                tail += wj * wk * (mpmath.cos(d * omega) / omega - d * (mpmath.pi / 2 - mpmath.si(d * omega)))
+        return float((head + tail) / mpmath.pi)
+
+
+@pytest.mark.parametrize(
+    "atoms",
+    [
+        ((0.0, 1.0), (-0.5, 0.7)),  # on-grid lag r/2: y jumps on a node
+        ((-1.0 / 3.0, 1.0), (-1.0, 0.3)),  # off-grid lag r/3: the jump splits a panel
+        # beside the lag-0 atom the off-grid lag r/3 stays second order
+        # after Richardson, and the grid follows the estimate to 8192 nodes
+        ((0.0, 1.0), (-1.0 / 3.0, 0.7)),
+    ],
+)
+def test_fisher_limit_parseval_oracle(atoms):
+    J = fisher_limit(-0.8, SignedMeasure.point_masses(1.0, *atoms))
+    assert J == pytest.approx(_parseval_information(-0.8, atoms), rel=1e-8)
 
 
 def test_fisher_limit_requires_subcritical():
@@ -211,15 +299,25 @@ def test_fisher_limit_requires_subcritical():
         fisher_limit(0.0, D0)
 
 
+def test_fisher_limit_refuses_a_non_finite_theta():
+    # with a report given, nothing before the first solve's node count reads theta
+    with pytest.raises(KernelError, match="finite"):
+        fisher_limit(-math.inf, D0, classify(-0.5, D0))
+
+
 def test_fisher_limit_sin_density_positive():
-    J = fisher_limit(0.15, sin_measure(), n_delay=1024)
+    J = fisher_limit(0.15, sin_measure())
     assert np.isfinite(J) and J > 0
 
 
-def test_fisher_limit_dt_refinement_stable():
-    a = fisher_limit(-0.5, D0, n_delay=500)
-    b = fisher_limit(-0.5, D0, n_delay=1000)
-    assert abs(a - b) < 4e-4
+def test_fisher_limit_dt_refinement_stable(monkeypatch):
+    # the doubling from a first solve on 500 or on 1000 delay nodes
+    kernels = importlib.import_module("sddelab.kernels")
+    monkeypatch.setattr(kernels, "FISHER_FIRST_NODES", 500)
+    a = fisher_limit(-0.5, D0)
+    monkeypatch.setattr(kernels, "FISHER_FIRST_NODES", 1000)
+    b = fisher_limit(-0.5, D0)
+    assert abs(a - b) < 1e-9 and abs(a - 1.0) < 1e-8
 
 
 def test_fisher_theta0_balanced():
@@ -411,7 +509,17 @@ def _heun_reference(theta, a, grid):
         y[k] = f_right = st.apply(x, j, start=nd)
         x[j + 1] = x[j] + dt * theta * f_right
         f_left = st.apply(x, j + 1, start=nd, left=True)
-        x[j + 1] = x[j] + 0.5 * dt * theta * (f_right + f_left)
+        # the step across an off-grid atom's jump (its read passes node nd)
+        # takes that atom over the fraction frac of the step after the jump
+        split = [(frac, w) for s, frac, w in st.atoms if frac != 0.0 and j + s + 1 == nd]
+        if split:
+            jump = 0.0
+            for frac, w in split:
+                c = w * ((1.0 - frac) * x[nd] + frac * x[nd + 1])
+                jump += frac * (w * x[nd] + c) - c
+            x[j + 1] = x[j] + 0.5 * dt * theta * ((f_right + f_left) + jump)
+        else:
+            x[j + 1] = x[j] + 0.5 * dt * theta * (f_right + f_left)
     y[ns] = st.apply(x, nd + ns, start=nd)
     return x, y
 
@@ -443,7 +551,9 @@ def test_fundamental_matches_reference_heun_loop(theta, a, n_delay, n_steps):
 
 def test_fisher_limit_continues_its_solve(monkeypatch):
     # when the tail bound asks for t_cut > T, fisher_limit continues its
-    # first solve; the longer kernel is the bits of a fresh solve on that grid
+    # first solve, and the longer kernel is the bits of a fresh solve on
+    # that grid; the finer solves double n_delay on the same [0, T], and J
+    # is the Richardson value of the last two
     kernels = importlib.import_module("sddelab.kernels")
     solve = kernels.solve_fundamental
     calls = []
@@ -455,10 +565,21 @@ def test_fisher_limit_continues_its_solve(monkeypatch):
     monkeypatch.setattr(kernels, "solve_fundamental", recording)
     a = SignedMeasure.point_masses(1.0, (-1.0, 1.0))
     J = fisher_limit(-1.0, a)
-    assert len(calls) == 2 and calls[1][1] is calls[0][2]
+    assert len(calls) >= 4 and calls[1][1] is calls[0][2]
     grid, _, cont = calls[1]
+    assert grid.n_delay == calls[0][0].n_delay == kernels.FISHER_FIRST_NODES
     assert grid.n_steps > calls[0][0].n_steps
     fresh = solve(-1.0, a, grid)
     np.testing.assert_array_equal(cont.x0_values, fresh.x0_values)
     np.testing.assert_array_equal(cont.y_values, fresh.y_values)
-    assert J == pytest.approx(float(np.trapezoid(fresh.y_values**2, dx=grid.dt)), abs=1e-9)
+    for k, (g, prefix, _) in enumerate(calls[2:], start=1):
+        assert prefix is None
+        assert (g.n_delay, g.n_steps) == (grid.n_delay << k, grid.n_steps << k)
+
+    def split_trapezoid(kern):
+        # y jumps by 1 at t = 1, node n_delay: that panel ends at y(1-)
+        y, nd, dt = kern.y_values, kern.grid.n_delay, kern.grid.dt
+        return float(np.trapezoid(y**2, dx=dt)) + 0.5 * dt * ((y[nd] - 1.0) ** 2 - y[nd] ** 2)
+
+    coarse, fine = (split_trapezoid(kern) for _, _, kern in calls[-2:])
+    assert J == pytest.approx((4.0 * fine - coarse) / 3.0, abs=1e-9)

@@ -20,6 +20,7 @@ from sddelab.limit_laws import (
     _bridge_forms,
     _bridge_pair,
     _initial_mix,
+    _levy_tail_variance,
     sample_lamn_many,
     sample_lan_many,
     sample_laq_many,
@@ -103,25 +104,28 @@ def test_laq_deterministic_given_seed():
 
 
 def test_laq_row_blocks_keep_the_unblocked_bits(monkeypatch):
-    # row blocks of one C-order (n, K+1) stream are the same normals; a
-    # trailing block of 208 rows (n = 2000) keeps the bits, and n = 257 and
-    # 513 leave no lone trailing row
+    # row blocks of one C-order stream, (n, K+1) for a real Z and
+    # (n, 2K+3) with the Levy-area tail normal for a complex one, are the
+    # same normals; a trailing block of 208 rows (n = 2000) keeps the bits,
+    # and n = 257 and 513 leave no lone trailing row
     limit_laws = importlib.import_module("sddelab.limit_laws")
-    rep = classify(0.0, D0)
-    for n in (2000, 257, 513):
-        blocked = sample_laq_many(0.0, D0, rep, n, rng_(5))
-        monkeypatch.setattr(limit_laws, "LAQ_ROWS", n)  # one block: the unblocked draw
-        whole = sample_laq_many(0.0, D0, rep, n, rng_(5))
-        monkeypatch.undo()
-        np.testing.assert_array_equal(blocked[0], whole[0])
-        np.testing.assert_array_equal(blocked[1], whole[1])
+    for name, theta in (("dirac0", 0.0), ("hayes_boundary", -np.pi / 2)):
+        a = packaged(name)
+        rep = classify(theta, a)
+        for n in (2000, 257, 513):
+            blocked = sample_laq_many(theta, a, rep, n, rng_(5))
+            monkeypatch.setattr(limit_laws, "LAQ_ROWS", n)  # one block: the unblocked draw
+            whole = sample_laq_many(theta, a, rep, n, rng_(5))
+            monkeypatch.undo()
+            np.testing.assert_array_equal(blocked[0], whole[0])
+            np.testing.assert_array_equal(blocked[1], whole[1])
 
 
 def test_laq_memory_does_not_grow_with_draws():
     # bridge coefficients are held LAQ_ROWS draws at a time, so from 2000 to
     # 10 000 draws the peak grows by the output arrays and their temporaries
-    # only (under 200 bytes a draw), not by the 257 coefficients per draw and
-    # frequency (2 kB real, 4 kB complex)
+    # only (under 200 bytes a draw), not by the 65 coefficients per draw and
+    # frequency (0.5 kB real, 1 kB complex)
     for theta, a in ((0.0, D0), (-np.pi / 2, DM1)):
         rep = classify(theta, a)
         sample_laq_many(theta, a, rep, 10, rng_(0))  # warms up numpy and BLAS
@@ -149,6 +153,22 @@ def test_laq_truncation_refinement_coupled():
                 d_2k, i_2k = _bridge_pair(g[..., : 2 * K + 1], m, _bridge_forms(m, 2 * K), _bridge_anti(m, 2 * K))
                 assert float(np.mean(np.abs(d_k - d_2k) ** 2)) <= 0.1 / K, (m, complex_z, K)
                 assert float(np.mean((i_k - i_2k) ** 2)) <= 0.1 / K, (m, complex_z, K)
+
+
+def test_levy_tail_variance_is_the_coupled_gap():
+    # Im of the complex Ito form at LAQ_TERMS and at 2048 bridge terms from
+    # the first normals of one draw: the mean-square gap is the omitted
+    # variance at LAQ_TERMS less the one at 2048 (the terms are uncorrelated)
+    K, big, n = LAQ_TERMS, 2048, 1000
+    for m in (0, 1):
+        g = rng_(40 + m).standard_normal((2, n, big + 1))
+        anti = _bridge_anti(m, K)
+        im_k = _bridge_pair(g[..., : K + 1], m, _bridge_forms(m, K), anti)[0].imag
+        anti_big = _bridge_anti(m, big)
+        im_big = np.einsum("ij,ij->i", g[1] @ anti_big, g[0])
+        gap2 = (im_k - im_big) ** 2
+        want = _levy_tail_variance(m, anti) - _levy_tail_variance(m, anti_big)
+        assert abs(np.mean(gap2) - want) <= 3.0 * np.std(gap2) / math.sqrt(n), (m, np.mean(gap2), want)
 
 
 def quadrature_forms(m, K):
@@ -197,18 +217,25 @@ def test_laq_ito_formula_at_m_zero():
 
 def reference_laq(theta, a, report, n, rng):
     """sample_laq_many for n <= LAQ_ROWS draws by the quadrature forms and
-    complex bridge coefficients xi = (g0 + i g1)/sqrt(2)."""
+    complex bridge coefficients xi = (g0 + i g1)/sqrt(2), each row drawn as
+    (g0, g1, z); the complex Ito form adds i z times the standard deviation
+    of the Levy-area tail, 1/(2(2m+1)(2m+2)) less the variance
+    ||(N - N^T)/2||_F^2 of its imaginary part."""
     m = int(report.m_star)
-    G, N = quadrature_forms(m, LAQ_TERMS)
+    K = LAQ_TERMS
+    G, N = quadrature_forms(m, K)
+    tail_sd = math.sqrt(1.0 / (2 * (2 * m + 1) * (2 * m + 2)) - np.sum(((N - N.T) / 2.0) ** 2))
     roots = [(complex(rt.lam), rt.P_poly[m]) for rt in report.contributing_roots]
     delta, info = np.zeros(n, dtype=complex), np.zeros(n)
     for phi in sorted({round(abs(lam.imag), 12) for lam, _ in roots}):
         if phi <= ZERO_TOL:
-            xi = rng.standard_normal((n, LAQ_TERMS + 1))
+            xi = rng.standard_normal((n, K + 1))
+            levy = 0.0
         else:
-            g = rng.standard_normal((2, n, LAQ_TERMS + 1))
-            xi = (g[0] + 1j * g[1]) / math.sqrt(2.0)
-        ito = np.einsum("ij,ij->i", xi @ N, np.conj(xi)) - np.trace(N)
+            g = rng.standard_normal((n, 2 * K + 3))
+            xi = (g[:, : K + 1] + 1j * g[:, K + 1 : 2 * K + 2]) / math.sqrt(2.0)
+            levy = 1j * tail_sd * g[:, -1]
+        ito = np.einsum("ij,ij->i", xi @ N, np.conj(xi)) - np.trace(N) + levy
         energy = np.einsum("ij,ij->i", xi @ G, np.conj(xi)).real + 1.0 / ((2 * m + 1) * (2 * m + 2)) - np.trace(G)
         for lam, c in roots:
             if round(abs(lam.imag), 12) == phi:
@@ -231,7 +258,7 @@ def test_laq_matches_complex_quadrature_route(name, theta):
 def test_laq_memory_of_a_call():
     # no forms are kept between calls, so every call builds them: two
     # diagonal-plus-low-rank forms and the dense antisymmetric part of N
-    # (0.5 MB); with one block of normals and its product that stays under
+    # (34 kB); with one block of normals and its product that stays under
     # 8 MB
     a = packaged("hayes_boundary")
     rep = classify(-np.pi / 2, a)
