@@ -292,6 +292,28 @@ def has_zero_mass(a: SignedMeasure) -> bool:
     return abs(tail_mass(a, a.r)) <= 1e-12 * total_variation(a)
 
 
+def exp_moment_bound(a: SignedMeasure, gamma: float) -> tuple[float, float]:
+    """(A, B) with |M_0(lambda)| <= A + B / |lambda| wherever Re(lambda) >=
+    -gamma, gamma >= 0.  There |e^(lambda u)| <= e^(gamma |u|) on [-r, 0]; A
+    bounds the atoms, and one integration by parts bounds a density piece by
+    its boundary values and the total variation of p (Bellman & Cooke 1963,
+    ch. 12).  A term past the float range is inf."""
+
+    def grown(x: float, u: float) -> float:  # |x| e^(gamma |u|), 0 for x = 0
+        if x == 0.0:
+            return 0.0
+        t = math.log(abs(x)) + gamma * abs(u)
+        return math.exp(t) if t < 709.0 else math.inf
+
+    A = sum(grown(w, u) for u, w in a.atoms)
+    B = 0.0
+    for p in a.density_pieces:
+        at = P.polyval([p.lo, p.hi], p.coeffs)
+        B += grown(at[0], p.lo) + grown(at[1], p.hi)
+        B += grown(_poly_abs_defint(P.polyder(p.coeffs), p.lo, p.hi), p.lo)
+    return float(A), float(B)
+
+
 def exp_moments(a: SignedMeasure, lams, orders: tuple[int, ...]) -> list:
     """M_j(lambda) = integral of u^j e^(lambda u) a(du) for each j in orders,
     at a number (scalar arithmetic) or at every element of an array.  The

@@ -19,6 +19,7 @@ from .measures import (
     MAX_MOMENT_ORDER,
     SignedMeasure,
     exp_moment,
+    exp_moment_bound,
     exp_moments_01_many,
     has_zero_mass,
     total_variation,
@@ -171,16 +172,24 @@ _MAX_CONTOUR_POINTS = 200_000
 _MAX_CONTOUR_VALUES = 10 * _MAX_CONTOUR_POINTS
 
 
-def _winding_count(theta: float, a: SignedMeasure, rect: tuple[float, float, float, float]) -> int:
-    """Number of zeros (with multiplicity) inside the rectangle, via the
-    total argument change of h along the positively oriented boundary.
+def _winding_count(
+    theta: float, a: SignedMeasure, rect: tuple[float, float, float, float]
+) -> tuple[int, complex]:
+    """Number n of zeros (with multiplicity) inside the rectangle, via the
+    total argument change of h along the positively oriented boundary, and
+    their sum s = (1/2 pi i) * contour integral of z h'/h dz (Delves & Lyness
+    1967), so s / n is the zeros' centroid.
 
     Initial sample spacing resolves the fastest phase rotation of the
     exponential kernel (rate <= r along the imaginary direction).  A segment
     is bisected while its phase jump exceeds pi/2 or while it is longer than
     a fraction of the local root-distance estimate |h|/|h'| (otherwise the
     phase whirl of a root hugging the contour can alias away).  The final
-    integer must also survive one global midpoint doubling."""
+    integer must also survive one global midpoint doubling.  s comes from
+    the values n was counted on: the trapezoid rule in log h on that final
+    contour, the sum of (z_i + z_(i+1))/2 * log(h_(i+1)/h_i), plus its
+    Euler-Maclaurin end correction (z_(i+1) - z_i)^2/12 * (g_(i+1) - g_i)
+    with g = h'/h, which makes it fourth order; all over 2 pi i."""
     re_lo, re_hi, im_lo, im_hi = rect
     corners = [
         complex(re_lo, im_lo),
@@ -189,13 +198,11 @@ def _winding_count(theta: float, a: SignedMeasure, rect: tuple[float, float, flo
         complex(re_lo, im_hi),
     ]
 
-    def h_and_dist(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def h_and_slope(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if theta == 0.0:
-            hv = pts.copy()
-            return hv, np.abs(pts)
+            return pts.copy(), np.ones_like(pts)
         m0, m1 = exp_moments_01_many(a, pts)
-        hv = pts - theta * m0
-        return hv, np.abs(hv) / np.maximum(np.abs(1.0 - theta * m1), 1e-300)
+        return pts - theta * m0, 1.0 - theta * m1
 
     spacing = min(0.5, 1.0 / (1.0 + a.r))
     sides = list(zip(corners, corners[1:] + corners[:1]))
@@ -211,54 +218,50 @@ def _winding_count(theta: float, a: SignedMeasure, rect: tuple[float, float, flo
             f"more than {_MAX_CONTOUR_VALUES:.3g}"
         )
     z = np.concatenate([z0 + (z1 - z0) * (np.arange(n) / n) for (z0, z1), n in zip(sides, counts)])
-    h, dist = h_and_dist(z)
+    h, hp = h_and_slope(z)
 
-    def refine_until_smooth(z, h, dist):
-        """The refined contour and the phase step of h along each segment."""
+    def refine_until_smooth(z, h, hp):
+        """The refined contour and the step of log h along each segment."""
         for _ in range(80):
             # dist = |h|/|h'| estimates the distance to the nearest root
             # (scaled by 1/multiplicity); the spec's degeneracy criterion is
             # the contour passing within 1e-6 of a root
+            dist = np.abs(h) / np.maximum(np.abs(hp), 1e-300)
             if np.any(dist < 1e-6) or np.any(np.abs(h) < 1e-13 * (1.0 + np.abs(z))):
                 raise _DegenerateContour
             z_next, h_next, d_next = _next(z), _next(h), _next(dist)
             seg_len = np.abs(z_next - z)
-            phase = np.angle(h_next / h)
-            bad = np.abs(phase) > 0.5 * math.pi
+            dlog = np.log(h_next / h)  # its imaginary part is the phase step
+            bad = np.abs(dlog.imag) > 0.5 * math.pi
             bad |= (seg_len > 0.7 * np.minimum(dist, d_next)) & (
                 seg_len > 1e-7 * (1.0 + np.abs(z))
             )
             if not np.any(bad):
-                return z, h, dist, phase
+                return z, h, hp, dlog
             if z.size > _MAX_CONTOUR_POINTS:
                 raise _DegenerateContour
             idx = np.nonzero(bad)[0]
             mids = 0.5 * (z[idx] + z_next[idx])
-            hm, dm = h_and_dist(mids)
-            z, h, dist = _insert_after(idx, (z, mids), (h, hm), (dist, dm))
+            hm, hpm = h_and_slope(mids)
+            z, h, hp = _insert_after(idx, (z, mids), (h, hm), (hp, hpm))
         raise _DegenerateContour
 
     prev = None
     for _ in range(6):
-        z, h, dist, phase = refine_until_smooth(z, h, dist)
-        total = float(np.sum(phase)) / (2.0 * math.pi)
+        z, h, hp, dlog = refine_until_smooth(z, h, hp)
+        total = float(np.sum(dlog.imag)) / (2.0 * math.pi)
         n = round(total)
         if abs(total - n) > 0.25:
             raise _DegenerateContour
-        if prev == n:
-            return int(n)
+        z_next = _next(z)
+        if prev == n or z.size * 2 > _MAX_CONTOUR_POINTS:
+            g = hp / h
+            terms = 0.5 * (z + z_next) * dlog + (z_next - z) ** 2 / 12.0 * (_next(g) - g)
+            return int(n), complex(np.sum(terms) / (2j * math.pi))
         prev = n
-        if z.size * 2 > _MAX_CONTOUR_POINTS:
-            return int(n)
-        mids = 0.5 * (z + _next(z))
-        hm, dm = h_and_dist(mids)
-        znew = np.empty(z.size * 2, dtype=complex)
-        hnew = np.empty(z.size * 2, dtype=complex)
-        dnew = np.empty(z.size * 2)
-        znew[0::2], znew[1::2] = z, mids
-        hnew[0::2], hnew[1::2] = h, hm
-        dnew[0::2], dnew[1::2] = dist, dm
-        z, h, dist = znew, hnew, dnew
+        mids = 0.5 * (z + z_next)
+        hm, hpm = h_and_slope(mids)
+        z, h, hp = (np.column_stack(pair).ravel() for pair in ((z, mids), (h, hm), (hp, hpm)))
     raise _DegenerateContour
 
 
@@ -294,13 +297,18 @@ def count_zeros(
     re_hi: float,
     im_lo: float,
     im_hi: float,
-    _rng: np.random.Generator | None = None,
 ) -> tuple[int, tuple[float, float, float, float]]:
     """Argument-principle zero count over a rectangle.  Returns the count and
     the rectangle actually used (edges are jittered by up to 1e-4 when the
     contour runs into a root)."""
-    rng = _rng if _rng is not None else np.random.default_rng(0)
-    rect = (re_lo, re_hi, im_lo, im_hi)
+    (n, _), rect = _jittered_count(theta, a, (re_lo, re_hi, im_lo, im_hi), np.random.default_rng(0))
+    return n, rect
+
+
+def _jittered_count(theta, a, rect, rng) -> tuple[tuple[int, complex], tuple]:
+    """(count, root sum) of `_winding_count` and the rectangle they hold for,
+    its edges jittered from rng as `count_zeros` says."""
+    re_lo, re_hi, im_lo, im_hi = rect
     for attempt in range(4):
         try:
             return _winding_count(theta, a, rect), rect
@@ -317,13 +325,16 @@ def count_zeros(
 
 
 def _newton_polish(
-    theta: float, a: SignedMeasure, z0: complex, m: int, diag: float
+    theta: float, a: SignedMeasure, z0: complex, m: int, radius: float
 ) -> complex | None:
-    """Newton on h^(m-1) (h itself for m = 1), started at the centre z0 of a
-    box with diagonal diag; None if not converged or as soon as an iterate
-    lies farther than diag from z0 (h is never evaluated out there, where
-    the exponential moments can overflow)."""
+    """Newton on h^(m-1) (h itself for m = 1) from z0; None if not converged
+    or as soon as an iterate lies farther than radius from z0 (h is never
+    evaluated out there, where the exponential moments can overflow).  It
+    returns once a step falls below 1e-15 (1 + |z|), or below 1e-12 (1 + |z|)
+    without shrinking: the iterates then dither at the rounding floor of h,
+    and more steps would not move them closer."""
     z = complex(z0)
+    prev = math.inf
     for _ in range(80):
         g = char_derivative(theta, a, z, m - 1)
         gp = char_derivative(theta, a, z, m)
@@ -331,11 +342,13 @@ def _newton_polish(
             return None
         step = g / gp
         z = z - step
-        if not abs(z - z0) <= diag:  # also catches inf and NaN
+        if not abs(z - z0) <= radius:  # also catches inf and NaN
             return None
-        if abs(step) <= 1e-15 * (1.0 + abs(z)):
+        size = abs(step)
+        if size <= 1e-15 * (1.0 + abs(z)) or prev <= size <= 1e-12 * (1.0 + abs(z)):
             return z
-    return z if abs(step) <= 1e-12 * (1.0 + abs(z)) else None
+        prev = size
+    return z if size <= 1e-12 * (1.0 + abs(z)) else None
 
 
 def _root_residual_ok(theta: float, a: SignedMeasure, z: complex) -> bool:
@@ -345,21 +358,30 @@ def _root_residual_ok(theta: float, a: SignedMeasure, z: complex) -> bool:
 def roots_in_strip(theta: float, a: SignedMeasure, c: float) -> list[CharRoot]:
     """All characteristic roots with Re(lambda) >= c, with multiplicities.
 
-    For theta = 0 the root set is {0}.  Otherwise the roots in the strip are
-    confined to |lambda| <= |theta| ||a|| e^(|c| r) and are found by
-    subdividing rectangles on argument-principle counts, Newton polish,
-    merging of sub-1e-8 clusters, and conjugate mirroring of the upper
-    half-strip scan: real roots are exactly real and pairs exact mirrors,
-    which `classify` and the limit-law samplers rely on.  A non-finite theta
-    or c is refused, and so is a bound too large to sample (`_winding_count`).
+    For theta = 0 the root set is {0}.  Otherwise a root in the strip has
+    |lambda| <= |theta| ||a|| e^(|c| r) and |lambda| <= rho, the positive
+    root of rho^2 = alpha rho + beta, where |theta M_0| <= alpha + beta /
+    |lambda| on the strip (`measures.exp_moment_bound`): alpha from the
+    atoms, beta from the densities, whose moments fall as 1/|lambda|.  The
+    roots are found by subdividing rectangles on argument-principle counts,
+    each carrying its count n and root sum s down the bisection (the second
+    half's pair by subtraction).  In a box that holds one root or has a
+    diagonal of at most 1.5, Newton starts at the centroid s / n (moved into
+    the box) and stays within min(diagonal, 1.5) of it.  Then come merging
+    of sub-1e-8 clusters and conjugate mirroring of the upper half-strip
+    scan: real roots are exactly real and pairs exact mirrors, which
+    `classify` and the limit-law samplers rely on.  A non-finite theta or c
+    is refused, and so is a bound too large to sample (`_winding_count`).
     """
     if not (math.isfinite(theta) and math.isfinite(c)):
         raise SpectrumError(f"root search needs a finite theta and strip, got theta={theta}, c={c}")
     if theta == 0.0:
         return [CharRoot(0.0 + 0.0j, 1)] if c <= 0.0 else []
     tv = total_variation(a)
-    bound = abs(theta) * tv * math.exp(min(abs(c) * a.r, 700.0)) + abs(c) + 1.0
-    v_max = abs(theta) * tv + 1.0
+    alpha, beta = (abs(theta) * x for x in exp_moment_bound(a, max(0.0, -c)))
+    rho = 0.5 * (alpha + math.sqrt(alpha * alpha + 4.0 * beta))
+    bound = min(abs(theta) * tv * math.exp(min(abs(c) * a.r, 700.0)), rho) + abs(c) + 1.0
+    v_max = min(abs(theta) * tv, rho) + 1.0
     if c > v_max:
         return []
     rng = np.random.default_rng(12345)
@@ -374,12 +396,12 @@ def roots_in_strip(theta: float, a: SignedMeasure, c: float) -> list[CharRoot]:
         pad = 1e-4 * (1.0 + abs(z))
         for _ in range(3):
             try:
-                return _winding_count(theta, a, (z.real - pad, z.real + pad, z.imag - pad, z.imag + pad))
+                return _winding_count(theta, a, (z.real - pad, z.real + pad, z.imag - pad, z.imag + pad))[0]
             except _DegenerateContour:
                 pad *= 2.7
         return -1
 
-    def process(rect, n):
+    def process(rect, n, root_sum):
         budget[0] += 1
         if budget[0] > 1_000_000:
             raise SpectrumError("search diverged")
@@ -390,9 +412,10 @@ def roots_in_strip(theta: float, a: SignedMeasure, c: float) -> list[CharRoot]:
         re_lo, re_hi, im_lo, im_hi = rect
         w, h = re_hi - re_lo, im_hi - im_lo
         diag = math.hypot(w, h)
-        if diag <= 1.5:
-            z0 = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
-            z = _newton_polish(theta, a, z0, n, diag)
+        if n == 1 or diag <= 1.5:
+            mean = root_sum / n
+            z0 = complex(min(max(mean.real, re_lo), re_hi), min(max(mean.imag, im_lo), im_hi))
+            z = _newton_polish(theta, a, z0, n, min(diag, 1.5))
             if (
                 z is not None
                 and re_lo - 1e-7 <= z.real <= re_hi + 1e-7
@@ -418,16 +441,16 @@ def roots_in_strip(theta: float, a: SignedMeasure, c: float) -> list[CharRoot]:
                 first = (re_lo, re_hi, im_lo, cut)
                 second = (re_lo, re_hi, cut, im_hi)
             try:
-                n1 = _winding_count(theta, a, first)
+                n1, s1 = _winding_count(theta, a, first)
             except _DegenerateContour:
                 continue
-            process(first, n1)
-            process(second, n - n1)
+            process(first, n1, s1)
+            process(second, n - n1, root_sum - s1)
             return
         raise SpectrumError("contour degenerate")
 
-    n0, rect0 = count_zeros(theta, a, *rect0, _rng=rng)
-    process(rect0, n0)
+    (n0, s0), rect0 = _jittered_count(theta, a, rect0, rng)
+    process(rect0, n0, s0)
 
     # snap near-real roots, merge tight clusters, mirror the upper half scan
     snapped = [(complex(z.real, 0.0) if abs(z.imag) <= MERGE_TOL else z, m) for z, m in found]

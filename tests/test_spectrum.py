@@ -19,7 +19,9 @@ from sddelab.spectrum import (
     CharRoot,
     SpectrumError,
     _insert_after,
+    _newton_polish,
     _next,
+    _winding_count,
     build_root_data,
     char_derivative,
     char_value,
@@ -177,6 +179,68 @@ def test_zero_count_matches_returned_multiplicities():
         if rect[0] <= z.lam.real <= rect[1] and rect[2] <= z.lam.imag <= rect[3]
     ]
     assert n == sum(z.multiplicity for z in inside)
+
+
+def test_root_sum_on_lambert_w_boxes():
+    # the contour integral of z h'/h dz / (2 pi i) is the sum of the roots
+    # inside: W(1) alone for lambda = e^(-lambda), the pair W_0(-2) and its
+    # conjugate for lambda = -2 e^(-lambda)
+    from scipy.special import lambertw
+
+    n, s = _winding_count(1.0, DM1, (0.0, 1.0, -0.5, 0.5))
+    assert n == 1 and abs(s - complex(lambertw(1.0))) <= 1e-6
+    n, s = _winding_count(-2.0, DM1, (-1.0, 1.0, -2.5, 2.5))
+    assert n == 2 and abs(s - 2.0 * lambertw(-2.0).real) <= 1e-6
+
+
+def test_newton_stops_at_rounding_floor(monkeypatch):
+    # |h| does not fall below about 1e-14 at sin_density's zero root, where
+    # steps of 1e-15 only dither; the start is the box centre the search
+    # once polished this root from, in 7 steps and 73 more at the floor
+    spectrum = importlib.import_module("sddelab.spectrum")
+    a = packaged_measure("sin_density.json")
+    orders = []
+
+    def counted(theta, a, lam, k):
+        orders.append(k)
+        return char_derivative(theta, a, lam, k)
+
+    monkeypatch.setattr(spectrum, "char_derivative", counted)
+    z = _newton_polish(1.0, a, 0.15637499999999993 + 0.14005624999999994j, 1, 1.5)
+    assert z is not None and abs(z) <= 1e-13
+    assert orders.count(0) <= 10  # one h per step
+
+
+def sin_closed_form_count(theta, c):
+    # zeros with Re >= c of g(lam) = lam (1 + lam^2) - theta (e^(-2 pi lam) - 1),
+    # which is (1 + lam^2) h(lam) for the packaged sin density, less its
+    # zeros +-i that h does not have; by the argument principle on a finely
+    # sampled rectangle that holds them all, since there
+    # |lam| (|lam|^2 - 1) <= |theta| (e^(-2 pi c) + 1)
+    R = (abs(theta) * (math.exp(-2.0 * math.pi * c) + 1.0)) ** (1.0 / 3.0) + 2.0
+    corners = [complex(c, -R), complex(R, -R), complex(R, R), complex(c, R)]
+    z = np.concatenate(
+        [np.linspace(p, q, math.ceil(abs(q - p) / 1e-3), endpoint=False) for p, q in zip(corners, corners[1:] + corners[:1])]
+    )
+    g = z * (1.0 + z * z) - theta * np.expm1(-2.0 * np.pi * z)
+    turns = float(np.sum(np.angle(np.roll(g, -1) / g))) / (2.0 * np.pi)
+    assert abs(turns - round(turns)) <= 1e-6
+    return round(turns) - 2
+
+
+@pytest.mark.parametrize("theta", [1.0, -1.0, 0.3])
+def test_sin_density_floor_search(theta):
+    # the floor cut of classify: a strip height from |lambda| e^(10) would
+    # need millions of contour points; the density's moments fall as
+    # 1/|lambda|, so the roots lie within about the square root of that
+    a = packaged_measure("sin_density.json")
+    c = -10.0 / a.r
+    roots = roots_in_strip(theta, a, c)
+    assert sum(rt.multiplicity for rt in roots) == sin_closed_form_count(theta, c)
+    for rt in roots:
+        lam = rt.lam
+        h = lam - theta * np.expm1(-2.0 * np.pi * lam) / (1.0 + lam * lam)
+        assert abs(h) <= 1e-9 * (1.0 + abs(lam))
 
 
 PACKAGED = ("balanced_atoms.json", "dirac0.json", "dirac_delay.json", "hayes_boundary.json", "sin_density.json")
@@ -565,6 +629,20 @@ def test_classify_no_root_above_floor():
             f"no characteristic roots found above the cut floor {-10.0 / r:g}; v0 and v* reported as -inf"
         ]
         assert rep.to_dict()["v0"] is None
+
+
+def test_classify_plain_ou_at_moderate_theta():
+    # h(lambda) = lambda - theta on dirac0: theta is the only root, on the
+    # floor cut -10/r at theta = -10 and below it further left
+    a = packaged_measure("dirac0.json")
+    rep = classify(-10.0, a)
+    assert rep.regime == "LAN"
+    assert rep.v0 == pytest.approx(-10.0, abs=1e-12)
+    assert rep.v_star == pytest.approx(-10.0, abs=1e-12)
+    for theta in (-25.0, -100.0):
+        rep = classify(theta, a)
+        assert rep.regime == "LAN" and rep.v_star == NEG_INF
+        assert rep.warnings == ["no characteristic roots found above the cut floor -10; v0 and v* reported as -inf"]
 
 
 def test_classify_laq_band_scale_free():
