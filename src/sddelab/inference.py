@@ -12,6 +12,7 @@ reduction, so a path's statistics are the same bits through every route.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,12 @@ class ScorePair:
     T: float
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InferenceError(f"{name} must be finite, got {value}")
+
+
 def _statistics(path: SamplePath, theta: float, scaling: float) -> list[float]:
     """(delta, info, theta_hat) of one path from its `path_sums`."""
     grid = path.grid
@@ -46,12 +53,14 @@ def _statistics(path: SamplePath, theta: float, scaling: float) -> list[float]:
 def log_likelihood_ratio(path: SamplePath, theta_num: float, theta_den: float) -> float:
     """log dP_num/dP_den along the observed path (left-point Ito sums), as
     h delta - h^2/2 info at theta_den with h = theta_num - theta_den."""
+    _require_finite(theta_num=theta_num, theta_den=theta_den)
     delta, info, _ = _statistics(path, theta_den, 1.0)
     return (theta_num - theta_den) * delta - 0.5 * (theta_num - theta_den) ** 2 * info
 
 
 def score_and_info(path: SamplePath, theta: float, scaling: float) -> ScorePair:
     """Scaled score and observed information at the hypothesized theta."""
+    _require_finite(theta=theta, scaling=scaling)
     delta, info, _ = _statistics(path, theta, scaling)
     return ScorePair(delta=delta, info=info, scaling=scaling, T=path.grid.T)
 

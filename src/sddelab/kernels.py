@@ -4,15 +4,15 @@ x(t+u) a(du), residue-expansion evaluation over characteristic roots, and
 the limiting Fisher information.
 
 Discretization: uniform grid with dt = r/n_delay, method of steps with an
-order-2 Heun corrector.  One quadrature, `DelayStencil`, serves the
-fundamental solution, the kernel y, the simulated paths and the initial-path
-term of the mixed-normal limit laws (`limit_laws._initial_mix`): exact integrals
-of the density against the piecewise-linear nodal basis, atom locations
-snapped to grid nodes when within 1e-12 (linear interpolation otherwise),
-and the window truncated at the unit jump of the fundamental solution at
-time 0, with left limits where an atom lands on it (order 2 there).  The
-Heun step across the jump that an off-grid atom reads is split there
-(`DelayStencil.jump_term`), which keeps such an atom second order too.
+order-2 Heun corrector.  The fundamental solution is x0 = 1(t >= 0) + z,
+with z continuous and 0 on [-r, 0] (its variation-of-constants form), so
+y = A + Lz: the unit step's part A(t) = a([-t, 0]) and its integral over
+each step are closed form (`DelayStencil.unit_step`), and the one
+quadrature L, `DelayStencil`, reads only continuous paths: z, the simulated
+paths and the initial-path term of the mixed-normal limit laws
+(`limit_laws._initial_mix`).  It integrates the density exactly against the
+piecewise-linear nodal basis and snaps atom locations to grid nodes when
+within 1e-12 (linear interpolation otherwise).
 
 `solve_fundamental` takes one of two routes through the same Heun steps,
 with the same bits: whole chunks of the method of steps for an atom-only
@@ -20,7 +20,7 @@ stencil whose reads lie at least `CHUNK_FLOOR` nodes back, and otherwise,
 densities included, one node at a time on Python floats.
 
 `fisher_limit` aims at a stated relative accuracy, FISHER_REL_TOL, rather
-than a fixed resolution: trapezoids of y^2 split at the jumps of y on grids
+than a fixed resolution: trapezoids of y^2 split at the jumps of A on grids
 of n, 2n, 4n, ... delay nodes over one horizon, from the fewest n (at least
 FISHER_FIRST_NODES) on which the Heun step is stable, each pair combined by
 one Richardson step, until the error estimated from successive
@@ -109,13 +109,25 @@ class Grid:
 
 @dataclass(frozen=True)
 class Kernel:
-    """`solve_fundamental`'s record: x0 on [-r, T], the kernel y on [0, T]
-    and the stencil that made them."""
+    """`solve_fundamental`'s record: z = x0 - 1(t >= 0) on [-r, T], the
+    kernel y on [0, T] and the stencil that made them.  A non-finite z or y
+    is refused, naming its first time."""
 
     grid: Grid
-    x0_values: np.ndarray
+    z_values: np.ndarray
     y_values: np.ndarray
     stencil: DelayStencil
+
+    def __post_init__(self):
+        nd = self.grid.n_delay  # node of t = 0 in z, of y[0]
+        bad = [k + i for k, v in ((0, self.z_values), (nd, self.y_values)) for i in np.flatnonzero(~np.isfinite(v))[:1]]
+        if bad:
+            raise KernelError(f"the fundamental solution is not finite at t = {(min(bad) - nd) * self.grid.dt:.6g}")
+
+    @property
+    def x0_values(self) -> np.ndarray:
+        """The fundamental solution x0 = 1(t >= 0) + z on [-r, T]."""
+        return np.concatenate((self.z_values[: self.grid.n_delay], self.z_values[self.grid.n_delay :] + 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +135,15 @@ class Kernel:
 
 
 class DelayStencil:
-    """Quadrature of v -> integral v(t+u) a(du) on the grid.
+    """Quadrature of v -> integral v(t+u) a(du) on the grid, for a path v
+    that is continuous on [-r, T] (the fundamental solution's jump at 0 is
+    `unit_step`'s part).
 
     Atoms become (index offset, interpolation fraction, weight) triples;
     the density becomes nodal weights q_j = integral of density * hat_j,
-    also kept per panel so the window can be truncated at the node where a
-    path begins.  Paths are node-major: X[i] is the state at node i (node 0
-    is -r), a float for one path or a row of replicates for a batch.
+    also kept per panel for `unit_step`.  Paths are node-major: X[i] is the
+    state at node i (node 0 is -r), a float for one path or a row of
+    replicates for a batch.
     """
 
     def __init__(self, a: SignedMeasure, grid: Grid):
@@ -172,93 +186,64 @@ class DelayStencil:
         # node the step writes (an off-grid atom also reads the node after
         # its floor)
         self.lag = min((-s - (frac != 0.0) for s, frac, _ in self.atoms), default=nd)
-        # the step k (from node start+k to start+k+1) across which an
-        # off-grid atom's read passes the jump of a path at `start`
-        self.jumps: dict[int, list[tuple[float, float]]] = {}
-        for s, frac, w in self.atoms:
-            if frac != 0.0:
-                self.jumps.setdefault(-s - 1, []).append((frac, w))
 
-    def apply(self, X: np.ndarray, j: int, start: int = 0, left: bool = False, out=None, density: bool = True):
-        """Delay functional at node j >= n_delay.  X is zero before node
-        `start`: 0 for a simulated path (continuous initial segment),
-        n_delay for the fundamental solution (jump at time 0).  Reads before
-        `start` add those zeros; the two reads across the jump are skipped:
-        an atom on `start` when `left` takes the left limit there, and an
-        off-grid atom straddling `start`, which sees the zero before it.  X may
-        be a memoryview of a path, whose reads are Python floats (the
-        density's window sum reads it through `np.asarray`, a view).  With
-        `out`, a row of replicates, the terms are added to it in place and
-        it is returned: from a row of +0.0 that is the bits of the sum
-        without `out`, which starts from 0.0 and adds the atoms in order.
-        `density=False` leaves out the window sum, for a caller that forms
-        it itself."""
-        nd = self.grid.n_delay
+    def apply(self, X: np.ndarray, j: int, out=None, density: bool = True):
+        """Delay functional at node j >= n_delay.  X may be a memoryview of a
+        path, whose reads are Python floats (the density's window sum reads
+        it through `np.asarray`, a view).  With `out`, a row of replicates,
+        the terms are added to it in place and it is returned: from a row of
+        +0.0 that is the bits of the sum without `out`, which starts from
+        0.0 and adds the atoms in order.  `density=False` leaves out the
+        window sum, for a caller that forms it itself."""
         acc = 0.0 if out is None else out
         for s, frac, w in self.atoms:
             idx = j + s
             if frac == 0.0:
-                if idx != start or not left:
-                    acc += w * X[idx]
-            elif idx + 1 != start:
+                acc += w * X[idx]
+            else:
                 acc += w * ((1.0 - frac) * X[idx] + frac * X[idx + 1])
         if self.has_density and density:
             X = np.asarray(X)  # .dot below: the bits of @ at less cost per call
-            lo = start + nd - j  # first panel whose nodes are at/after start
-            if lo <= 0:
-                acc += X[j - nd : j + 1].T.dot(self.q)
-            else:
-                seg = X[start : j + 1]
-                acc += seg[1:].T.dot(self.panel_right[lo:])
-                acc += seg[:-1].T.dot(self.panel_left[lo:])
+            acc += X[j - self.grid.n_delay : j + 1].T.dot(self.q)
         return acc
 
-    def apply_span(self, X: np.ndarray, j: int, m: int, start: int, left: bool = False) -> np.ndarray:
-        """`apply` of an atom-only stencil at nodes j, ..., j+m-1 of a path
-        X that is zero before `start`, as one array: the same products,
-        added in atom order to zero, so every element has the bits of
-        `apply`.  A skipped read (the left limit at `start`, an off-grid
-        atom straddling it) is zeroed; adding +0 changes no sum."""
+    def apply_span(self, X: np.ndarray, j: int, m: int) -> np.ndarray:
+        """`apply` of an atom-only stencil at nodes j, ..., j+m-1, as one
+        array: the same products, added in atom order to zero, so every
+        element has the bits of `apply`."""
         out = np.zeros(m)
         for s, frac, w in self.atoms:
             i = j + s
             if frac == 0.0:
-                term = w * X[i : i + m]
-                cut = start - i if left else -1
+                out += w * X[i : i + m]
             else:
-                term = w * ((1.0 - frac) * X[i : i + m] + frac * X[i + 1 : i + m + 1])
-                cut = start - 1 - i
-            if 0 <= cut < m:
-                term[cut] = 0.0
-            out += term
+                out += w * ((1.0 - frac) * X[i : i + m] + frac * X[i + 1 : i + m + 1])
         return out
 
-    def jump_reads(self, X, k: int, start: int):
-        """(frac, w, c) for each off-grid atom (u, w) whose read passes the
-        jump of a path X at `start` during step k, from node start+k to
-        start+k+1: the read reaches the jump the fraction 1 - frac into the
-        step and is c at its right end."""
-        for frac, w in self.jumps.get(k, ()):
-            yield frac, w, w * ((1.0 - frac) * X[start] + frac * X[start + 1])
+    def unit_step(self, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+        """The functional of the unit step 1(t >= 0) on [0, n_steps*dt], as
+        A at nodes 0..n_steps, A_k = a([-t_k, 0]) (an atom on a node counted
+        there), and G, A's integral over step k in units of dt: exact for
+        the atoms (an off-grid atom counts the fraction frac of the step
+        that holds its jump) and the trapezoid (A_k + A_{k+1})/2 for the
+        density.  Past the first delay window both are a([-r, 0])."""
+        A = np.concatenate(([0.0], np.cumsum((self.panel_left + self.panel_right)[::-1])))
+        G = 0.5 * (A[:-1] + A[1:])  # over the first delay window, then extended
+        for s, frac, w in self.atoms:
+            A[-s:] += w
+            G[-s:] += w
+            if frac != 0.0:
+                G[-s - 1] += frac * w
+        A_out, G_out = np.full(n_steps + 1, A[-1]), np.full(n_steps, A[-1])
+        A_out[: self.grid.n_delay + 1], G_out[: self.grid.n_delay] = A[: n_steps + 1], G[:n_steps]
+        return A_out, G_out
 
-    def jump_term(self, X, k: int, start: int) -> float:
-        """The term that step k of a path X with a jump at `start` adds to
-        its f_right + f_left, for each off-grid atom whose read passes the
-        jump during the step.  The step's trapezoid gives that atom
-        dt*c/2, from its read c at the right end; the atom reads 0 up to
-        the jump and w*X[start] just after it, so its trapezoid over the
-        fraction `frac` of the step after the jump is frac*dt*(w*X[start] + c)/2."""
-        term = 0.0
-        for frac, w, c in self.jump_reads(X, k, start):
-            term += frac * (w * X[start] + c) - c
-        return term
-
-    def path(self, X: np.ndarray, start: int = 0) -> np.ndarray:
+    def path(self, X: np.ndarray) -> np.ndarray:
         """The functional at every node of [0, T], node-major like X."""
         nd, ns = self.grid.n_delay, self.grid.n_steps
         Y = np.empty((ns + 1,) + np.shape(X)[1:])
         for k in range(ns + 1):
-            Y[k] = self.apply(X, nd + k, start)
+            Y[k] = self.apply(X, nd + k)
         return Y
 
 
@@ -267,68 +252,66 @@ class DelayStencil:
 
 
 def solve_fundamental(theta: float, a: SignedMeasure, grid: Grid, prefix: Kernel | None = None) -> Kernel:
-    """Fundamental solution on [-r, T]: zero before 0, one at 0, then the
-    delay ODE integrated by trapezoidal (Heun) steps, whose predictors
-    record the kernel y on [0, T] with the bits of `DelayStencil.path` over
-    the solution (apply at node j reads only nodes <= j).  `prefix`, a
-    solution of the same problem on a grid with the same r and n_delay and
-    no more steps, is continued from its last node rather than solved
-    again: every node is the bits of a fresh solve.
+    """Fundamental solution x0 = 1(t >= 0) + z on [-r, T]: z is zero up to
+    0, then z' = theta (A + Lz) integrated by trapezoidal (Heun) steps, with
+    A and its step integrals G from `DelayStencil.unit_step` and L the
+    stencil.  The predictor z*_{k+1} = z_k + theta dt (A_k + Lz_k) records
+    the kernel y = A + Lz on [0, T] with the bits of A plus
+    `DelayStencil.path` over z (apply at node j reads only nodes <= j); the
+    corrector is z_{k+1} = z_k + (theta dt G_k + theta dt/2 (Lz_k + Lz*_{k+1})).
+    `prefix`, a solution of the same problem on a grid with the same r and
+    n_delay and no more steps, is continued from its last node rather than
+    solved again: every node is the bits of a fresh solve.
 
     An atom-only stencil whose lag L is at least `CHUNK_FLOOR` advances L
     steps at a time: the predictor is never read, the stencil sums of the
-    chunk come from `DelayStencil.apply_span`, and the nodes are
-    x[j] + ((0.5*dt)*theta)*(f_right + f_left) accumulated by `np.cumsum`,
-    the sequential additions of the step loop.  Every other stencil steps
-    on Python floats read through memoryviews of x and y (no copy), which
-    skips boxing numpy scalars and keeps the bits of a loop over arrays."""
+    chunk come from `DelayStencil.apply_span`, and the nodes are the
+    increments accumulated by `np.cumsum`, the sequential additions of the
+    step loop.  Every other stencil steps on Python floats read through
+    memoryviews of z and y (no copy), which skips boxing numpy scalars and
+    keeps the bits of a loop over arrays."""
     if not math.isfinite(theta):
         raise KernelError(f"theta must be finite, got {theta}")
     nd, ns, dt = grid.n_delay, grid.n_steps, grid.dt
-    x = np.zeros(nd + ns + 1)
+    z = np.zeros(nd + ns + 1)
     y = np.empty(ns + 1)
-    x[nd] = 1.0
     k0 = 0
     if prefix is not None:
         k0 = prefix.grid.n_steps
         if (prefix.grid.r, prefix.grid.n_delay) != (grid.r, nd) or k0 > ns:
             raise KernelError("prefix must be a shorter solve on the same delay grid")
-        x[: nd + k0 + 1] = prefix.x0_values
+        z[: nd + k0 + 1] = prefix.z_values
         y[:k0] = prefix.y_values[:k0]
     st = DelayStencil(a, grid)
+    A, step = st.unit_step(ns)
     # the products each step evaluates first, in theta's precision, then
     # widened as a step widens them against its float64 stencil sums
     full, half = float(dt * theta), float(0.5 * dt * theta)
-    jumps = st.jumps
-    if not st.has_density and st.lag >= CHUNK_FLOOR:
-        for k in range(k0, ns, st.lag):
-            j, m = nd + k, min(st.lag, ns - k)
-            y[k : k + m] = f_right = st.apply_span(x, j, m, start=nd)
-            f_sum = f_right + st.apply_span(x, j + 1, m, start=nd, left=True)
-            inc = half * f_sum
-            for kj in jumps:  # a jump step lies at least `lag` steps in
-                if k <= kj < k + m:
-                    inc[kj - k] = half * (f_sum[kj - k] + st.jump_term(x, kj, nd))
-            inc[0] += x[j]
-            np.cumsum(inc, out=x[j + 1 : j + 1 + m])
-    else:
-        X, Y = memoryview(x), memoryview(y)
-        for k in range(k0, ns):
-            j = nd + k
-            Y[k] = f_right = st.apply(X, j, start=nd)
-            X[j + 1] = X[j] + full * f_right  # predictor, in place
-            f_left = st.apply(X, j + 1, start=nd, left=True)
-            if k in jumps:
-                X[j + 1] = X[j] + half * ((f_right + f_left) + st.jump_term(X, k, nd))
-            else:
-                X[j + 1] = X[j] + half * (f_right + f_left)
-    y[ns] = st.apply(x, nd + ns, start=nd)
-    return Kernel(grid=grid, x0_values=x, y_values=y, stencil=st)
+    step *= full  # theta dt G: the unit step's part of each increment
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not st.has_density and st.lag >= CHUNK_FLOOR:
+            for k in range(k0, ns, st.lag):
+                j, m = nd + k, min(st.lag, ns - k)
+                y[k : k + m] = lz = st.apply_span(z, j, m)
+                inc = step[k : k + m] + half * (lz + st.apply_span(z, j + 1, m))
+                inc[0] += z[j]
+                np.cumsum(inc, out=z[j + 1 : j + 1 + m])
+            y[k0:ns] += A[k0:ns]
+        else:
+            Z, Y, A_, S = memoryview(z), memoryview(y), memoryview(A), memoryview(step)
+            for k in range(k0, ns):
+                j = nd + k
+                lz = st.apply(Z, j)
+                Y[k] = A_[k] + lz
+                Z[j + 1] = Z[j] + full * Y[k]  # predictor, in place
+                Z[j + 1] = Z[j] + (S[k] + half * (lz + st.apply(Z, j + 1)))
+        y[ns] = A[ns] + st.apply(z, nd + ns)
+    return Kernel(grid=grid, z_values=z, y_values=y, stencil=st)
 
 
 def y_kernel(theta: float, a: SignedMeasure, kernel: Kernel) -> np.ndarray:
-    """y(t) = integral x(t+u) a(du) on [0, T] (atom hits at the jump use the
-    actual value x(0) = 1), as `solve_fundamental(theta, a, grid)` records it."""
+    """y(t) = integral x0(t+u) a(du) = A + Lz on [0, T] (an atom on the jump
+    reads x0(0) = 1), as `solve_fundamental(theta, a, grid)` records it."""
     return kernel.y_values
 
 
@@ -395,8 +378,6 @@ def fisher_limit(theta: float, a: SignedMeasure, report: RegimeReport | None = N
     # log C, C = max |y(t)| e^(-c t) over the second half of [0, T]
     with np.errstate(divide="ignore"):
         log_C = float(np.max(np.log(np.abs(y[window])) - c * ts[window]))
-    if not log_C < math.inf:
-        raise KernelError(f"the kernel on {n} delay nodes is not finite")
     if log_C > -math.inf:
         t_cut = (math.log(FISHER_TAIL_TOL * 2.0 * abs(c)) - 2.0 * log_C) / (2.0 * c)
         if t_cut > grid.T:  # carry the same solve on to t_cut
@@ -434,27 +415,28 @@ def fisher_limit(theta: float, a: SignedMeasure, report: RegimeReport | None = N
 
 
 def _y_squared_integral(kern: Kernel) -> float:
-    """Trapezoid of y^2 over the kernel's grid, split at every jump of y:
-    at t = -u for an atom (u, w) y jumps by w x(0) = w.  On the grid the
-    panel ending at the jump takes y's left limit, `DelayStencil.apply` with
-    `left`; off it, the panel holding the jump is two trapezoids, with
-    y's other terms interpolated to the jump from the panel's ends."""
+    """Trapezoid of y^2 over the kernel's grid, split at every jump of y = A
+    + Lz: at t = -u for atoms (u, w), A jumps by their sum w.  On the grid the panel
+    ending at the jump takes y's left limit y - w; off it, the panel holding
+    the jump is two trapezoids, with y's other terms interpolated to the
+    jump from the panel's ends.  The atom reads 0 before the jump, w just
+    after it and c = w (1 + frac z(dt)) at the panel's end."""
     grid, st = kern.grid, kern.stencil
     nd, ns, dt = grid.n_delay, grid.n_steps, grid.dt
-    x, y = kern.x0_values, kern.y_values
+    z, y = kern.z_values, kern.y_values
     total = float(np.trapezoid(y * y, dx=dt))
-    for s, frac, _ in st.atoms:
-        i = -s  # an on-grid atom's jump node
+    jumps: dict[tuple[int, float], float] = {}  # atoms the stencil puts in one place jump as one
+    for s, frac, w in st.atoms:
+        jumps[s, frac] = jumps.get((s, frac), 0.0) + w
+    for (s, frac), w in jumps.items():
+        i = -s - (frac != 0.0)  # the jump node, or the panel [t_i, t_i+1] holding the jump
         if frac == 0.0 and 0 < i <= ns:
-            y_left = st.apply(x, nd + i, start=nd, left=True)
-            total += 0.5 * dt * (y_left**2 - y[i] ** 2)
-    for i in st.jumps:  # the panel [t_i, t_i+1] holds an off-grid atom's jump
-        if i < ns:
-            for frac, w, c in st.jump_reads(x, i, nd):
-                y_left = frac * y[i] + (1.0 - frac) * (y[i + 1] - c)
-                y_right = y_left + w * x[nd]
-                split = (1.0 - frac) * (y[i] ** 2 + y_left**2) + frac * (y_right**2 + y[i + 1] ** 2)
-                total += 0.5 * dt * (split - y[i] ** 2 - y[i + 1] ** 2)
+            total += 0.5 * dt * ((y[i] - w) ** 2 - y[i] ** 2)
+        elif frac != 0.0 and i < ns:
+            c = w * (1.0 + frac * z[nd + 1])
+            y_left = frac * y[i] + (1.0 - frac) * (y[i + 1] - c)
+            split = (1.0 - frac) * (y[i] ** 2 + y_left**2) + frac * ((y_left + w) ** 2 + y[i + 1] ** 2)
+            total += 0.5 * dt * (split - y[i] ** 2 - y[i + 1] ** 2)
     return total
 
 

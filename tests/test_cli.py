@@ -88,6 +88,15 @@ def test_simulate_overflowing_path_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_kernel_overflowing_solution_usage_error(tmp_path, capsys):
+    # theta dt = 0.5 per step: x0 leaves the float range before T = 20
+    out = tmp_path / "k.csv"
+    args = ["kernel", "--theta", "50", "--measure", "dirac0.json", "--T", "20", "--dt", "0.01", "--out", str(out)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == "error: the fundamental solution is not finite at t = 14.62\n"
+    assert not out.exists()
+
+
 def test_estimate_refuses_non_finite_path(tmp_path, capsys):
     path_csv = tmp_path / "path.csv"
     args = ["simulate", "--theta", "-0.5", "--measure", "dirac0.json", "--T", "1", "--dt", "0.1", "--out", str(path_csv)]
@@ -312,15 +321,22 @@ def test_experiment_override_validated(tmp_path, capsys):
         ["analyze", "--theta", "nan", "--measure", "dirac0.json"],
         ["kernel", "--theta", "nan", "--measure", "dirac0.json", "--T", "1.0"],
         ["simulate", "--theta", "nan", "--measure", "dirac0.json", "--T", "1.0", "--dt", "0.1"],
+        ["estimate", "--path", "PATH", "--theta", "inf"],
+        ["estimate", "--path", "PATH", "--scaling", "nan"],
     ],
-    ids=["analyze-inf", "limits-inf", "analyze-1e308", "analyze-nan", "kernel-nan", "simulate-nan"],
+    ids=["analyze-inf", "limits-inf", "analyze-1e308", "analyze-nan", "kernel-nan", "simulate-nan", "estimate-inf", "estimate-scaling-nan"],
 )
 def test_non_finite_theta_usage_error(argv, tmp_path, capsys):
-    # a theta that is not finite, or whose root search bound overflows, is a
-    # usage error that names it, and no output is written
+    # a theta (or estimate's scaling) that is not finite, or whose root
+    # search bound overflows, is a usage error that names it, and no output
+    # is written
+    if "PATH" in argv:  # estimate reads a simulated path
+        path = tmp_path / "p.csv"
+        assert main(["simulate", "--theta", "-0.5", "--measure", "dirac0.json", "--T", "1", "--dt", "0.1", "--out", str(path)]) == 0
+        argv = [str(path) if v == "PATH" else v for v in argv]
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
-    assert "theta" in capsys.readouterr().err
+    assert ("scaling" if "--scaling" in argv else "theta") in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -65,6 +65,20 @@ def test_quadratic_expansion_identity():
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda p: score_and_info(p, float("inf"), 1.0), "theta must be finite, got inf"),
+        (lambda p: score_and_info(p, -0.5, float("nan")), "scaling must be finite, got nan"),
+        (lambda p: log_likelihood_ratio(p, float("nan"), -0.5), "theta_num must be finite, got nan"),
+        (lambda p: log_likelihood_ratio(p, 0.0, float("-inf")), "theta_den must be finite, got -inf"),
+    ],
+)
+def test_statistics_refuse_non_finite_parameters(call, message):
+    with pytest.raises(InferenceError, match=f"^{message}$"):
+        call(make_path(T=1.0, dt=0.1))
+
+
 def test_score_zero_on_degenerate_path():
     g = Grid.build(1.0, 4.0, 0.01)
     p = simulate(0.0, BAL, InitialPath.zero(), g, seed=0, dW=np.zeros(g.n_steps))

@@ -17,7 +17,7 @@ from sddelab.kernels import (
     solve_fundamental,
     y_kernel,
 )
-from sddelab.measures import SignedMeasure, tail_mass, total_variation
+from sddelab.measures import DensityPiece, SignedMeasure, tail_mass, total_variation
 from sddelab.simulate import InitialPath
 from sddelab.spectrum import build_root_data, classify, roots_in_strip
 
@@ -129,6 +129,20 @@ def test_fundamental_off_grid_delay_atom_method_of_steps(dt):
     assert np.max(np.abs(kern.x0_values[g.n_delay :] - want)) <= abs(theta) * dt**2
 
 
+def test_fundamental_refuses_a_solution_past_the_float_range():
+    # theta dt = 0.5 on dirac0: each Heun step multiplies x by 1.625, which
+    # passes the float range at step 1462; the solve is refused there, and a
+    # record with a non-finite y names y's time
+    g = Grid.build(1.0, 20.0, 0.01)
+    with pytest.raises(KernelError, match=r"^the fundamental solution is not finite at t = 14\.62$"):
+        solve_fundamental(50.0, D0, g)
+    kern = solve_fundamental(-0.5, D0, g)
+    y = kern.y_values.copy()
+    y[300] = np.nan
+    with pytest.raises(KernelError, match=r"not finite at t = 3$"):
+        dataclasses.replace(kern, y_values=y)
+
+
 # ---------------------------------------------------------------------------
 # delay stencil
 
@@ -155,6 +169,56 @@ def test_stencil_panel_weights_closed_form():
     np.testing.assert_allclose(st.panel_right, want_right, rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(st.panel_left, want_left, rtol=1e-13, atol=0.0)
     np.testing.assert_array_equal(st.q, np.append(st.panel_left, 0.0) + np.append(0.0, st.panel_right))
+
+
+def _ramp(atoms, pieces, t):
+    # integral of a([-s, 0]) over s in [0, t]: sum w (t + u)_+ plus the
+    # integral of p(u) (t + u) over the part of each piece right of -t
+    P = np.polynomial.polynomial
+    total = sum(w * max(t + u, 0.0) for u, w in atoms)
+    for lo, hi, c in pieces:
+        lo = max(lo, -t)
+        if lo < hi:
+            F = P.polyint(P.polymul(c, (t, 1.0)))
+            total += P.polyval(hi, F) - P.polyval(lo, F)
+    return total
+
+
+def test_unit_step_exact_oracle():
+    # atoms at 0, on a node (-0.25), off the grid (-0.3737) and at -r, and
+    # density pieces that start and end inside panels
+    atoms = ((0.0, 0.5), (-0.25, -0.7), (-0.3737, 0.8), (-1.0, 0.3))
+    pieces = ((-0.613, -0.1, (0.5, -1.25)), (-0.95, -0.7, (1.0, 2.0, 3.0)))
+    a = SignedMeasure(1.0, atoms, tuple(DensityPiece(lo, hi, c) for lo, hi, c in pieces))
+    for measure, dens in ((SignedMeasure.point_masses(1.0, *atoms), ()), (a, pieces)):
+        g = Grid(r=1.0, n_delay=40, n_steps=100)
+        st = DelayStencil(measure, g)
+        A, G = st.unit_step(g.n_steps)
+        assert (A.shape, G.shape) == ((101,), (100,))
+        # a shorter horizon, also inside the first delay window, is a prefix
+        for n in (1, 25, 40, 41):
+            A_n, G_n = st.unit_step(n)
+            np.testing.assert_array_equal(A_n, A[: n + 1])
+            np.testing.assert_array_equal(G_n, G[:n])
+        # A_k = a([-t_k, 0]), each atom where the stencil puts it
+        placed = SignedMeasure(1.0, tuple(((s + frac) * g.dt, w) for s, frac, w in st.atoms), measure.density_pieces)
+        want = [tail_mass(placed, min(k * g.dt, 1.0)) for k in range(101)]
+        assert np.max(np.abs(A - want)) <= 1e-14 * total_variation(measure)
+        # past the first delay window both are a([-r, 0])
+        assert np.all(A[40:] == A[40]) and np.all(G[40:] == A[40])
+        # dt sum G over the first K steps is the integral of A: exact for
+        # the atoms, and within the trapezoid bound for the density, t_K/12
+        # max|p'| plus 1/8 of each jump of p (a kink of A inside a panel),
+        # times dt^2
+        err = np.array([abs(g.dt * G[:K].sum() - _ramp(atoms, dens, K * g.dt)) for K in range(101)])
+        if not dens:
+            assert np.max(err) <= 1e-13
+        else:
+            P = np.polynomial.polynomial
+            jumps = sum(abs(P.polyval(e, c)) for lo, hi, c in pieces for e in (lo, hi))
+            slope = max(abs(P.polyval(e, P.polyder(c))) for lo, hi, c in pieces for e in (lo, hi))  # p' is linear
+            bound = (np.arange(101) * g.dt / 12 * slope + jumps / 8) * g.dt**2
+            assert np.all(err <= bound)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +349,9 @@ def _parseval_information(theta, atoms, omega=1000.0):
         # beside the lag-0 atom the off-grid lag r/3 stays second order
         # after Richardson, and the grid follows the estimate to 8192 nodes
         ((0.0, 1.0), (-1.0 / 3.0, 0.7)),
+        # two atoms at one lag jump as one, on and off the grid
+        ((0.0, 1.0), (-0.5, 0.3), (-0.5, 0.4)),
+        ((0.0, 1.0), (-1.0 / 3.0, 0.3), (-1.0 / 3.0, 0.4)),
     ],
 )
 def test_fisher_limit_parseval_oracle(atoms):
@@ -458,10 +525,10 @@ def test_kernel_polynomial_expansion_matches_solver(theta, a):
 
 
 def test_recorded_kernel_y_matches_y_kernel():
-    # solve_fundamental records y from its predictor's stencil sums, which
-    # y_kernel returns; the stencil over the finished path gives the same
-    # bits (apply at node j reads only nodes <= j), for atoms on and off the
-    # grid, at the jump, and a density
+    # solve_fundamental records y = A + Lz from its predictor's stencil
+    # sums, which y_kernel returns; the unit step's part plus the stencil
+    # over the finished z gives the same bits (apply at node j reads only
+    # nodes <= j), for atoms on and off the grid, at the jump, and a density
     off_grid = SignedMeasure.point_masses(1.0, (-0.3737, 0.8), (0.0, -0.3))
     dens = SignedMeasure.from_dict(
         {"r": 1.0, "atoms": [{"u": -1.0, "w": 0.5}], "density": [{"lo": -0.7, "hi": -0.2, "coeffs": [0.5, -1.25]}]}
@@ -476,7 +543,8 @@ def test_recorded_kernel_y_matches_y_kernel():
     ]
     for theta, a, g in cases:
         kern = solve_fundamental(theta, a, g)
-        want = DelayStencil(a, g).path(kern.x0_values, start=g.n_delay)
+        st = DelayStencil(a, g)
+        want = st.unit_step(g.n_steps)[0] + st.path(kern.z_values)
         np.testing.assert_array_equal(y_kernel(theta, a, kern), want)
 
 
@@ -498,30 +566,22 @@ def test_continued_fundamental_matches_fresh_solve():
 
 
 def _heun_reference(theta, a, grid):
-    # the method of steps one node at a time over numpy arrays: a predictor,
-    # then the trapezoidal corrector, each from DelayStencil.apply
+    # the method of steps for z = x0 - 1(t >= 0) one node at a time over
+    # numpy arrays: a predictor, then the trapezoidal corrector, each from
+    # DelayStencil.apply, with the unit step's part A and its step integrals
+    # G from DelayStencil.unit_step
     nd, ns, dt = grid.n_delay, grid.n_steps, grid.dt
     st = DelayStencil(a, grid)
-    x, y = np.zeros(nd + ns + 1), np.empty(ns + 1)
-    x[nd] = 1.0
+    A, G = st.unit_step(ns)
+    z, y = np.zeros(nd + ns + 1), np.empty(ns + 1)
     for k in range(ns):
         j = nd + k
-        y[k] = f_right = st.apply(x, j, start=nd)
-        x[j + 1] = x[j] + dt * theta * f_right
-        f_left = st.apply(x, j + 1, start=nd, left=True)
-        # the step across an off-grid atom's jump (its read passes node nd)
-        # takes that atom over the fraction frac of the step after the jump
-        split = [(frac, w) for s, frac, w in st.atoms if frac != 0.0 and j + s + 1 == nd]
-        if split:
-            jump = 0.0
-            for frac, w in split:
-                c = w * ((1.0 - frac) * x[nd] + frac * x[nd + 1])
-                jump += frac * (w * x[nd] + c) - c
-            x[j + 1] = x[j] + 0.5 * dt * theta * ((f_right + f_left) + jump)
-        else:
-            x[j + 1] = x[j] + 0.5 * dt * theta * (f_right + f_left)
-    y[ns] = st.apply(x, nd + ns, start=nd)
-    return x, y
+        lz = st.apply(z, j)
+        y[k] = A[k] + lz
+        z[j + 1] = z[j] + dt * theta * y[k]
+        z[j + 1] = z[j] + (dt * theta * G[k] + 0.5 * dt * theta * (lz + st.apply(z, j + 1)))
+    y[ns] = A[ns] + st.apply(z, nd + ns)
+    return z, y
 
 
 @pytest.mark.parametrize(
@@ -543,9 +603,9 @@ def _heun_reference(theta, a, grid):
 )
 def test_fundamental_matches_reference_heun_loop(theta, a, n_delay, n_steps):
     grid = Grid(r=a.r, n_delay=n_delay, n_steps=n_steps)
-    x, y = _heun_reference(theta, a, grid)
+    z, y = _heun_reference(theta, a, grid)
     kern = solve_fundamental(theta, a, grid)
-    np.testing.assert_array_equal(kern.x0_values, x)
+    np.testing.assert_array_equal(kern.z_values, z)
     np.testing.assert_array_equal(kern.y_values, y)
 
 
