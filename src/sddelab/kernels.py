@@ -4,50 +4,36 @@ x(t+u) a(du), residue-expansion evaluation over characteristic roots, and
 the limiting Fisher information.
 
 Discretization: uniform grid with dt = r/n_delay, method of steps with an
-order-2 Heun corrector.  The fundamental solution is x0 = 1(t >= 0) + z,
-with z continuous and 0 on [-r, 0] (its variation-of-constants form), so
-y = A + Lz: the unit step's part A(t) = a([-t, 0]) and its integral over
-each step are closed form (`DelayStencil.unit_step`), and the one
-quadrature L, `DelayStencil`, reads only continuous paths: z, the simulated
-paths and the initial-path term of the mixed-normal limit laws
-(`limit_laws._initial_mix`).  It integrates the density exactly against the
-piecewise-linear nodal basis and snaps atom locations to grid nodes when
-within 1e-12 (linear interpolation otherwise).
+order-2 Heun corrector taken one node at a time.  The fundamental solution
+is x0 = 1(t >= 0) + z, with z continuous and 0 on [-r, 0] (its
+variation-of-constants form), so y = A + Lz: the unit step's part
+A(t) = a([-t, 0]) and its integral over each step are closed form
+(`DelayStencil.unit_step`), and the one quadrature L, `DelayStencil`, reads
+only continuous paths: z, the simulated paths and the initial-path term of
+the mixed-normal limit laws (`limit_laws._initial_mix`).  It integrates the
+density exactly against the piecewise-linear nodal basis and snaps atom
+locations to grid nodes when within 1e-12 (linear interpolation otherwise).
 
-`solve_fundamental` takes one of two routes through the same Heun steps,
-with the same bits: whole chunks of the method of steps for an atom-only
-stencil whose reads lie at least `CHUNK_FLOOR` nodes back, and otherwise,
-densities included, one node at a time on Python floats.
-
-`fisher_limit` aims at a stated relative accuracy, FISHER_REL_TOL, rather
-than a fixed resolution: trapezoids of y^2 split at the jumps of A on grids
-of n, 2n, 4n, ... delay nodes over one horizon, from the fewest n (at least
-FISHER_FIRST_NODES) on which the Heun step is stable, each pair combined by
-one Richardson step, until the error estimated from successive
-extrapolations is below it.  A cap on the doublings, FISHER_MAX_DOUBLINGS,
-that ends them first is reported by a RuntimeWarning.
+`fisher_limit` solves nothing in time: in the LAN band y's Laplace
+transform M_0/h is analytic on the imaginary axis, and J is its Parseval
+integral there, by Gauss-Legendre panels and a closed-form tail.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import SignedMeasure, _leggauss_cached, _poly_defint, has_zero_mass, tail_mass, total_variation
-from .spectrum import NEG_INF, RegimeReport, classify, in_lan_band
+from .measures import SignedMeasure, _leggauss_cached, _poly_defint, exp_moment_bound, exp_moments, has_zero_mass
+from .measures import tail_mass, total_variation
+from .special import sine_integral
+from .spectrum import RegimeReport, classify, in_lan_band
 
 ATOM_SNAP = 1e-12
-# shortest stencil lag that `solve_fundamental` advances as whole chunks
-# rather than step by step (chunks of 16 already beat stepping)
-CHUNK_FLOOR = 16
 MAX_GRID_NODES = 10**8  # nodes of a grid on [-r, T]: 0.8 GB per path of floats
-FISHER_TAIL_TOL = 1e-10  # bound on the analytic tail of the Fisher integral
-FISHER_REL_TOL = 5e-9  # relative error estimate `fisher_limit` stops at
-FISHER_FIRST_NODES = 32  # fewest delay nodes of `fisher_limit`'s first solve
-FISHER_MAX_DOUBLINGS = 8  # its finest solve has 2^8 times the first one's nodes
+FISHER_REL_TOL = 5e-9  # relative accuracy `fisher_limit` aims at
 
 
 class KernelError(ValueError):
@@ -109,14 +95,13 @@ class Grid:
 
 @dataclass(frozen=True)
 class Kernel:
-    """`solve_fundamental`'s record: z = x0 - 1(t >= 0) on [-r, T], the
-    kernel y on [0, T] and the stencil that made them.  A non-finite z or y
-    is refused, naming its first time."""
+    """`solve_fundamental`'s record: z = x0 - 1(t >= 0) on [-r, T] and the
+    kernel y on [0, T].  A non-finite z or y is refused, naming its first
+    time."""
 
     grid: Grid
     z_values: np.ndarray
     y_values: np.ndarray
-    stencil: DelayStencil
 
     def __post_init__(self):
         nd = self.grid.n_delay  # node of t = 0 in z, of y[0]
@@ -182,10 +167,6 @@ class DelayStencil:
         self.q[:-1] += self.panel_left
         self.q[1:] += self.panel_right
         self.has_density = bool(a.density_pieces)
-        # every atom read of a Heun step lies at least `lag` nodes behind the
-        # node the step writes (an off-grid atom also reads the node after
-        # its floor)
-        self.lag = min((-s - (frac != 0.0) for s, frac, _ in self.atoms), default=nd)
 
     def apply(self, X: np.ndarray, j: int, out=None, density: bool = True):
         """Delay functional at node j >= n_delay.  X may be a memoryview of a
@@ -206,19 +187,6 @@ class DelayStencil:
             X = np.asarray(X)  # .dot below: the bits of @ at less cost per call
             acc += X[j - self.grid.n_delay : j + 1].T.dot(self.q)
         return acc
-
-    def apply_span(self, X: np.ndarray, j: int, m: int) -> np.ndarray:
-        """`apply` of an atom-only stencil at nodes j, ..., j+m-1, as one
-        array: the same products, added in atom order to zero, so every
-        element has the bits of `apply`."""
-        out = np.zeros(m)
-        for s, frac, w in self.atoms:
-            i = j + s
-            if frac == 0.0:
-                out += w * X[i : i + m]
-            else:
-                out += w * ((1.0 - frac) * X[i : i + m] + frac * X[i + 1 : i + m + 1])
-        return out
 
     def unit_step(self, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
         """The functional of the unit step 1(t >= 0) on [0, n_steps*dt], as
@@ -251,7 +219,7 @@ class DelayStencil:
 # fundamental solution
 
 
-def solve_fundamental(theta: float, a: SignedMeasure, grid: Grid, prefix: Kernel | None = None) -> Kernel:
+def solve_fundamental(theta: float, a: SignedMeasure, grid: Grid) -> Kernel:
     """Fundamental solution x0 = 1(t >= 0) + z on [-r, T]: z is zero up to
     0, then z' = theta (A + Lz) integrated by trapezoidal (Heun) steps, with
     A and its step integrals G from `DelayStencil.unit_step` and L the
@@ -259,29 +227,14 @@ def solve_fundamental(theta: float, a: SignedMeasure, grid: Grid, prefix: Kernel
     the kernel y = A + Lz on [0, T] with the bits of A plus
     `DelayStencil.path` over z (apply at node j reads only nodes <= j); the
     corrector is z_{k+1} = z_k + (theta dt G_k + theta dt/2 (Lz_k + Lz*_{k+1})).
-    `prefix`, a solution of the same problem on a grid with the same r and
-    n_delay and no more steps, is continued from its last node rather than
-    solved again: every node is the bits of a fresh solve.
-
-    An atom-only stencil whose lag L is at least `CHUNK_FLOOR` advances L
-    steps at a time: the predictor is never read, the stencil sums of the
-    chunk come from `DelayStencil.apply_span`, and the nodes are the
-    increments accumulated by `np.cumsum`, the sequential additions of the
-    step loop.  Every other stencil steps on Python floats read through
-    memoryviews of z and y (no copy), which skips boxing numpy scalars and
-    keeps the bits of a loop over arrays."""
+    The steps run on Python floats read through memoryviews of z and y (no
+    copy), which skips boxing numpy scalars and keeps the bits of a loop over
+    arrays."""
     if not math.isfinite(theta):
         raise KernelError(f"theta must be finite, got {theta}")
     nd, ns, dt = grid.n_delay, grid.n_steps, grid.dt
     z = np.zeros(nd + ns + 1)
     y = np.empty(ns + 1)
-    k0 = 0
-    if prefix is not None:
-        k0 = prefix.grid.n_steps
-        if (prefix.grid.r, prefix.grid.n_delay) != (grid.r, nd) or k0 > ns:
-            raise KernelError("prefix must be a shorter solve on the same delay grid")
-        z[: nd + k0 + 1] = prefix.z_values
-        y[:k0] = prefix.y_values[:k0]
     st = DelayStencil(a, grid)
     A, step = st.unit_step(ns)
     # the products each step evaluates first, in theta's precision, then
@@ -289,24 +242,15 @@ def solve_fundamental(theta: float, a: SignedMeasure, grid: Grid, prefix: Kernel
     full, half = float(dt * theta), float(0.5 * dt * theta)
     step *= full  # theta dt G: the unit step's part of each increment
     with np.errstate(over="ignore", invalid="ignore"):
-        if not st.has_density and st.lag >= CHUNK_FLOOR:
-            for k in range(k0, ns, st.lag):
-                j, m = nd + k, min(st.lag, ns - k)
-                y[k : k + m] = lz = st.apply_span(z, j, m)
-                inc = step[k : k + m] + half * (lz + st.apply_span(z, j + 1, m))
-                inc[0] += z[j]
-                np.cumsum(inc, out=z[j + 1 : j + 1 + m])
-            y[k0:ns] += A[k0:ns]
-        else:
-            Z, Y, A_, S = memoryview(z), memoryview(y), memoryview(A), memoryview(step)
-            for k in range(k0, ns):
-                j = nd + k
-                lz = st.apply(Z, j)
-                Y[k] = A_[k] + lz
-                Z[j + 1] = Z[j] + full * Y[k]  # predictor, in place
-                Z[j + 1] = Z[j] + (S[k] + half * (lz + st.apply(Z, j + 1)))
+        Z, Y, A_, S = memoryview(z), memoryview(y), memoryview(A), memoryview(step)
+        for k in range(ns):
+            j = nd + k
+            lz = st.apply(Z, j)
+            Y[k] = A_[k] + lz
+            Z[j + 1] = Z[j] + full * Y[k]  # predictor, in place
+            Z[j + 1] = Z[j] + (S[k] + half * (lz + st.apply(Z, j + 1)))
         y[ns] = A[ns] + st.apply(z, nd + ns)
-    return Kernel(grid=grid, z_values=z, y_values=y, stencil=st)
+    return Kernel(grid=grid, z_values=z, y_values=y)
 
 
 def y_kernel(theta: float, a: SignedMeasure, kernel: Kernel) -> np.ndarray:
@@ -338,106 +282,100 @@ def residue_expansion_eval(theta: float, a: SignedMeasure, roots, t):
 
 
 def fisher_limit(theta: float, a: SignedMeasure, report: RegimeReport | None = None) -> float:
-    """J = integral over [0, inf) of y(t)^2 dt, for parameters in the LAN
-    band of v*.  Each solve gives the trapezoid I_n of y^2 on [0, T] over n
-    delay nodes, split at the jumps of y (`_y_squared_integral`).  The first
-    solve is on the fewest n = FISHER_FIRST_NODES * 2^k with
-    |theta| |a| r / n <= 1 (|a| the total variation), which keeps its Heun
-    steps stable; T and the analytic exponential tail bound, chosen below
-    FISHER_TAIL_TOL, come from it, and it is continued to T.  Solves on n
-    and 2n nodes give the Richardson value R_n = (4 I_2n - I_n)/3 + tail.
-    n doubles until the error of the latest R, estimated as its move from
-    the one before over 2^p - 1, is at most FISHER_REL_TOL relative.  The
-    order p comes from the ratio 2^p of the last two moves, at most 3 (the
-    Heun expansion's next term; an on-grid lag or a density shows it), and
-    is 2 (an off-grid lag, whose interpolation error Richardson does not
-    cancel) until there are two.  After FISHER_MAX_DOUBLINGS doublings of
-    the first solve's nodes it returns the latest R with a RuntimeWarning
-    giving the estimate.  At theta = 0 with a([-r, 0]) = 0 it is the closed
-    form `fisher_theta0`."""
+    """J = integral over [0, inf) of y(t)^2 dt in the LAN band of v*, as
+    (1/pi) integral over [0, inf) of |M_0(iw)/h(iw)|^2 dw: `_axis_head` on
+    panels 2/r wide, with more edges at Im lam +- |Re lam| 2^k around each
+    root of the report with a nonzero kernel polynomial (near a LAN boundary
+    a Lorentzian of width |Re lam|; a root the report leaves out lies below
+    classify's last cut, over 1/r left of the axis), and `_axis_tail` past
+    Omega.  The tail leaves out O(K/w^4): K = (|a| reach + B)^2 + 4 |theta|
+    |a({0})|^3 reach, |a| the total variation, reach = |theta| |a - a({0})|
+    >= |theta R|, B the density's term of `exp_moment_bound`, and the second
+    term the lag-0 atom's cross terms with R.  Omega puts K/(3 Omega^3) at
+    FISHER_REL_TOL/16 of pi J0, J0 from the panels up to the last refined
+    root or to 2 reach, where |theta R/s| <= 1/2, plus one panel.  A lag-0
+    atom alone is all tail, exact from Omega = 0.  At theta = 0 with
+    a([-r, 0]) = 0 it is the closed form `fisher_theta0`."""
     if theta == 0.0 and has_zero_mass(a):
         return fisher_theta0(a)
     if report is None:
         report = classify(theta, a)
     if not in_lan_band(report.v_star, a.r):
         raise KernelError("information diverges: v* >= 0")
-    c = report.v_star / 2.0 if report.v_star != NEG_INF else -5.0 / a.r
     if not math.isfinite(theta):
         raise KernelError(f"theta must be finite, got {theta}")
-    stiffness = abs(theta) * total_variation(a) * a.r
-    n = FISHER_FIRST_NODES
-    while n < stiffness:
-        n *= 2
-
-    horizon = max(2.0 * a.r, 8.0 / abs(c))
-    grid = Grid(r=a.r, n_delay=n, n_steps=int(math.ceil(horizon / (a.r / n))))
-    kern = solve_fundamental(theta, a, grid)
-    y = y_kernel(theta, a, kern)
-    ts = grid.state_times()
-    window = ts >= 0.5 * grid.T
-    # log C, C = max |y(t)| e^(-c t) over the second half of [0, T]
-    with np.errstate(divide="ignore"):
-        log_C = float(np.max(np.log(np.abs(y[window])) - c * ts[window]))
-    if log_C > -math.inf:
-        t_cut = (math.log(FISHER_TAIL_TOL * 2.0 * abs(c)) - 2.0 * log_C) / (2.0 * c)
-        if t_cut > grid.T:  # carry the same solve on to t_cut
-            grid = Grid(r=a.r, n_delay=n, n_steps=int(math.ceil(t_cut / (a.r / n))))
-            kern = solve_fundamental(theta, a, grid, prefix=kern)
-        tail = math.exp(2.0 * (log_C + c * grid.T)) / (2.0 * abs(c))
-    else:
-        tail = 0.0
-    coarse = _y_squared_integral(kern)
-    extrapolated = move = None
-    while True:
-        # twice the nodes on the same [0, T]
-        grid = Grid(r=a.r, n_delay=2 * grid.n_delay, n_steps=2 * grid.n_steps)
-        fine = _y_squared_integral(solve_fundamental(theta, a, grid))
-        previous, extrapolated = extrapolated, (4.0 * fine - coarse) / 3.0 + tail
-        error = math.inf
-        if previous is not None:
-            last_move, move = move, abs(extrapolated - previous)
-            if last_move is None:
-                rate = 4.0
-            else:
-                rate = 8.0 if 8.0 * move <= last_move else last_move / move
-            error = move / (rate - 1.0) if rate > 1.0 else math.inf
-            if error <= FISHER_REL_TOL * abs(extrapolated):
-                return float(extrapolated)
-        if grid.n_delay >= n << FISHER_MAX_DOUBLINGS:
-            warnings.warn(
-                f"fisher_limit: relative error estimate {error / abs(extrapolated):.2g} is above "
-                f"{FISHER_REL_TOL:g} at the cap of {grid.n_delay} delay nodes",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return float(extrapolated)
-        coarse = fine
+    if not a.density_pieces and all(u == 0.0 for u, _ in a.atoms):
+        return _axis_tail(theta, a, 0.0) / math.pi
+    width = 2.0 / a.r
+    edges = [0.0]
+    for rt in report.roots:
+        g = -rt.lam.real
+        if rt.m_tilde >= 0 and rt.lam.imag >= 0.0 and 0.0 < g < width:
+            edges.append(rt.lam.imag)
+            while g < width:
+                edges += [rt.lam.imag - g, rt.lam.imag + g]
+                g *= 2.0
+    tv, a0 = total_variation(a), abs(sum(w for u, w in a.atoms if u == 0.0))
+    reach = abs(theta) * (tv - a0)
+    omega0 = max(max(edges), 2.0 * reach) + width
+    edges = np.unique(np.clip(np.concatenate((edges, np.arange(0.0, omega0, width), [omega0])), 0.0, omega0))
+    head = _axis_head(theta, a, edges)
+    K = (tv * reach + exp_moment_bound(a, 0.0)[1]) ** 2 + 4.0 * abs(theta) * a0**3 * reach
+    omega = max(omega0, (16.0 * K / (3.0 * FISHER_REL_TOL * (head + _axis_tail(theta, a, omega0)))) ** (1.0 / 3.0))
+    if omega > omega0:
+        head += _axis_head(theta, a, np.append(np.arange(omega0, omega, width), omega))
+    return (head + _axis_tail(theta, a, omega)) / math.pi
 
 
-def _y_squared_integral(kern: Kernel) -> float:
-    """Trapezoid of y^2 over the kernel's grid, split at every jump of y = A
-    + Lz: at t = -u for atoms (u, w), A jumps by their sum w.  On the grid the panel
-    ending at the jump takes y's left limit y - w; off it, the panel holding
-    the jump is two trapezoids, with y's other terms interpolated to the
-    jump from the panel's ends.  The atom reads 0 before the jump, w just
-    after it and c = w (1 + frac z(dt)) at the panel's end."""
-    grid, st = kern.grid, kern.stencil
-    nd, ns, dt = grid.n_delay, grid.n_steps, grid.dt
-    z, y = kern.z_values, kern.y_values
-    total = float(np.trapezoid(y * y, dx=dt))
-    jumps: dict[tuple[int, float], float] = {}  # atoms the stencil puts in one place jump as one
-    for s, frac, w in st.atoms:
-        jumps[s, frac] = jumps.get((s, frac), 0.0) + w
-    for (s, frac), w in jumps.items():
-        i = -s - (frac != 0.0)  # the jump node, or the panel [t_i, t_i+1] holding the jump
-        if frac == 0.0 and 0 < i <= ns:
-            total += 0.5 * dt * ((y[i] - w) ** 2 - y[i] ** 2)
-        elif frac != 0.0 and i < ns:
-            c = w * (1.0 + frac * z[nd + 1])
-            y_left = frac * y[i] + (1.0 - frac) * (y[i + 1] - c)
-            split = (1.0 - frac) * (y[i] ** 2 + y_left**2) + frac * ((y_left + w) ** 2 + y[i + 1] ** 2)
-            total += 0.5 * dt * (split - y[i] ** 2 - y[i + 1] ** 2)
+def _axis_head(theta: float, a: SignedMeasure, edges: np.ndarray) -> float:
+    """Integral of |M_0(iw)/h(iw)|^2 over [edges[0], edges[-1]]: a 16-node
+    Gauss-Legendre rule per panel between edges, 4096 panels at a time."""
+    x, w = _leggauss_cached(16)
+    total = 0.0
+    for i in range(0, edges.size - 1, 4096):
+        e = edges[i : i + 4097]
+        half = 0.5 * np.diff(e)[:, None]
+        iw = 1j * (0.5 * (e[1:] + e[:-1])[:, None] + half * x)
+        m0 = exp_moments(a, iw, (0,))[0]
+        total += float(np.sum(half * w * np.abs(m0 / (iw - theta * m0)) ** 2))
     return total
+
+
+def _axis_tail(theta: float, a: SignedMeasure, omega: float) -> float:
+    """Integral of |M_0(iw)/h(iw)|^2 over (omega, inf) from its expansion
+    |M_0|^2/|s|^2 (1 + 2 Re theta R/s) around s = iw - theta a({0}), R =
+    M_0 - a({0}), exact for a lag-0 atom.  Atoms at lags u, v give |M_0|^2
+    the terms w_u w_v cos((u - v) w), and a density piece's ends e its
+    values +-p(e) e^(iwe)/(iw).  With u = v they keep |s|^2 and integrate
+    by atan; the rest take w^2 and integrate by `sine_integral`."""
+    lags, ends = {}, {}  # weight per atom location, value per density piece end
+    for u, w in a.atoms:
+        lags[u] = lags.get(u, 0.0) + w
+    for p in a.density_pieces:
+        for e, q in ((p.hi, 1.0), (p.lo, -1.0)):
+            ends[e] = ends.get(e, 0.0) + q * float(np.polynomial.polynomial.polyval(e, p.coeffs))
+    c = abs(theta * lags.get(0.0, 0.0))
+    flat = math.atan2(c, omega) / c if c else 1.0 / omega  # integral of 1/(w^2 + c^2)
+    total = 0.0
+    for u, w in lags.items():
+        for e, q in ends.items():
+            total -= 2.0 * w * q * _sin_over_cube(u - e, omega)
+        for v, x in lags.items():
+            d = abs(u - v)
+            total += w * x * (flat if d == 0.0 else math.cos(d * omega) / omega - d * (0.5 * math.pi - sine_integral(d * omega)))
+            for p, z in lags.items():
+                total += 2.0 * theta * w * x * z * _sin_over_cube(p + u - v, omega)
+    return total
+
+
+def _sin_over_cube(e: float, omega: float) -> float:
+    """Integral of sin(e w)/w^3 over (omega, inf), e^2 sign(e) g(|e| omega)
+    with g(X) = sin X/(2X^2) + cos X/(2X) - (pi/2 - Si(X))/2."""
+    if e == 0.0:
+        return 0.0
+    X = abs(e) * omega
+    g = math.sin(X) / (2.0 * X * X) + math.cos(X) / (2.0 * X) - 0.5 * (0.5 * math.pi - sine_integral(X))
+    return math.copysign(e * e, e) * g
 
 
 def fisher_theta0(a: SignedMeasure) -> float:
@@ -447,11 +385,8 @@ def fisher_theta0(a: SignedMeasure) -> float:
         raise KernelError("fisher_theta0 requires a([-r,0]) = 0 (otherwise theta=0 is LAQ)")
     # piecewise-polynomial tail mass: integrate its square exactly between
     # breakpoints with Gauss-Legendre of sufficient order
-    brk = {0.0, a.r, *(-u for u, _ in a.atoms)}
-    max_deg = 0
-    for p in a.density_pieces:
-        brk.update((-p.lo, -p.hi))
-        max_deg = max(max_deg, len(p.coeffs))
+    brk = {0.0, a.r, *(-u for u, _ in a.atoms), *(-e for p in a.density_pieces for e in (p.lo, p.hi))}
+    max_deg = max((len(p.coeffs) for p in a.density_pieces), default=0)
     pts = sorted(b for b in brk if -1e-12 <= b <= a.r + 1e-12)
     nodes, weights = _leggauss_cached(max_deg + 2)
     total = 0.0

@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -114,6 +116,28 @@ def test_limits_root_search_budget_error_is_readable(capsys):
     assert main(["limits", "--theta", "1e300", "--measure", "dirac0.json"]) == 2
     err = capsys.readouterr().err
     assert "moment values" in err and len(err) < 200
+
+
+def test_limits_near_the_lan_boundary(capsys):
+    # delta_-1 at theta = -(pi/2 - 1e-3): LAN with v* = -4.5e-4, and J =
+    # (1 + sin b)/(2 b cos b) = 637 comes from the axis in well under a second
+    b = 1.5697963267948966
+    start = time.perf_counter()
+    assert main(["limits", "--theta", str(-b), "--measure", "dirac_delay.json", "--n", "3"]) == 0
+    assert time.perf_counter() - start < 1.0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "delta,info" and len(rows) == 4
+    for row in rows[1:]:
+        assert float(row.split(",")[1]) == pytest.approx((1.0 + math.sin(b)) / (2.0 * b * math.cos(b)), rel=1e-9)
+
+
+def test_limits_stiff_ou_is_silent(capsys):
+    # dirac0 at theta = -30: v* = -inf (the root lies below classify's
+    # floor), J = 1/60 exactly, and nothing on stderr
+    assert main(["limits", "--theta", "-30", "--measure", "dirac0.json", "--n", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert all(float(row.split(",")[1]) == 1.0 / 60.0 for row in out.splitlines()[1:])
 
 
 def test_analyze_contour_beyond_float_range_usage_error(tmp_path, capsys):
@@ -629,6 +653,21 @@ def test_cli_import_loads_no_scipy_integrate():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_nothing_beyond_numpy_and_scipy_special():
+    # the package's own numerics (the sine integral of fisher_limit's tail
+    # included) load no module past the standard library that numpy and
+    # scipy.special have not loaded already: -X importtime lists each module
+    # when it is first imported, after the mark once the package's turn comes
+    src = os.path.dirname(os.path.dirname(sddelab.__file__))
+    code = "import sys, numpy, scipy.special; print('mark', file=sys.stderr, flush=True); import sddelab.cli"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-X", "importtime", "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
+    later = out.stderr.split("\nmark\n")[1].splitlines()
+    names = {line.split("|")[-1].strip() for line in later}
+    assert "sddelab.kernels" in names and "sddelab.special" in names
+    assert {n for n in names if n.split(".")[0] not in sys.stdlib_module_names and n.split(".")[0] != "sddelab"} == set()
 
 
 # every subcommand's options: flag -> (dest, type, default, required)

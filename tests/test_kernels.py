@@ -1,6 +1,6 @@
 import dataclasses
-import importlib
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +17,7 @@ from sddelab.kernels import (
     solve_fundamental,
     y_kernel,
 )
-from sddelab.measures import DensityPiece, SignedMeasure, tail_mass, total_variation
+from sddelab.measures import DensityPiece, SignedMeasure, exp_moment, tail_mass, total_variation
 from sddelab.simulate import InitialPath
 from sddelab.spectrum import build_root_data, classify, roots_in_strip
 
@@ -285,19 +285,20 @@ def test_fisher_limit_ou_oracle():
     # OU: J = 1/(2|theta|)
     assert fisher_limit(-0.5, D0) == pytest.approx(1.0, rel=1e-8)
     assert fisher_limit(-1.0, D0) == pytest.approx(0.5, rel=1e-8)
-    # at theta = -200 a Heun step on 32 delay nodes multiplies y by 14.3;
-    # the first solve starts on 256, where it is stable.  classify's
-    # contour does not reach the root -200, so the report is the OU one
-    # with v* moved there
+    # classify's contour does not reach the root -200, so the report is
+    # the OU one with v* moved there
     report = dataclasses.replace(classify(-0.5, D0), v_star=-200.0)
     assert fisher_limit(-200.0, D0, report) == pytest.approx(1.0 / 400.0, rel=1e-8)
 
 
-def test_fisher_limit_warns_at_the_doubling_cap(monkeypatch):
-    monkeypatch.setattr(importlib.import_module("sddelab.kernels"), "FISHER_MAX_DOUBLINGS", 2)
-    with pytest.warns(RuntimeWarning, match="above 5e-09 at the cap of 128 delay nodes"):
-        J = fisher_limit(-0.5, D0)
-    assert J == pytest.approx(1.0, rel=1e-5)
+def test_fisher_limit_stiff_lag0_atom_without_warning():
+    # dirac0 far left: the one root theta lies below classify's floor, so
+    # v* = -inf, and the axis integrand 1/(w^2 + theta^2) is the lag-0
+    # atom's term of the tail, exact from Omega = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for theta in (-30.0, -2000.0, -5000.0):
+            assert fisher_limit(theta, D0) == pytest.approx(1.0 / (2.0 * abs(theta)), rel=1e-8)
 
 
 @pytest.mark.parametrize("b", [0.5, 1.0, 1.5])
@@ -308,6 +309,28 @@ def test_fisher_limit_unit_delay_closed_form(b):
     # estimate further
     want = (1.0 + math.sin(b)) / (2.0 * b * math.cos(b))
     assert fisher_limit(-b, DM1) == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+def test_fisher_limit_unit_delay_near_the_boundary(eps):
+    # theta = -(pi/2 - eps) is LAN with v* ~ -0.45 eps: J grows like 1/eps,
+    # all of it from a Lorentzian of width |v*| at Im lam ~ pi/2
+    b = math.pi / 2 - eps
+    want = (1.0 + math.sin(b)) / (2.0 * b * math.cos(b))
+    assert fisher_limit(-b, DM1) == pytest.approx(want, rel=1e-9)
+
+
+def test_fisher_limit_boundary_limit_of_the_critical_root():
+    # as v* -> 0- through the simple pair lam_c = +-i pi/2 of delta_-1 at
+    # theta = -pi/2, J |v*| -> |c|^2 with c = M_0(lam_c)/h'(lam_c) = -i/(1 +
+    # i pi/2), so |c|^2 = 1/(1 + pi^2/4); the gap is O(eps)
+    lam = 0.5j * math.pi
+    c = exp_moment(DM1, lam) / (1.0 + 0.5 * math.pi * exp_moment(DM1, lam, 1))
+    assert abs(c) ** 2 == pytest.approx(1.0 / (1.0 + math.pi**2 / 4.0), rel=1e-15)
+    for eps in (1e-4, 1e-6):
+        report = classify(-(math.pi / 2 - eps), DM1)
+        J = fisher_limit(-(math.pi / 2 - eps), DM1, report)
+        assert J * abs(report.v_star) == pytest.approx(abs(c) ** 2, rel=2.0 * eps)
 
 
 @pytest.mark.parametrize("r", [2.0, 4.0])
@@ -344,12 +367,10 @@ def _parseval_information(theta, atoms, omega=1000.0):
 @pytest.mark.parametrize(
     "atoms",
     [
-        ((0.0, 1.0), (-0.5, 0.7)),  # on-grid lag r/2: y jumps on a node
-        ((-1.0 / 3.0, 1.0), (-1.0, 0.3)),  # off-grid lag r/3: the jump splits a panel
-        # beside the lag-0 atom the off-grid lag r/3 stays second order
-        # after Richardson, and the grid follows the estimate to 8192 nodes
+        ((0.0, 1.0), (-0.5, 0.7)),  # lags 0 and r/2
+        ((-1.0 / 3.0, 1.0), (-1.0, 0.3)),  # no lag-0 atom, lags r/3 and r
         ((0.0, 1.0), (-1.0 / 3.0, 0.7)),
-        # two atoms at one lag jump as one, on and off the grid
+        # two atoms at one lag act as one
         ((0.0, 1.0), (-0.5, 0.3), (-0.5, 0.4)),
         ((0.0, 1.0), (-1.0 / 3.0, 0.3), (-1.0 / 3.0, 0.4)),
     ],
@@ -367,7 +388,7 @@ def test_fisher_limit_requires_subcritical():
 
 
 def test_fisher_limit_refuses_a_non_finite_theta():
-    # with a report given, nothing before the first solve's node count reads theta
+    # with a report given, theta is read first by its finiteness check
     with pytest.raises(KernelError, match="finite"):
         fisher_limit(-math.inf, D0, classify(-0.5, D0))
 
@@ -377,14 +398,13 @@ def test_fisher_limit_sin_density_positive():
     assert np.isfinite(J) and J > 0
 
 
-def test_fisher_limit_dt_refinement_stable(monkeypatch):
-    # the doubling from a first solve on 500 or on 1000 delay nodes
-    kernels = importlib.import_module("sddelab.kernels")
-    monkeypatch.setattr(kernels, "FISHER_FIRST_NODES", 500)
-    a = fisher_limit(-0.5, D0)
-    monkeypatch.setattr(kernels, "FISHER_FIRST_NODES", 1000)
-    b = fisher_limit(-0.5, D0)
+def test_fisher_limit_dt_refinement_stable():
+    # the time-domain J from delay grids of 250 and 500 nodes, and of 500 and
+    # 1000, against the axis route
+    a = _time_domain_information(-0.5, D0, 250, 24.0)
+    b = _time_domain_information(-0.5, D0, 500, 24.0)
     assert abs(a - b) < 1e-9 and abs(a - 1.0) < 1e-8
+    assert fisher_limit(-0.5, D0) == pytest.approx(b, abs=1e-9)
 
 
 def test_fisher_theta0_balanced():
@@ -549,20 +569,17 @@ def test_recorded_kernel_y_matches_y_kernel():
 
 
 def test_continued_fundamental_matches_fresh_solve():
+    # the steps to a longer horizon continue those to a shorter one: on
+    # their common nodes the longer solve has the bits of the shorter
     dens = SignedMeasure.from_dict(
         {"r": 1.0, "atoms": [{"u": 0.0, "w": 1.0}], "density": [{"lo": -1.0, "hi": 0.0, "coeffs": [1.0, 1.0]}]}
     )
-    # on these grids the pure delays advance 18, 18 and 50 nodes at a time,
-    # so the 120-step prefix ends inside a chunk
     cases = ((-0.8, OFF_GRID_DELAY), (-0.6, TWO_DELAYS), (-0.5, dens), (-1.0, DM1))
     for theta, a in cases:
-        short, long = Grid(r=a.r, n_delay=50, n_steps=120), Grid(r=a.r, n_delay=50, n_steps=777)
-        cont = solve_fundamental(theta, a, long, prefix=solve_fundamental(theta, a, short))
-        fresh = solve_fundamental(theta, a, long)
-        np.testing.assert_array_equal(cont.x0_values, fresh.x0_values)
-        np.testing.assert_array_equal(cont.y_values, fresh.y_values)
-    with pytest.raises(KernelError):
-        solve_fundamental(-0.5, dens, short, prefix=fresh)
+        short = solve_fundamental(theta, a, Grid(r=a.r, n_delay=50, n_steps=120))
+        long = solve_fundamental(theta, a, Grid(r=a.r, n_delay=50, n_steps=777))
+        np.testing.assert_array_equal(long.x0_values[: short.x0_values.size], short.x0_values)
+        np.testing.assert_array_equal(long.y_values[:121], short.y_values)
 
 
 def _heun_reference(theta, a, grid):
@@ -587,7 +604,7 @@ def _heun_reference(theta, a, grid):
 @pytest.mark.parametrize(
     "theta, a, n_delay, n_steps",
     [
-        (-1.0, DM1, 1000, 4321),  # whole chunks of 1000 steps, a partial last one
+        (-1.0, DM1, 1000, 4321),  # a lag of 1000 nodes, T not a multiple of it
         (1.3, DM1, 1000, 2500),
         (-1.0, BAL, 100, 2000),  # lag-0 atom, and an atom on the jump node
         (0.7, BAL, 100, 2000),
@@ -609,37 +626,56 @@ def test_fundamental_matches_reference_heun_loop(theta, a, n_delay, n_steps):
     np.testing.assert_array_equal(kern.y_values, y)
 
 
-def test_fisher_limit_continues_its_solve(monkeypatch):
-    # when the tail bound asks for t_cut > T, fisher_limit continues its
-    # first solve, and the longer kernel is the bits of a fresh solve on
-    # that grid; the finer solves double n_delay on the same [0, T], and J
-    # is the Richardson value of the last two
-    kernels = importlib.import_module("sddelab.kernels")
-    solve = kernels.solve_fundamental
-    calls = []
+def _time_domain_information(theta, a, n_delay, T):
+    """J by the time-domain route: the trapezoid of y^2 on [0, T] from
+    solve_fundamental on n_delay and 2 n_delay delay nodes, combined by one
+    Richardson step.  Every atom must sit on a node of both grids: y jumps
+    by the atoms' weight at their lag, and the panel ending there takes y's
+    left limit y - w."""
+    sums = []
+    for n in (n_delay, 2 * n_delay):
+        grid = Grid(r=a.r, n_delay=n, n_steps=round(T * n / a.r))
+        y, dt = solve_fundamental(theta, a, grid).y_values, grid.dt
+        total = float(np.trapezoid(y * y, dx=dt))
+        jumps = {}
+        for u, w in a.atoms:
+            jumps[round(-u / dt)] = jumps.get(round(-u / dt), 0.0) + w
+        for i, w in jumps.items():
+            if 0 < i <= grid.n_steps:
+                total += 0.5 * dt * ((y[i] - w) ** 2 - y[i] ** 2)
+        sums.append(total)
+    return (4.0 * sums[1] - sums[0]) / 3.0
 
-    def recording(theta, a, grid, prefix=None):
-        calls.append((grid, prefix, solve(theta, a, grid, prefix)))
-        return calls[-1][2]
 
-    monkeypatch.setattr(kernels, "solve_fundamental", recording)
-    a = SignedMeasure.point_masses(1.0, (-1.0, 1.0))
-    J = fisher_limit(-1.0, a)
-    assert len(calls) >= 4 and calls[1][1] is calls[0][2]
-    grid, _, cont = calls[1]
-    assert grid.n_delay == calls[0][0].n_delay == kernels.FISHER_FIRST_NODES
-    assert grid.n_steps > calls[0][0].n_steps
-    fresh = solve(-1.0, a, grid)
-    np.testing.assert_array_equal(cont.x0_values, fresh.x0_values)
-    np.testing.assert_array_equal(cont.y_values, fresh.y_values)
-    for k, (g, prefix, _) in enumerate(calls[2:], start=1):
-        assert prefix is None
-        assert (g.n_delay, g.n_steps) == (grid.n_delay << k, grid.n_steps << k)
+def _small_lan_systems(count, seed=11):
+    # atoms at 0 (of either sign) and at lags k/20, density pieces of degree
+    # <= 2 between multiples of 1/20, theta of either sign; kept when
+    # classify puts v* in (-3, -0.25), so that [0, 12/|v*|] holds J to 1e-10
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        atoms = [(0.0, float(rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 1.2)))] if len(out) % 3 < 2 else []
+        for _ in range(int(rng.integers(0 if atoms else 1, 3))):
+            atoms.append((-int(rng.integers(1, 21)) / 20, float(rng.uniform(-1.0, 1.0))))
+        pieces = ()
+        if rng.random() < 0.4:
+            lo = -int(rng.integers(2, 21)) / 20
+            hi = lo + int(rng.integers(1, round(-20 * lo) + 1)) / 20
+            pieces = (DensityPiece(lo, hi, tuple(rng.uniform(-1.0, 1.0, int(rng.integers(1, 4))).tolist())),)
+        a = SignedMeasure(1.0, tuple(atoms), pieces)
+        theta = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 2.5))
+        report = classify(theta, a)
+        if report.regime == "LAN" and -3.0 < report.v_star < -0.25:
+            out.append((theta, a, report))
+    return out
 
-    def split_trapezoid(kern):
-        # y jumps by 1 at t = 1, node n_delay: that panel ends at y(1-)
-        y, nd, dt = kern.y_values, kern.grid.n_delay, kern.grid.dt
-        return float(np.trapezoid(y**2, dx=dt)) + 0.5 * dt * ((y[nd] - 1.0) ** 2 - y[nd] ** 2)
 
-    coarse, fine = (split_trapezoid(kern) for _, _, kern in calls[-2:])
-    assert J == pytest.approx((4.0 * fine - coarse) / 3.0, abs=1e-9)
+def test_fisher_limit_matches_time_domain_oracle():
+    # the axis route against the time-domain one (on-grid lags, where one
+    # Richardson step of 200/400 nodes is within 2e-8) over 20 systems
+    systems = _small_lan_systems(20)
+    assert sum(1 for _, a, _ in systems if any(u == 0.0 for u, _ in a.atoms)) >= 10
+    assert sum(1 for _, a, _ in systems if a.density_pieces) >= 5
+    for theta, a, report in systems:
+        J = fisher_limit(theta, a, report)
+        assert J == pytest.approx(_time_domain_information(theta, a, 200, 12.0 / abs(report.v_star)), rel=1e-7)
