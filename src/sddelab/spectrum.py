@@ -363,16 +363,16 @@ def roots_in_strip(theta: float, a: SignedMeasure, c: float) -> list[CharRoot]:
     root of rho^2 = alpha rho + beta, where |theta M_0| <= alpha + beta /
     |lambda| on the strip (`measures.exp_moment_bound`): alpha from the
     atoms, beta from the densities, whose moments fall as 1/|lambda|.  The
-    roots are found by subdividing rectangles on argument-principle counts,
-    each carrying its count n and root sum s down the bisection (the second
-    half's pair by subtraction).  In a box that holds one root or has a
-    diagonal of at most 1.5, Newton starts at the centroid s / n (moved into
-    the box) and stays within min(diagonal, 1.5) of it.  Then come merging
-    of sub-1e-8 clusters and conjugate mirroring of the upper half-strip
-    scan: real roots are exactly real and pairs exact mirrors, which
-    `classify` and the limit-law samplers rely on.  A non-finite theta or c
-    is refused, and so is a bound too large to sample (`_winding_count`).
-    """
+    roots are found by bisecting rectangles on argument-principle counts,
+    each carrying its count n and root sum s (the second half's pair by
+    subtraction).  Newton starts at the centroid s / n, moved into the box,
+    when n = 1 or h passes the residual test there (an n-fold root, which s
+    places to rounding); it stays within the box's diagonal and must end in
+    the box, and only an n-fold root is recounted.  Then sub-1e-8 clusters
+    merge and the upper half-strip scan is mirrored: real roots are exactly
+    real and pairs exact mirrors, which `classify` and the limit-law samplers
+    rely on.  A non-finite theta or c is refused, and so is a bound too
+    large to sample (`_winding_count`)."""
     if not (math.isfinite(theta) and math.isfinite(c)):
         raise SpectrumError(f"root search needs a finite theta and strip, got theta={theta}, c={c}")
     if theta == 0.0:
@@ -391,7 +391,7 @@ def roots_in_strip(theta: float, a: SignedMeasure, c: float) -> list[CharRoot]:
     found: list[tuple[complex, int]] = []
     budget = [0]
 
-    def cluster_count(z: complex, n: int) -> int:
+    def cluster_count(z: complex) -> int:
         """Zero count in a small box around the polished root z."""
         pad = 1e-4 * (1.0 + abs(z))
         for _ in range(3):
@@ -412,16 +412,16 @@ def roots_in_strip(theta: float, a: SignedMeasure, c: float) -> list[CharRoot]:
         re_lo, re_hi, im_lo, im_hi = rect
         w, h = re_hi - re_lo, im_hi - im_lo
         diag = math.hypot(w, h)
-        if n == 1 or diag <= 1.5:
-            mean = root_sum / n
-            z0 = complex(min(max(mean.real, re_lo), re_hi), min(max(mean.imag, im_lo), im_hi))
-            z = _newton_polish(theta, a, z0, n, min(diag, 1.5))
+        mean = root_sum / n
+        z0 = complex(min(max(mean.real, re_lo), re_hi), min(max(mean.imag, im_lo), im_hi))
+        if n == 1 or _root_residual_ok(theta, a, z0):
+            z = _newton_polish(theta, a, z0, n, diag)
             if (
                 z is not None
-                and re_lo - 1e-7 <= z.real <= re_hi + 1e-7
-                and im_lo - 1e-7 <= z.imag <= im_hi + 1e-7
+                and re_lo <= z.real <= re_hi
+                and im_lo <= z.imag <= im_hi
                 and _root_residual_ok(theta, a, z)
-                and cluster_count(z, n) == n
+                and (n == 1 or cluster_count(z) == n)
             ):
                 found.append((z, n))
                 return

@@ -639,6 +639,17 @@ def test_analyze_scaling_descriptor_lamn(capsys):
     assert doc["scaling"].startswith("T^-0*exp(-0.5671432904")
 
 
+def test_analyze_long_delay_classifies(tmp_path, capsys):
+    # delta_{-200} at theta = 1 is delta_{-1} at theta = 200 on another time
+    # scale; its first box holds more roots than h has derivatives to polish
+    # them together, so the search bisects it, as it does for delta_{-1}
+    spec = tmp_path / "long.json"
+    spec.write_text(json.dumps({"r": 200, "atoms": [{"u": -200, "w": 1}]}))
+    assert main(["analyze", "--theta", "1", "--measure", str(spec)]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["regime"] == "LAMN" and err == ""
+
+
 def test_analyze_forced_lamn_on_stable_root_states_growing_rate(capsys):
     assert main(["analyze", "--theta", "-0.5", "--measure", "dirac0.json", "--regime-hint", "LAMN"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -3,6 +3,7 @@ import importlib.resources
 import json
 import math
 import re
+import sys
 import warnings
 from fractions import Fraction
 
@@ -154,6 +155,29 @@ def test_roots_against_lambert_branches():
         assert roots[0].lam * r == pytest.approx(-1.0, abs=1e-7)
 
 
+@pytest.mark.parametrize("r, theta, n_right", [(200.0, 1.0, 65), (200.0, -1.0, 64), (1000.0, 1.0, 319), (1000.0, -1.0, 318)])
+def test_long_delay_against_lambert_w(r, theta, n_right):
+    # oracle: on a = d_{-r} the roots are r lambda = W_k(theta r) (Corless et
+    # al. 1996).  Every root with Re >= 0 is listed, and the report is that
+    # of d_{-1} at theta r with every root scaled by 1/r: the box rule of the
+    # search holds no absolute length
+    from scipy.special import lambertw
+
+    k = np.arange(-int(r), int(r) + 1)
+    want = lambertw(theta * r, k)
+    want = want[want.real >= 0.0]
+    assert want.size == n_right
+    rep = classify(theta, SignedMeasure.point_masses(r, (-r, 1.0)))
+    assert r * rep.v0 == pytest.approx(want.real.max(), rel=1e-12)
+    dist = np.abs(np.array([r * rt.lam for rt in rep.roots])[:, None] - want[None, :])
+    assert dist.shape == (n_right, n_right)
+    assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= 1e-13 * r
+    unit = classify(theta * r, DM1)
+    assert (rep.regime, rep.m_star) == (unit.regime, unit.m_star)
+    assert r * rep.v_star == pytest.approx(unit.v_star, rel=1e-12)
+    assert [r * x for x in rep.H] == pytest.approx(unit.H, rel=1e-12)
+
+
 @pytest.mark.parametrize("w0", [0.0, 0.5, -0.3, -0.8, 0.9])
 def test_classify_on_hayes_boundary(w0):
     # oracle: a = w0 d_0 + d_{-1} has the root pair +-i omega exactly on the
@@ -191,6 +215,37 @@ def test_root_sum_on_lambert_w_boxes():
     assert n == 1 and abs(s - complex(lambertw(1.0))) <= 1e-6
     n, s = _winding_count(-2.0, DM1, (-1.0, 1.0, -2.5, 2.5))
     assert n == 2 and abs(s - 2.0 * lambertw(-2.0).real) <= 1e-6
+
+
+def test_root_search_work_on_double_and_simple_roots(monkeypatch):
+    # balanced_atoms at theta = 1 has a double root at 0: the first box that
+    # holds it has the root sum 2 x 0 to rounding, so Newton on h' starts
+    # there instead of after a bisection down to a fixed size.  dirac0's
+    # root theta is simple, and a count of 1 already certifies it: only a
+    # box of several roots is recounted around its polished root
+    spectrum = importlib.import_module("sddelab.spectrum")
+    points, recounts = [], []
+    moments, winding = spectrum.exp_moments_01_many, spectrum._winding_count
+
+    def counted_moments(a, pts):
+        points.append(len(pts))
+        return moments(a, pts)
+
+    def counted_winding(theta, a, rect):
+        recounts.append(sys._getframe(1).f_code.co_name == "cluster_count")
+        return winding(theta, a, rect)
+
+    monkeypatch.setattr(spectrum, "exp_moments_01_many", counted_moments)
+    monkeypatch.setattr(spectrum, "_winding_count", counted_winding)
+    rep = classify(1.0, packaged_measure("balanced_atoms.json"))
+    assert [rt.multiplicity for rt in rep.roots] == [2] and abs(rep.roots[0].lam) <= 1e-15
+    assert any(recounts)
+    assert sum(points) <= 400
+    points.clear()
+    recounts.clear()
+    rep = classify(0.5, packaged_measure("dirac0.json"))
+    assert [(rt.lam, rt.multiplicity) for rt in rep.roots] == [(0.5, 1)]
+    assert recounts and not any(recounts)
 
 
 def test_newton_stops_at_rounding_floor(monkeypatch):
