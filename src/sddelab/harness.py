@@ -24,7 +24,6 @@ import os
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
-from scipy.special import kolmogorov, ndtr
 
 from . import __version__
 # simulate_batch and batch_statistics are not called here, but stay importable
@@ -34,6 +33,7 @@ from .kernels import Grid, fisher_limit
 from .limit_laws import LimitLawError, sample_lamn_many, sample_lan_many, sample_laq_many, sample_plamn_many
 from .measures import SignedMeasure, json_document
 from .simulate import InitialPath, derive_seed, simulate_batch, simulate_sums, write_csv  # noqa: F401
+from .special import kolmogorov_sf, normal_cdf
 from .spectrum import REGIME_HINTS, RegimeReport, classify
 
 # replicates streamed together, the one memory bound: a chunk holds about
@@ -183,17 +183,20 @@ def ks_two_sample(x, y) -> tuple[float, float]:
     cdf2 = np.searchsorted(y, allv, side="right") / n2
     stat = float(np.max(np.abs(cdf1 - cdf2)))
     en = math.sqrt(n1 * n2 / (n1 + n2))
-    return stat, float(kolmogorov(en * stat))
+    return stat, kolmogorov_sf(en * stat)
 
 
 def ks_vs_standard_normal(x) -> tuple[float, float]:
+    """One-sample KS statistic against N(0, 1) with the asymptotic p-value."""
     x = np.sort(np.asarray(x, dtype=float))
     n = x.size
-    cdf = ndtr(x)
+    if n == 0:
+        raise HarnessError("ks_vs_standard_normal needs a nonempty sample")
+    cdf = normal_cdf(x)
     up = np.arange(1, n + 1) / n
     lo = np.arange(0, n) / n
     stat = float(max(np.max(np.abs(cdf - up)), np.max(np.abs(cdf - lo))))
-    return stat, float(kolmogorov(math.sqrt(n) * stat))
+    return stat, kolmogorov_sf(math.sqrt(n) * stat)
 
 
 # ---------------------------------------------------------------------------

@@ -658,27 +658,17 @@ def test_analyze_forced_lamn_on_stable_root_states_growing_rate(capsys):
     assert doc["warnings"][-1] == "v* = -0.5 <= 0: the rate exp(-v* T) of the forced scaling T^-0*exp(0.5*T) grows with T"
 
 
-def test_cli_import_loads_no_scipy_integrate():
+def test_cli_import_loads_nothing_beyond_numpy():
+    # the package's own numerics (the sine integral of fisher_limit's tail and
+    # the KS p-values included) load no module past the standard library,
+    # numpy and the package itself
     src = os.path.dirname(os.path.dirname(sddelab.__file__))
-    code = "import sys, sddelab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
+    code = "import sys, numpy; before = set(sys.modules); import sddelab.cli; print(*sorted(set(sys.modules) - before))"
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
-
-
-def test_cli_import_loads_nothing_beyond_numpy_and_scipy_special():
-    # the package's own numerics (the sine integral of fisher_limit's tail
-    # included) load no module past the standard library that numpy and
-    # scipy.special have not loaded already: -X importtime lists each module
-    # when it is first imported, after the mark once the package's turn comes
-    src = os.path.dirname(os.path.dirname(sddelab.__file__))
-    code = "import sys, numpy, scipy.special; print('mark', file=sys.stderr, flush=True); import sddelab.cli"
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-X", "importtime", "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
-    later = out.stderr.split("\nmark\n")[1].splitlines()
-    names = {line.split("|")[-1].strip() for line in later}
+    names = set(out.stdout.split())
     assert "sddelab.kernels" in names and "sddelab.special" in names
-    assert {n for n in names if n.split(".")[0] not in sys.stdlib_module_names and n.split(".")[0] != "sddelab"} == set()
+    assert {n for n in names if n.split(".")[0] not in sys.stdlib_module_names and n.split(".")[0] not in ("numpy", "sddelab")} == set()
 
 
 # every subcommand's options: flag -> (dest, type, default, required)

@@ -16,6 +16,7 @@ from sddelab.harness import (
     HarnessError,
     dump_json,
     ks_two_sample,
+    ks_vs_standard_normal,
     result_to_dict,
     run_experiment,
     write_result_json,
@@ -66,17 +67,31 @@ def test_ks_shifted_law():
 
 
 def test_ks_statistic_matches_scipy():
+    # the statistics and the asymptotic p-values, which the package evaluates
+    # itself (special.kolmogorov_sf and special.normal_cdf)
+    import scipy.special as sp
     import scipy.stats as st
 
     rng = np.random.default_rng(3)
     x, y = rng.standard_normal(400), rng.standard_normal(300) * 1.3
-    stat, _ = ks_two_sample(x, y)
+    stat, p = ks_two_sample(x, y)
     assert stat == pytest.approx(st.ks_2samp(x, y).statistic, abs=1e-14)
+    assert p == pytest.approx(sp.kolmogorov(math.sqrt(400 * 300 / 700) * stat), rel=1e-14)
+    for z in (x, y, x + 0.2):
+        stat, p = ks_vs_standard_normal(z)
+        want = st.kstest(z, "norm", method="asymp")
+        assert stat == pytest.approx(want.statistic, abs=1e-14)
+        assert p == pytest.approx(want.pvalue, rel=1e-12)
 
 
 def test_ks_rejects_empty():
     with pytest.raises(HarnessError):
         ks_two_sample([], [1.0])
+
+
+def test_ks_vs_standard_normal_rejects_empty():
+    with pytest.raises(HarnessError, match="nonempty"):
+        ks_vs_standard_normal([])
 
 
 # ---------------------------------------------------------------------------
