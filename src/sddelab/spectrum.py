@@ -3,9 +3,10 @@ set in a half-plane strip, Laurent data of 1/h at each root, and the regime
 classification (LAN / LAQ / LAMN / PLAMN) with the matching scaling law.
 
 Roots are located by the argument principle on subdivided rectangles and
-polished by Newton iteration.  The search scans only the upper half strip
-and mirrors it: a real root has imaginary part exactly 0 and a pair is an
-exact conjugate mirror, so whether a root is real is decided here alone.
+polished by Newton iteration on the unit delay, time in units of r.  The
+search scans only the upper half strip and mirrors it: a real root has
+imaginary part exactly 0 and a pair is an exact conjugate mirror, so whether
+a root is real is decided here alone.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .measures import (
     has_zero_mass,
     total_variation,
 )
+from .measures import DensityPiece, _poly_abs_defint
 
 NEG_INF = float("-inf")
 
@@ -180,8 +182,8 @@ def _winding_count(
     their sum s = (1/2 pi i) * contour integral of z h'/h dz (Delves & Lyness
     1967), so s / n is the zeros' centroid.
 
-    Initial sample spacing resolves the fastest phase rotation of the
-    exponential kernel (rate <= r along the imaginary direction).  A segment
+    On the unit delay the initial sample spacing 0.5 resolves the fastest
+    phase rotation of the exponential kernel (rate <= 1 along Im).  A segment
     is bisected while its phase jump exceeds pi/2 or while it is longer than
     a fraction of the local root-distance estimate |h|/|h'| (otherwise the
     phase whirl of a root hugging the contour can alias away).  The final
@@ -204,9 +206,8 @@ def _winding_count(
         m0, m1 = exp_moments_01_many(a, pts)
         return pts - theta * m0, 1.0 - theta * m1
 
-    spacing = min(0.5, 1.0 / (1.0 + a.r))
     sides = list(zip(corners, corners[1:] + corners[:1]))
-    lengths = [abs(z1 - z0) / spacing for z0, z1 in sides]
+    lengths = [abs(z1 - z0) / 0.5 for z0, z1 in sides]
     width = 1 + sum(len(p.coeffs) + 1 for p in a.density_pieces)
     if not math.isfinite(sum(lengths) * width):  # the budget formats it as a float
         raise SpectrumError(f"root search contour {rect} for theta={theta} is too long to sample")
@@ -291,32 +292,25 @@ def _insert_after(idx: np.ndarray, *pairs: tuple[np.ndarray, np.ndarray]) -> lis
 
 
 def count_zeros(
-    theta: float,
-    a: SignedMeasure,
-    re_lo: float,
-    re_hi: float,
-    im_lo: float,
-    im_hi: float,
+    theta: float, a: SignedMeasure, re_lo: float, re_hi: float, im_lo: float, im_hi: float
 ) -> tuple[int, tuple[float, float, float, float]]:
-    """Argument-principle zero count over a rectangle.  Returns the count and
-    the rectangle actually used (edges are jittered by up to 1e-4 when the
-    contour runs into a root)."""
-    (n, _), rect = _jittered_count(theta, a, (re_lo, re_hi, im_lo, im_hi), np.random.default_rng(0))
-    return n, rect
+    """Argument-principle zero count over a rectangle, on the unit delay.
+    Returns the count and the rectangle actually used (edges are jittered by
+    up to 1e-4 / r when the contour runs into a root)."""
+    unit = tuple(x * a.r for x in (re_lo, re_hi, im_lo, im_hi))
+    (n, _), rect = _jittered_count(theta * a.r, _unit_delay(a), unit, np.random.default_rng(0))
+    return n, tuple(x / a.r for x in rect)
 
 
 def _jittered_count(theta, a, rect, rng) -> tuple[tuple[int, complex], tuple]:
     """(count, root sum) of `_winding_count` and the rectangle they hold for,
     its edges jittered from rng as `count_zeros` says."""
-    re_lo, re_hi, im_lo, im_hi = rect
-    for attempt in range(4):
+    edges = np.array(rect)
+    for _ in range(4):
         try:
             return _winding_count(theta, a, rect), rect
         except _DegenerateContour:
-            if attempt == 3:
-                break
-            eps = rng.uniform(-1e-4, 1e-4, size=4)
-            rect = (re_lo + eps[0], re_hi + eps[1], im_lo + eps[2], im_hi + eps[3])
+            rect = tuple((edges + rng.uniform(-1e-4, 1e-4, size=4)).tolist())
     raise SpectrumError("contour degenerate")
 
 
@@ -355,35 +349,60 @@ def _root_residual_ok(theta: float, a: SignedMeasure, z: complex) -> bool:
     return abs(char_value(theta, a, z)) <= 1e-9 * (1.0 + abs(z))
 
 
+def _unit_delay(a: SignedMeasure) -> SignedMeasure:
+    """a_1(B) = a(r B) on [-1, 0]: atoms at u / r, pieces on [lo / r, hi / r]
+    with coefficients c_k r^(k + 1), ends clamped into [-1, 0]."""
+    r = a.r
+    atoms = tuple((min(max(u / r, -1.0), 0.0), w) for u, w in a.atoms)
+    pieces = tuple(
+        DensityPiece(max(p.lo / r, -1.0), min(p.hi / r, 0.0), tuple(x * r**k for k, x in enumerate(p.coeffs, 1)))
+        for p in a.density_pieces
+    )
+    return SignedMeasure(1.0, atoms, pieces)
+
+
 def roots_in_strip(theta: float, a: SignedMeasure, c: float) -> list[CharRoot]:
     """All characteristic roots with Re(lambda) >= c, with multiplicities.
 
-    For theta = 0 the root set is {0}.  Otherwise a root in the strip has
-    |lambda| <= |theta| ||a|| e^(|c| r) and |lambda| <= rho, the positive
-    root of rho^2 = alpha rho + beta, where |theta M_0| <= alpha + beta /
-    |lambda| on the strip (`measures.exp_moment_bound`): alpha from the
-    atoms, beta from the densities, whose moments fall as 1/|lambda|.  The
-    roots are found by bisecting rectangles on argument-principle counts,
-    each carrying its count n and root sum s (the second half's pair by
-    subtraction).  Newton starts at the centroid s / n, moved into the box,
-    when n = 1 or h passes the residual test there (an n-fold root, which s
-    places to rounding); it stays within the box's diagonal and must end in
-    the box, and only an n-fold root is recounted.  Then sub-1e-8 clusters
-    merge and the upper half-strip scan is mirrored: real roots are exactly
-    real and pairs exact mirrors, which `classify` and the limit-law samplers
-    rely on.  A non-finite theta or c is refused, and so is a bound too
-    large to sample (`_winding_count`)."""
+    The time change t -> t / r makes them the roots of theta r on the unit
+    delay (`_unit_delay`) with Re >= c r, divided by r.  The search runs
+    there, in one length scale (at r = 1 the map is the identity bit for bit),
+    so theta, a and c below are the unit delay's.  For theta = 0 the root set
+    is {0}.  Otherwise h = 0 puts every root of the strip in the disc around
+    theta a({0}) of radius |theta| * integral over [-1, 0) of e^(gamma |u|)
+    |a|(du), gamma = max(0, -c), and no contour is counted for a disc left of
+    the cut.  A root also has |lambda| <= rho, the positive root of rho^2 =
+    alpha rho + beta, where |theta M_0| <= alpha + beta / |lambda| on the
+    strip (`measures.exp_moment_bound`: alpha from the atoms, beta from the
+    densities, whose moments fall as 1/|lambda|).  The search height is the
+    lower of rho and the disc's reach from 0.  The roots are found by
+    bisecting rectangles on argument-principle counts, each carrying its count
+    n and root sum s (the second half's pair by subtraction).  Newton starts
+    at the centroid s / n, moved into the box, when n = 1 or h passes the
+    residual test there (an n-fold root, which s places to rounding); it stays
+    within the box's diagonal and must end in the box, and only an n-fold root
+    is recounted.  Then sub-1e-8 clusters merge and the upper half-strip scan
+    is mirrored: real roots are exactly real and pairs exact mirrors, which
+    `classify` and the limit-law samplers rely on.  A non-finite theta or c is
+    refused, and so is a bound too large to sample (`_winding_count`)."""
     if not (math.isfinite(theta) and math.isfinite(c)):
         raise SpectrumError(f"root search needs a finite theta and strip, got theta={theta}, c={c}")
+    r, theta, a, c = a.r, theta * a.r, _unit_delay(a), c * a.r  # from here on, the unit delay
     if theta == 0.0:
         return [CharRoot(0.0 + 0.0j, 1)] if c <= 0.0 else []
-    tv = total_variation(a)
-    alpha, beta = (abs(theta) * x for x in exp_moment_bound(a, max(0.0, -c)))
+    gamma = max(0.0, -c)
+    alpha, beta = (abs(theta) * x for x in exp_moment_bound(a, gamma))
     rho = 0.5 * (alpha + math.sqrt(alpha * alpha + 4.0 * beta))
-    bound = min(abs(theta) * tv * math.exp(min(abs(c) * a.r, 700.0)), rho) + abs(c) + 1.0
-    v_max = min(abs(theta) * tv, rho) + 1.0
-    if c > v_max:
+    centre = theta * sum(w for u, w in a.atoms if u == 0.0)
+    # |centre| + the disc's radius: alpha, plus each piece's |p| grown by e^(gamma |lo|)
+    reach = alpha + abs(theta) * sum(
+        math.exp(min(-gamma * p.lo, 700.0)) * _poly_abs_defint(p.coeffs, p.lo, p.hi) for p in a.density_pieces
+    )
+    v_max = min(abs(theta) * total_variation(a), rho) + 1.0
+    cutoff = c - 1e-9 * (1.0 + abs(c))
+    if c > v_max or centre + (reach - abs(centre)) < cutoff:
         return []
+    bound = min(reach, rho) + abs(c) + 1.0
     rng = np.random.default_rng(12345)
     margin = 3e-4 * (1.0 + abs(c))
     rect0 = (c - margin, v_max + 0.0133, -0.0171, bound + 0.0119)
@@ -403,12 +422,10 @@ def roots_in_strip(theta: float, a: SignedMeasure, c: float) -> list[CharRoot]:
 
     def process(rect, n, root_sum):
         budget[0] += 1
-        if budget[0] > 1_000_000:
+        if n < 0 or budget[0] > 1_000_000:
             raise SpectrumError("search diverged")
         if n == 0:
             return
-        if n < 0:
-            raise SpectrumError("search diverged")
         re_lo, re_hi, im_lo, im_hi = rect
         w, h = re_hi - re_lo, im_hi - im_lo
         diag = math.hypot(w, h)
@@ -464,10 +481,8 @@ def roots_in_strip(theta: float, a: SignedMeasure, c: float) -> list[CharRoot]:
             merged.append((z, m))
     upper = [(z, m) for z, m in merged if z.imag >= 0.0]
     mirrored = upper + [(z.conjugate(), m) for z, m in upper if z.imag > 0.0]
-    cutoff = c - 1e-9 * (1.0 + abs(c))
-    result = [CharRoot(z, m) for z, m in mirrored if z.real >= cutoff]
-    result.sort(key=lambda rt: (-rt.lam.real, abs(rt.lam.imag), -rt.lam.imag))
-    return result
+    mirrored.sort(key=lambda zm: (-zm[0].real, abs(zm[0].imag), -zm[0].imag))
+    return [CharRoot(complex(z.real / r, z.imag / r), m) for z, m in mirrored if z.real >= cutoff]
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from sddelab.spectrum import (
     _insert_after,
     _newton_polish,
     _next,
+    _unit_delay,
     _winding_count,
     build_root_data,
     char_derivative,
@@ -155,27 +156,51 @@ def test_roots_against_lambert_branches():
         assert roots[0].lam * r == pytest.approx(-1.0, abs=1e-7)
 
 
-@pytest.mark.parametrize("r, theta, n_right", [(200.0, 1.0, 65), (200.0, -1.0, 64), (1000.0, 1.0, 319), (1000.0, -1.0, 318)])
-def test_long_delay_against_lambert_w(r, theta, n_right):
+def figures(rep, r=1.0):
+    """A report's roots (with multiplicity and m_tilde), v0, v*, H and D, every
+    length divided by r: the figures of its twin on the delay r."""
+    roots = [(complex(rt.lam.real / r, rt.lam.imag / r), rt.multiplicity, rt.m_tilde) for rt in rep.roots]
+    return roots, rep.v0 / r, rep.v_star / r, [h / r for h in rep.H], None if rep.D is None else rep.D / r
+
+
+@pytest.mark.parametrize(
+    "r, theta, n_right",
+    [(1e-3, 1.0, 1), (1e-3, -1.0, 0), (1.0, 1.0, 1), (1.0, -1.0, 0)]
+    + [(200.0, 1.0, 65), (200.0, -1.0, 64), (1000.0, 1.0, 319), (1000.0, -1.0, 318)],
+)
+def test_long_delay_against_lambert_w(monkeypatch, r, theta, n_right):
     # oracle: on a = d_{-r} the roots are r lambda = W_k(theta r) (Corless et
-    # al. 1996).  Every root with Re >= 0 is listed, and the report is that
-    # of d_{-1} at theta r with every root scaled by 1/r: the box rule of the
-    # search holds no absolute length
+    # al. 1996).  Every root with Re >= 0 is listed (where there is one), and
+    # the report is that of d_{-1} at theta r with every length divided by r,
+    # bit for bit and from as many contour points: the search runs on the
+    # unit delay
     from scipy.special import lambertw
 
-    k = np.arange(-int(r), int(r) + 1)
+    spectrum = importlib.import_module("sddelab.spectrum")
+    points = []
+    moments = spectrum.exp_moments_01_many
+
+    def counted_moments(a, pts):
+        points[-1] += len(pts)
+        return moments(a, pts)
+
+    monkeypatch.setattr(spectrum, "exp_moments_01_many", counted_moments)
+    k = np.arange(-int(r) - 1, int(r) + 2)
     want = lambertw(theta * r, k)
     want = want[want.real >= 0.0]
     assert want.size == n_right
+    points.append(0)
     rep = classify(theta, SignedMeasure.point_masses(r, (-r, 1.0)))
-    assert r * rep.v0 == pytest.approx(want.real.max(), rel=1e-12)
-    dist = np.abs(np.array([r * rt.lam for rt in rep.roots])[:, None] - want[None, :])
-    assert dist.shape == (n_right, n_right)
-    assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= 1e-13 * r
+    if n_right:
+        assert r * rep.v0 == pytest.approx(want.real.max(), rel=1e-12)
+        dist = np.abs(np.array([r * rt.lam for rt in rep.roots])[:, None] - want[None, :])
+        assert dist.shape == (n_right, n_right)
+        assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= 1e-13 * max(r, 1.0)
+    points.append(0)
     unit = classify(theta * r, DM1)
     assert (rep.regime, rep.m_star) == (unit.regime, unit.m_star)
-    assert r * rep.v_star == pytest.approx(unit.v_star, rel=1e-12)
-    assert [r * x for x in rep.H] == pytest.approx(unit.H, rel=1e-12)
+    assert figures(rep) == figures(unit, r)
+    assert points[0] == points[1] > 0
 
 
 @pytest.mark.parametrize("w0", [0.0, 0.5, -0.3, -0.8, 0.9])
@@ -700,6 +725,44 @@ def test_classify_plain_ou_at_moderate_theta():
         assert rep.warnings == ["no characteristic roots found above the cut floor -10; v0 and v* reported as -inf"]
 
 
+def test_empty_strip_needs_no_winding_count(monkeypatch):
+    # every root with Re >= c lies in the disc |lambda - theta a({0})| <=
+    # |theta| * integral of e^(max(0, -c)|u|) |a|(du) over [-1, 0): for
+    # dirac0 the point theta, left of every cut at theta = -2000 and -5000.
+    # At -1 and -10 the root lies exactly on a cut and is still found
+    spectrum = importlib.import_module("sddelab.spectrum")
+    calls = []
+    winding = spectrum._winding_count
+
+    def counted(theta, a, rect):
+        calls.append(rect)
+        return winding(theta, a, rect)
+
+    monkeypatch.setattr(spectrum, "_winding_count", counted)
+    a = packaged_measure("dirac0.json")
+    for theta in (-2000.0, -5000.0):
+        rep = classify(theta, a)
+        assert rep.regime == "LAN" and rep.v_star == NEG_INF and rep.roots == []
+    assert calls == []
+    for theta in (-1.0, -10.0):
+        rep = classify(theta, a)
+        assert rep.regime == "LAN" and rep.v_star == rep.v0 == theta
+    assert calls
+
+
+def test_unit_delay_clamps_ends_just_outside_the_delay():
+    # SignedMeasure admits an end up to 1e-12 below -r, which is 1e-12 / r
+    # below -1 on the unit delay: clamped to -1 there, the measure searches
+    # as the one on [-r, 0] does
+    r = 1e-3
+    exact = SignedMeasure.polynomial_density(r, [(-r, 0.0, (1.0,))])
+    edge = SignedMeasure.polynomial_density(r, [(-r - 5e-13, 0.0, (1.0,))])
+    assert _unit_delay(edge) == _unit_delay(exact) == SignedMeasure.polynomial_density(1.0, [(-1.0, 0.0, (r,))])
+    assert _unit_delay(SignedMeasure.point_masses(r, (-r - 5e-13, 1.0))) == DM1
+    roots = roots_in_strip(-2.0 / r, edge, -3.0 / r)
+    assert roots and roots == roots_in_strip(-2.0 / r, exact, -3.0 / r)
+
+
 def test_classify_laq_band_scale_free():
     # one atom at 0: the only root is theta, so v* = theta; the LAQ band is
     # |v*| r <= ZERO_TOL, the same problem on either time scale
@@ -886,17 +949,13 @@ def test_random_systems_classify_invariants():
 )
 def test_classify_invariant_under_time_rescaling(r, atoms, theta):
     # h_r(lam) = h_1(lam r) / r for a_r(du) = a_1(du / r): theta on the
-    # delay r is theta r on the delay 1, with every root scaled by 1/r
+    # delay r is theta r on the delay 1, with every root scaled by 1/r.  The
+    # search runs on the unit delay, and for a power of two r the cuts -k/r
+    # map onto -k exactly, so the twins agree bit for bit
     scaled = classify(theta, SignedMeasure.point_masses(r, *[(u * r, w) for u, w in atoms]))
     unit = classify(theta * r, SignedMeasure.point_masses(1.0, *atoms))
     assert (scaled.regime, scaled.m_star) == (unit.regime, unit.m_star)
-    assert len(scaled.roots) == len(unit.roots)
-    for x, y in [(scaled.v0, unit.v0), (scaled.v_star, unit.v_star), *zip(scaled.H, unit.H)]:
-        if y == NEG_INF:
-            assert x == NEG_INF
-        else:
-            assert r * x == pytest.approx(y, abs=1e-9 * (1 + abs(y)))
-    assert len(scaled.H) == len(unit.H)
+    assert figures(scaled) == figures(unit, r)
 
 
 def test_initial_contour_above_cap_refused_before_sampling(monkeypatch):
