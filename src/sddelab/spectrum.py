@@ -2,11 +2,12 @@
 set in a half-plane strip, Laurent data of 1/h at each root, and the regime
 classification (LAN / LAQ / LAMN / PLAMN) with the matching scaling law.
 
-Roots are located by the argument principle on subdivided rectangles and
-polished by Newton iteration on the unit delay, time in units of r.  The
-search scans only the upper half strip and mirrors it: a real root has
-imaginary part exactly 0 and a pair is an exact conjugate mirror, so whether
-a root is real is decided here alone.
+Roots are located by the argument principle on subdivided rectangles of one
+root region and polished by Newton iteration on the unit delay, time in
+units of r; a root is listed only once Newton certifies it.  It scans only
+the upper half strip and mirrors it: a real root has imaginary part exactly
+0 and a pair is an exact conjugate mirror, so whether a root is real is
+decided here alone.
 """
 
 from __future__ import annotations
@@ -23,14 +24,13 @@ from .measures import (
     exp_moment_bound,
     exp_moments_01_many,
     has_zero_mass,
-    total_variation,
 )
 from .measures import DensityPiece, _poly_abs_defint
 
 NEG_INF = float("-inf")
 
-# Roots closer than this are merged (multiplicities summed); imaginary parts
-# below it are snapped to the real axis.
+# Imaginary parts below this are snapped to the real axis, and a root this
+# close to 0 is the zero root of a measure with a([-r, 0]) = 0.
 MERGE_TOL = 1e-8
 
 # |v*| r below this counts as the critical (LAQ) boundary: a band in units
@@ -41,7 +41,7 @@ REGIME_HINTS = ("LAN", "LAQ", "LAMN", "PLAMN")  # what a hint may force, in any 
 
 
 class SpectrumError(RuntimeError):
-    """Root search failed (degenerate contour or diverging subdivision)."""
+    """Root search failed (degenerate or over-long contour, diverging subdivision)."""
 
 
 @dataclass(frozen=True)
@@ -201,8 +201,6 @@ def _winding_count(
     ]
 
     def h_and_slope(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if theta == 0.0:
-            return pts.copy(), np.ones_like(pts)
         m0, m1 = exp_moments_01_many(a, pts)
         return pts - theta * m0, 1.0 - theta * m1
 
@@ -240,7 +238,9 @@ def _winding_count(
             if not np.any(bad):
                 return z, h, hp, dlog
             if z.size > _MAX_CONTOUR_POINTS:
-                raise _DegenerateContour
+                raise SpectrumError(
+                    f"root search contour {rect} for theta={theta} needs more than {_MAX_CONTOUR_POINTS} points"
+                )
             idx = np.nonzero(bad)[0]
             mids = 0.5 * (z[idx] + z_next[idx])
             hm, hpm = h_and_slope(mids)
@@ -370,21 +370,21 @@ def roots_in_strip(theta: float, a: SignedMeasure, c: float) -> list[CharRoot]:
     so theta, a and c below are the unit delay's.  For theta = 0 the root set
     is {0}.  Otherwise h = 0 puts every root of the strip in the disc around
     theta a({0}) of radius |theta| * integral over [-1, 0) of e^(gamma |u|)
-    |a|(du), gamma = max(0, -c), and no contour is counted for a disc left of
-    the cut.  A root also has |lambda| <= rho, the positive root of rho^2 =
-    alpha rho + beta, where |theta M_0| <= alpha + beta / |lambda| on the
-    strip (`measures.exp_moment_bound`: alpha from the atoms, beta from the
-    densities, whose moments fall as 1/|lambda|).  The search height is the
-    lower of rho and the disc's reach from 0.  The roots are found by
-    bisecting rectangles on argument-principle counts, each carrying its count
-    n and root sum s (the second half's pair by subtraction).  Newton starts
-    at the centroid s / n, moved into the box, when n = 1 or h passes the
-    residual test there (an n-fold root, which s places to rounding); it stays
-    within the box's diagonal and must end in the box, and only an n-fold root
-    is recounted.  Then sub-1e-8 clusters merge and the upper half-strip scan
-    is mirrored: real roots are exactly real and pairs exact mirrors, which
-    `classify` and the limit-law samplers rely on.  A non-finite theta or c is
-    refused, and so is a bound too large to sample (`_winding_count`)."""
+    |a|(du), gamma = max(0, -c), and in |lambda| <= rho, the positive root of
+    rho^2 = alpha rho + beta, where |theta M_0| <= alpha + beta / |lambda| on
+    the strip (`measures.exp_moment_bound`: alpha from the atoms, beta from
+    the densities, whose moments fall as 1/|lambda|).  No contour is counted
+    when this root region lies left of the cut; otherwise the first box is
+    its upper-half bounding box, padded by about 1.  Boxes are bisected on
+    argument-principle counts, each carrying its count n and root sum s (the
+    second half's pair by subtraction).  Newton starts at the centroid s / n,
+    moved into the box, when n = 1 or h passes the residual test there (an
+    n-fold root, which s places to rounding); it stays within the box's
+    diagonal and must end in the box, and only an n-fold root is recounted.
+    Then imaginary parts below MERGE_TOL snap to 0 and the upper half-strip
+    scan is mirrored: real roots are exactly real and pairs exact mirrors,
+    which `classify` and the limit-law samplers rely on.  A non-finite theta
+    or c is refused, and so is a contour too long to sample."""
     if not (math.isfinite(theta) and math.isfinite(c)):
         raise SpectrumError(f"root search needs a finite theta and strip, got theta={theta}, c={c}")
     r, theta, a, c = a.r, theta * a.r, _unit_delay(a), c * a.r  # from here on, the unit delay
@@ -398,14 +398,14 @@ def roots_in_strip(theta: float, a: SignedMeasure, c: float) -> list[CharRoot]:
     reach = alpha + abs(theta) * sum(
         math.exp(min(-gamma * p.lo, 700.0)) * _poly_abs_defint(p.coeffs, p.lo, p.hi) for p in a.density_pieces
     )
-    v_max = min(abs(theta) * total_variation(a), rho) + 1.0
+    radius = reach - abs(centre)
+    right = min(centre + radius, rho)  # the root region's right edge
     cutoff = c - 1e-9 * (1.0 + abs(c))
-    if c > v_max or centre + (reach - abs(centre)) < cutoff:
+    if right < cutoff:
         return []
-    bound = min(reach, rho) + abs(c) + 1.0
     rng = np.random.default_rng(12345)
     margin = 3e-4 * (1.0 + abs(c))
-    rect0 = (c - margin, v_max + 0.0133, -0.0171, bound + 0.0119)
+    rect0 = (c - margin, right + 1.0133, -0.0171, min(radius, rho) + 1.0119)
 
     found: list[tuple[complex, int]] = []
     budget = [0]
@@ -422,13 +422,14 @@ def roots_in_strip(theta: float, a: SignedMeasure, c: float) -> list[CharRoot]:
 
     def process(rect, n, root_sum):
         budget[0] += 1
-        if n < 0 or budget[0] > 1_000_000:
-            raise SpectrumError("search diverged")
         if n == 0:
             return
         re_lo, re_hi, im_lo, im_hi = rect
         w, h = re_hi - re_lo, im_hi - im_lo
         diag = math.hypot(w, h)
+        # no contour within 1e-6 of a root is counted: a tiny box holding one is a fault
+        if n < 0 or budget[0] > 1_000_000 or diag < 1e-7:
+            raise SpectrumError("search diverged")
         mean = root_sum / n
         z0 = complex(min(max(mean.real, re_lo), re_hi), min(max(mean.imag, im_lo), im_hi))
         if n == 1 or _root_residual_ok(theta, a, z0):
@@ -442,9 +443,6 @@ def roots_in_strip(theta: float, a: SignedMeasure, c: float) -> list[CharRoot]:
             ):
                 found.append((z, n))
                 return
-        if diag < 1e-7:
-            found.append((complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi)), n))
-            return
         # bisect the longer side; re-draw the cut position if the contour
         # lands on a root (keeps the two halves exactly complementary)
         for attempt in range(8):
@@ -469,17 +467,9 @@ def roots_in_strip(theta: float, a: SignedMeasure, c: float) -> list[CharRoot]:
     (n0, s0), rect0 = _jittered_count(theta, a, rect0, rng)
     process(rect0, n0, s0)
 
-    # snap near-real roots, merge tight clusters, mirror the upper half scan
+    # snap near-real roots, mirror the upper half scan
     snapped = [(complex(z.real, 0.0) if abs(z.imag) <= MERGE_TOL else z, m) for z, m in found]
-    merged: list[tuple[complex, int]] = []
-    for z, m in snapped:
-        for i, (zi, mi) in enumerate(merged):
-            if abs(z - zi) <= MERGE_TOL:
-                merged[i] = ((zi * mi + z * m) / (mi + m), mi + m)
-                break
-        else:
-            merged.append((z, m))
-    upper = [(z, m) for z, m in merged if z.imag >= 0.0]
+    upper = [(z, m) for z, m in snapped if z.imag >= 0.0]
     mirrored = upper + [(z.conjugate(), m) for z, m in upper if z.imag > 0.0]
     mirrored.sort(key=lambda zm: (-zm[0].real, abs(zm[0].imag), -zm[0].imag))
     return [CharRoot(complex(z.real / r, z.imag / r), m) for z, m in mirrored if z.real >= cutoff]

@@ -414,6 +414,17 @@ def test_single_path_statistics_are_experiment_rows(name):
 # persistence
 
 
+@pytest.mark.parametrize(
+    "obj, text",
+    [({}, "{}"), (np.float32("nan"), "null"), ({"x": np.float32("nan")}, '{\n  "x": null\n}'), ([], "[]")],
+    ids=["empty_dict", "nan_float32", "nan_float32_field", "empty_list"],
+)
+def test_dump_json_edge_values(obj, text):
+    buf = io.StringIO()
+    dump_json(obj, buf)
+    assert buf.getvalue() == text
+
+
 def test_dump_json_17_digits():
     buf = io.StringIO()
     dump_json({"x": 1.0 / 3.0, "arr": [1.5, 2.0], "none": None, "inf": float("inf")}, buf)

@@ -19,7 +19,7 @@ from sddelab.kernels import (
 )
 from sddelab.measures import DensityPiece, SignedMeasure, exp_moment, tail_mass, total_variation
 from sddelab.simulate import InitialPath
-from sddelab.spectrum import build_root_data, classify, roots_in_strip
+from sddelab.spectrum import CharRoot, build_root_data, classify, roots_in_strip
 
 D0 = SignedMeasure.point_masses(1.0, (0.0, 1.0))
 DM1 = SignedMeasure.point_masses(1.0, (-1.0, 1.0))
@@ -263,6 +263,12 @@ def test_residue_single_exponential():
     roots = [build_root_data(-0.5, D0, rt) for rt in roots_in_strip(-0.5, D0, -1.0)]
     t = np.linspace(0.0, 6.0, 13)
     np.testing.assert_allclose(residue_expansion_eval(-0.5, D0, roots, t), np.exp(-0.5 * t), atol=1e-11)
+
+
+@pytest.mark.parametrize("root", [CharRoot(-0.5 + 0j, 1), CharRoot(1j, 1, laurent=(1.0 + 0j,))])
+def test_residue_needs_root_data(root):
+    with pytest.raises(KernelError, match="root data missing p_poly"):
+        residue_expansion_eval(-0.5, D0, [root], 1.0)
 
 
 @pytest.mark.parametrize("theta", [1.0, -np.pi / 2])

@@ -462,6 +462,14 @@ def test_plamn_information_positive():
     assert np.all(info > 0)
 
 
+@pytest.mark.parametrize("theta, regime", [(-0.5, "LAN"), (0.0, "LAQ")])
+def test_plamn_sampler_refuses_other_regimes(theta, regime):
+    rep = classify(theta, D0)
+    assert rep.regime == regime
+    with pytest.raises(LimitLawError, match=f"needs a PLAMN report, got {regime}"):
+        sample_plamn_many(theta, D0, rep, InitialPath.zero(), 0.0, 10, rng_(0))
+
+
 def test_plamn_single_real_root_reduces_to_lamn():
     rep = classify(1.0, DM1)  # LAMN: single real contributing root
     assert rep.regime == "LAMN"

@@ -8,6 +8,7 @@ import pytest
 from sddelab.measures import (
     MAX_MOMENT_ORDER,
     MIN_SAMPLED_GRID,
+    DensityPiece,
     MeasureError,
     SignedMeasure,
     _exp_kernel_moments,
@@ -79,6 +80,23 @@ def test_tail_mass_domain_error():
         tail_mass(D0, 1.5)
     with pytest.raises(MeasureError):
         tail_mass(D0, -0.2)
+
+
+@pytest.mark.parametrize(
+    "build, names",
+    [
+        (lambda: SignedMeasure.from_dict({"atoms": [{"u": 0.0, "w": 1.0}]}), "measure descriptor needs field 'r'"),
+        (lambda: SignedMeasure(-1.0, ((0.0, 1.0),)), "r must be positive, got -1.0"),
+        (lambda: SignedMeasure(0.0, ((0.0, 1.0),)), "r must be positive, got 0.0"),
+        (lambda: SignedMeasure(1.0, (), (DensityPiece(-0.5, -0.5, (1.0,)),)), "degenerate density piece [-0.5, -0.5]"),
+        (lambda: SignedMeasure(1.0, (), (DensityPiece(-2.0, -1.5, (1.0,)),)), "density piece [-2.0, -1.5] outside [-r, 0]"),
+        (lambda: SignedMeasure(1.0, (), (DensityPiece(-0.5, 0.25, (1.0,)),)), "density piece [-0.5, 0.25] outside [-r, 0]"),
+    ],
+    ids=["no_r", "r_negative", "r_zero", "degenerate_piece", "piece_left_of_r", "piece_right_of_0"],
+)
+def test_refused_measures_named(build, names):
+    with pytest.raises(MeasureError, match=re.escape(names)):
+        build()
 
 
 def test_tail_mass_polynomial():

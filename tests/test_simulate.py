@@ -1,13 +1,14 @@
 import importlib
 import io
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from sddelab.inference import batch_statistics, mle, score_and_info, statistics_from_sums
-from sddelab.kernels import DelayStencil, Grid, fisher_limit, fisher_theta0
+from sddelab.kernels import DelayStencil, Grid, KernelError, fisher_limit, fisher_theta0
 from sddelab.measures import SignedMeasure
 from sddelab.simulate import (
     BLOCK,
@@ -57,6 +58,35 @@ def test_initial_path_refuses_empty_values_and_unknown_keys():
         InitialPath(())
     with pytest.raises(S.SimulationError, match="unknown initial path keys: r, value_"):
         InitialPath.from_dict({"kind": "constant", "value_": 1.0, "r": 1.0})
+
+
+SMALL = Grid(r=1.0, n_delay=4, n_steps=6)
+
+
+@pytest.mark.parametrize(
+    "call, error, names",
+    [
+        # the first t gives r = -t_0: a path that starts at -inf has no grid
+        (lambda: path_from_csv(io.StringIO("t,W,X,Y\n-inf,,0,\n0,0,0,0\n0.5,0,0,0\n")), KernelError, "finite r"),
+        (lambda: InitialPath.sampled([1.0]), S.SimulationError, "sampled initial path needs >= 2 values"),
+        (lambda: InitialPath.from_dict({"kind": "spline"}), S.SimulationError, "unknown initial path kind 'spline'"),
+        (
+            lambda: simulate_batch(-0.5, D0, InitialPath.zero(), SMALL, [1, 2], dW=np.zeros((2, 5))),
+            S.SimulationError,
+            "dW must have shape (2, 6), got (2, 5)",
+        ),
+        (lambda: simulate_sums(math.nan, D0, InitialPath.zero(), SMALL, [1]), S.SimulationError, "theta must be finite, got nan"),
+        (
+            lambda: y_process(np.zeros((3, SMALL.n_total - 1)), D0, SMALL),
+            S.SimulationError,
+            f"with {SMALL.n_total} samples, got {SMALL.n_total - 1}",
+        ),
+    ],
+    ids=["csv_r_inf", "sampled_one_value", "unknown_kind", "dW_shape", "sums_theta_nan", "y_process_length"],
+)
+def test_refused_inputs_named(call, error, names):
+    with pytest.raises(error, match=re.escape(names)):
+        call()
 
 
 def test_theta_zero_path_is_shifted_wiener():

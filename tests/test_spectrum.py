@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sddelab.kernels import KernelError, fisher_limit
-from sddelab.measures import SignedMeasure, exp_moment
+from sddelab.measures import SignedMeasure, _poly_abs_defint, exp_moment, exp_moment_bound
 from sddelab.spectrum import (
     MERGE_TOL,
     NEG_INF,
@@ -763,6 +763,124 @@ def test_unit_delay_clamps_ends_just_outside_the_delay():
     assert roots and roots == roots_in_strip(-2.0 / r, exact, -3.0 / r)
 
 
+# the first rectangle of every packaged measure's searches, and of a disc
+# off the origin with 126 roots in the upper half
+@pytest.mark.parametrize(
+    "a, theta",
+    [
+        pytest.param(packaged_measure(name), theta, id=f"{name[:-5]}@{theta:.4g}")
+        for name in PACKAGED
+        for theta in (-np.pi / 2, -1.0, -0.5, 0.5, 1.0, 2.0)
+    ]
+    + [pytest.param(SignedMeasure.point_masses(1.0, (0.0, 1.0), (-1.0, 0.3)), -200.0, id="d0+0.3d-1@-200")],
+)
+def test_first_rectangle_is_the_root_region_padded(monkeypatch, a, theta):
+    # on the unit delay every root of the strip Re >= c lies in the disc
+    # |lambda - theta a({0})| <= theta-weighted integral of e^(gamma |u|)
+    # |a|(du) over [-1, 0), gamma = max(0, -c) (a density piece counts its
+    # mass |p| times e^(gamma |lo|)), and in |lambda| <= rho.  The first
+    # rectangle covers that region's upper half and reaches no further than
+    # its bounding box plus the pads; a strip whose region lies left of the
+    # cut counts no contour
+    spectrum = importlib.import_module("sddelab.spectrum")
+    strips = []
+    search, count = spectrum.roots_in_strip, spectrum._jittered_count
+
+    def searched(theta, a, c):
+        strips.append({"c": c})
+        strips[-1]["roots"] = search(theta, a, c)
+        return strips[-1]["roots"]
+
+    def counted(theta, a, rect, rng):
+        strips[-1]["rect"] = rect
+        return count(theta, a, rect, rng)
+
+    monkeypatch.setattr(spectrum, "roots_in_strip", searched)
+    monkeypatch.setattr(spectrum, "_jittered_count", counted)
+    classify(theta, a)
+    a1, r = _unit_delay(a), a.r
+    assert strips
+    for strip in strips:
+        c, th = strip["c"] * r, theta * r
+        gamma = max(0.0, -c)
+        centre = th * sum(w for u, w in a1.atoms if u == 0.0)
+        radius = abs(th) * (
+            sum(abs(w) * math.exp(-gamma * u) for u, w in a1.atoms if u < 0.0)
+            + sum(math.exp(-gamma * p.lo) * _poly_abs_defint(p.coeffs, p.lo, p.hi) for p in a1.density_pieces)
+        )
+        alpha, beta = (abs(th) * x for x in exp_moment_bound(a1, gamma))
+        rho = 0.5 * (alpha + math.sqrt(alpha * alpha + 4.0 * beta))
+        right, top = min(centre + radius, rho), min(radius, rho)
+        for rt in strip["roots"]:
+            lam = rt.lam * r
+            assert abs(lam - centre) <= radius * (1.0 + 1e-12) and abs(lam) <= rho * (1.0 + 1e-12)
+        if "rect" not in strip:
+            assert right < c and strip["roots"] == []
+            continue
+        re_lo, re_hi, im_lo, im_hi = strip["rect"]
+        jitter = 1e-4  # `_jittered_count` moves an edge by up to this
+        assert c - 3e-4 * (1.0 + abs(c)) - jitter <= re_lo < c and -0.0171 - jitter <= im_lo < 0.0
+        assert right + 1.0 <= re_hi <= right + 1.0133 + jitter
+        assert top + 1.0 <= im_hi <= top + 1.0119 + jitter
+
+
+def test_uncertified_box_is_an_error_not_a_root(monkeypatch):
+    # with no Newton run certifying a root, the boxes around the pair of
+    # lambda = -e^(-lambda) shrink until a contour runs into it: the search
+    # fails instead of reporting a box centre as a root
+    spectrum = importlib.import_module("sddelab.spectrum")
+    monkeypatch.setattr(spectrum, "_newton_polish", lambda *args: None)
+    with pytest.raises(SpectrumError):
+        classify(-1.0, DM1)
+    with pytest.raises(SpectrumError):
+        roots_in_strip(-1.0, DM1, -1.0)
+
+
+def test_cut_redraw_finds_the_same_roots(monkeypatch):
+    # delta_-1 at theta = -10 holds two roots in the first box of its first
+    # strip.  When the contour of the first half of that box runs into a
+    # root, the bisection redraws its cut; the report keeps its regime and
+    # multiplicities, and its roots move only by rounding
+    spectrum = importlib.import_module("sddelab.spectrum")
+    want = classify(-10.0, DM1)
+    calls = []
+    winding = spectrum._winding_count
+
+    def refuse_once(theta, a, rect):
+        calls.append(rect)
+        if len(calls) == 2:
+            raise spectrum._DegenerateContour
+        return winding(theta, a, rect)
+
+    monkeypatch.setattr(spectrum, "_winding_count", refuse_once)
+    got = classify(-10.0, DM1)
+    first, refused, redrawn = calls[:3]
+    assert refused[:3] == redrawn[:3] == first[:3]  # the longer side, Im, is cut
+    assert refused[3] == first[2] + 0.5 * (first[3] - first[2]) != redrawn[3]
+    assert (got.regime, got.m_star) == (want.regime, want.m_star) == ("PLAMN", 0.0)
+    assert [rt.multiplicity for rt in got.roots] == [rt.multiplicity for rt in want.roots]
+    for x, y in zip(got.roots, want.roots):
+        assert abs(x.lam - y.lam) <= 1e-14 * abs(y.lam)
+
+
+def test_overlong_contour_refused_by_name_once(monkeypatch):
+    # theta = 1e5 on delta_-1: refining the first contour passes the point
+    # cap, which no jitter of its edges would change, so the search refuses
+    # it after one winding count and names the cap
+    spectrum = importlib.import_module("sddelab.spectrum")
+    calls = []
+    winding = spectrum._winding_count
+
+    def counted(theta, a, rect):
+        calls.append(rect)
+        return winding(theta, a, rect)
+
+    monkeypatch.setattr(spectrum, "_winding_count", counted)
+    with pytest.raises(SpectrumError, match=f"more than {spectrum._MAX_CONTOUR_POINTS} points"):
+        classify(1e5, DM1)
+    assert len(calls) == 1
+
+
 def test_classify_laq_band_scale_free():
     # one atom at 0: the only root is theta, so v* = theta; the LAQ band is
     # |v*| r <= ZERO_TOL, the same problem on either time scale
@@ -788,6 +906,21 @@ def test_classify_regime_hint_override():
     rep = classify(-0.5, D0, regime_hint="LAQ")
     assert rep.regime == "LAQ"
     assert any("overridden" in w for w in rep.warnings)
+
+
+@pytest.mark.parametrize("hint", ["foo", "lamnx", ""])
+def test_classify_unknown_regime_hint_refused(hint):
+    with pytest.raises(ValueError, match=re.escape(f"unknown regime hint {hint.upper()!r}")):
+        classify(-0.5, D0, regime_hint=hint)
+
+
+@pytest.mark.parametrize(
+    "theta, law",
+    [(-0.5, "T^-1/2"), (0.0, "T^-1"), (0.5, "T^-0*exp(-0.5*T)")],
+)
+def test_scaling_law_strings_on_dirac0(theta, law):
+    # LAN, LAQ (the zero root of theta = 0, m* = 0) and LAMN at the root theta
+    assert classify(theta, D0).scaling.describe() == law
 
 
 # ---------------------------------------------------------------------------
